@@ -1,12 +1,14 @@
-"""Dict-vs-array engine backend speedup — the ROADMAP item 1 gate.
+"""Dict reference vs array engine speedup — the ROADMAP item 1 gate.
 
-The structure-of-arrays backend (``repro.core.arrays`` +
-``repro.index.array_index``) exists to kill the per-edge dict/tuple
+The structure-of-arrays engine (``repro.core.arrays`` +
+``repro.index.array_index``; what :func:`~repro.core.anc.make_engine`
+builds) exists to kill the per-edge dict/tuple
 overhead that ``bench_profile.py`` attributed to ``reinforce`` (~65%)
 and ``index_repair`` (~26%).  This bench measures exactly that claim,
 with the same sampling idiom:
 
-* **Profile-attributed ratio (the gate).**  Both backends replay the
+* **Profile-attributed ratio (the gate).**  The array engine and the
+  dict reference (:func:`~repro.core.anc.reference_engine`) replay the
   same uniform stream on the dense MI dataset (avg degree ~40 — the
   regime where the dict backend's ``common_neighbors`` merge and
   per-edge hash probes dominate) under a
@@ -32,7 +34,7 @@ import time
 import pytest
 
 from repro.bench.reporting import format_table, save_result
-from repro.core.anc import ANCO, ANCParams
+from repro.core.anc import ANCParams, make_engine, reference_engine
 from repro.obs import MetricsRegistry, Observability, SamplingProfiler, Tracer
 from repro.workloads.datasets import load_dataset
 from repro.workloads.streams import uniform_stream
@@ -52,11 +54,10 @@ MIN_HOT_SPEEDUP = 5.0
 MIN_DICT_ACTS_PER_S = 2000.0
 
 
-def _params(backend: str) -> ANCParams:
-    return ANCParams(
-        rep=2, k=2, seed=0, rescale_every=512, eps=0.25, mu=2,
-        engine_backend=backend,
-    )
+PARAMS = ANCParams(rep=2, k=2, seed=0, rescale_every=512, eps=0.25, mu=2)
+
+#: The engine each row of the bench measures.
+BUILDERS = {"dict": reference_engine, "array": make_engine}
 
 
 def _profile_backend(backend: str, batches, graph_loader):
@@ -66,7 +67,7 @@ def _profile_backend(backend: str, batches, graph_loader):
     # Engines are built outside the profiling window: the gate is about
     # the online path, not index construction.
     engines = [
-        ANCO(graph_loader(), _params(backend), obs=obs)
+        BUILDERS[backend]("ANCO", graph_loader(), PARAMS, obs=obs)
         for _ in range(PROFILE_REPLAYS)
     ]
     for engine in engines:
@@ -78,7 +79,7 @@ def _profile_backend(backend: str, batches, graph_loader):
 
 
 def _wall_backend(backend: str, batches, graph) -> float:
-    engine = ANCO(graph, _params(backend))
+    engine = BUILDERS[backend]("ANCO", graph, PARAMS)
     start = time.perf_counter()
     for _, batch in batches:
         engine.process_batch(batch)

@@ -1,9 +1,9 @@
 """backend-parity-discipline: hot-state writers must exist in both backends.
 
-The engine has two interchangeable backends (docs/engine-internals.md):
-the dict-of-dicts oracle and the structure-of-arrays hot path
-(:mod:`repro.core.arrays`, :mod:`repro.index.array_index`).  The array
-backend mirrors three dict containers into flat storage — the anchored
+The serving engine (:mod:`repro.core.arrays`,
+:mod:`repro.index.array_index`) subclasses the dict-of-dicts reference
+oracle (docs/engine-internals.md) and must agree with it bit for bit.
+The array side mirrors three dict containers into flat storage — the anchored
 edge values (``AnchoredEdgeValues._values``), the cached node strengths
 (``ActiveSimilarity._strength``) and the index weight table
 (``PyramidIndex._weights``).  A method on a base class that writes one

@@ -48,7 +48,6 @@ import argparse
 import sys
 from typing import IO, List, Optional, Sequence, Tuple
 
-from .baselines import attractor, louvain, scan
 from .core.anc import ANCF, ANCParams, make_engine
 from .graph.io import read_edge_list, read_temporal_edge_list
 from .graph.traversal import connected_components
@@ -129,6 +128,10 @@ def cmd_info(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def cmd_cluster(args: argparse.Namespace, out: IO[str]) -> int:
+    # The baselines pull in scipy; only this command needs them, so the
+    # serving commands never pay for the import.
+    from .baselines import attractor, louvain, scan
+
     graph, names = read_edge_list(args.edgelist)
     if args.method == "anc":
         engine = ANCF(graph, _params_from(args))

@@ -20,14 +20,21 @@ Every engine exposes the Problem 1 query API through
 :attr:`~ANCEngineBase.queries` (a
 :class:`~repro.index.clustering.ClusterQueryEngine`) and convenience
 delegates ``clusters`` / ``cluster_of`` / ``zoom``.
+
+Every engine runs on the structure-of-arrays stores
+(:mod:`repro.core.arrays`, :mod:`repro.index.array_index`).  The
+dict-of-dicts classes they subclass are the paper-reference oracle,
+reached only through :func:`reference_engine`; the two agree bit for
+bit (``docs/engine-internals.md``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..graph.graph import Graph
+from ..index.array_index import ArrayPyramidIndex
 from ..index.clustering import ClusterQueryEngine, Clustering
 from ..index.pyramid import PyramidIndex
 from ..obs.instruments import MetricsRegistry
@@ -42,6 +49,7 @@ __all__ = [
     "ANCOR",
     "ANCF",
     "make_engine",
+    "reference_engine",
 ]
 
 
@@ -80,15 +88,6 @@ class ANCParams:
         which partitions the relation graph across engine worker
         *processes* (``repro-anc shard-serve --shards N``; see
         ``docs/sharding.md``).
-    engine_backend:
-        ``"dict"`` (default; the pure-Python dict-of-dicts path, kept
-        permanently as the correctness oracle) or ``"array"`` (the
-        structure-of-arrays hot path: flat edge-id-indexed stores,
-        generation-cached σ/roles, inlined pyramid repair).  Both
-        backends produce bit-for-bit identical similarities, clusters
-        and checkpoint bytes — enforced by ``tests/test_engine_parity.py``
-        and the chaos matrix's ``ANC_BACKEND=array`` slice; see
-        ``docs/engine-internals.md``.
     """
 
     lam: float = 0.1
@@ -101,11 +100,14 @@ class ANCParams:
     rescale_every: int = 1024
     method: str = "power"
     update_workers: int = 0
-    engine_backend: str = "dict"
 
 
 class ANCEngineBase:
-    """Common wiring: metric + index + query engine over one graph."""
+    """Common wiring: metric + index + query engine over one graph.
+
+    ``_reference`` builds the dict-of-dicts oracle instead of the array
+    engine; it is set by :func:`reference_engine` and nothing else.
+    """
 
     def __init__(
         self,
@@ -113,12 +115,11 @@ class ANCEngineBase:
         params: Optional[ANCParams] = None,
         *,
         obs: Optional[Observability] = None,
+        _reference: bool = False,
     ) -> None:
         self.graph = graph
         self.params = params or ANCParams()
         p = self.params
-        if p.engine_backend not in ("dict", "array"):
-            raise ValueError(f"unknown engine backend {p.engine_backend!r}")
         self.metric = SimilarityFunction(
             graph,
             lam=p.lam,
@@ -126,11 +127,9 @@ class ANCEngineBase:
             mu=p.mu,
             rep=p.rep,
             rescale_every=p.rescale_every,
-            backend=p.engine_backend,
+            reference=_reference,
         )
         if self.metric.space is not None:
-            from ..index.array_index import ArrayPyramidIndex
-
             self.index: PyramidIndex = ArrayPyramidIndex(
                 graph,
                 self.metric.snapshot_weights(),
@@ -313,8 +312,9 @@ class ANCO(ANCEngineBase):
         params: Optional[ANCParams] = None,
         *,
         obs: Optional[Observability] = None,
+        _reference: bool = False,
     ) -> None:
-        super().__init__(graph, params, obs=obs)
+        super().__init__(graph, params, obs=obs, _reference=_reference)
         self._wire_updates()
 
     def _wire_updates(self) -> None:
@@ -367,10 +367,11 @@ class ANCOR(ANCO):
         *,
         reinforce_interval: float = 5.0,
         obs: Optional[Observability] = None,
+        _reference: bool = False,
     ) -> None:
         if reinforce_interval <= 0:
             raise ValueError(f"reinforce_interval must be positive, got {reinforce_interval}")
-        super().__init__(graph, params, obs=obs)
+        super().__init__(graph, params, obs=obs, _reference=_reference)
         self.reinforce_interval = reinforce_interval
         self._last_reinforce = 0.0
 
@@ -397,8 +398,9 @@ class ANCF(ANCEngineBase):
         params: Optional[ANCParams] = None,
         *,
         obs: Optional[Observability] = None,
+        _reference: bool = False,
     ) -> None:
-        super().__init__(graph, params, obs=obs)
+        super().__init__(graph, params, obs=obs, _reference=_reference)
         self._dirty = False
 
     def process(self, act: Activation) -> None:
@@ -440,13 +442,31 @@ class ANCF(ANCEngineBase):
         return super().cluster_of(v, level)
 
 
+def _engine_class(name: str) -> Callable[..., ANCEngineBase]:
+    table = {"ANCF": ANCF, "ANCO": ANCO, "ANCOR": ANCOR}
+    try:
+        return table[name.upper()]
+    except KeyError:
+        raise ValueError(f"unknown engine {name!r}; expected one of {sorted(table)}") from None
+
+
 def make_engine(
     name: str, graph: Graph, params: Optional[ANCParams] = None, **kwargs: object
 ) -> ANCEngineBase:
     """Factory by paper name: 'ANCF', 'ANCO' or 'ANCOR'."""
-    table = {"ANCF": ANCF, "ANCO": ANCO, "ANCOR": ANCOR}
-    try:
-        cls = table[name.upper()]
-    except KeyError:
-        raise ValueError(f"unknown engine {name!r}; expected one of {sorted(table)}") from None
-    return cls(graph, params, **kwargs)
+    return _engine_class(name)(graph, params, **kwargs)
+
+
+def reference_engine(
+    name: str, graph: Graph, params: Optional[ANCParams] = None, **kwargs: object
+) -> ANCEngineBase:
+    """The paper-reference oracle for :func:`make_engine`'s engine.
+
+    Same class, same parameters, but built on the dict-of-dicts stores
+    (``core/decay.py``, ``core/similarity.py``, ``core/reinforcement.py``,
+    ``index/pyramid.py``) that the array engine subclasses.  It produces
+    bit-for-bit the same similarities, clusters and checkpoint bytes,
+    which is what the parity tests, the chaos oracles and the backend
+    bench diff against.  No serving path builds one.
+    """
+    return _engine_class(name)(graph, params, _reference=True, **kwargs)

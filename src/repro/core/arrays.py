@@ -1,4 +1,4 @@
-"""Structure-of-arrays backend for the engine hot path (ROADMAP item 1).
+"""Structure-of-arrays stores: the hot path of every serving engine.
 
 The dict-of-dicts pipeline (``decay`` / ``similarity`` /
 ``reinforcement``) pays a tuple allocation plus a hash probe for every

@@ -78,11 +78,13 @@ class SimilarityFunction:
     initialize:
         If False the caller drives :meth:`initialize` manually (used by
         tests that inspect the pre-reinforcement state).
-    backend:
-        ``"dict"`` (the pure-Python oracle) or ``"array"`` (the
-        structure-of-arrays hot path over a shared
-        :class:`~repro.core.arrays.EdgeSpace`).  Both produce bitwise
-        identical values; see ``docs/engine-internals.md``.
+    reference:
+        Build the dict-of-dicts reference stores (the correctness oracle
+        that :func:`repro.core.anc.reference_engine` wires up) instead of
+        the structure-of-arrays stores over a shared
+        :class:`~repro.core.arrays.EdgeSpace` that every serving engine
+        runs.  Both produce bitwise identical values; see
+        ``docs/engine-internals.md``.
     """
 
     def __init__(
@@ -97,20 +99,17 @@ class SimilarityFunction:
         floor: float = SIMILARITY_FLOOR,
         cap: float = SIMILARITY_CAP,
         initialize: bool = True,
-        backend: str = "dict",
+        reference: bool = False,
     ) -> None:
         if rep < 0:
             raise ValueError(f"rep must be >= 0, got {rep}")
-        if backend not in ("dict", "array"):
-            raise ValueError(f"unknown engine backend {backend!r}")
         self.graph = graph
         self.rep = rep
-        self.backend = backend
         self.clock = DecayClock(lam, rescale_every=rescale_every)
-        #: Shared edge-id interning table (array backend only; ``None``
-        #: on the dict path so callers can feature-test with one getattr).
+        #: Shared edge-id interning table (``None`` on the reference
+        #: stores, so callers can feature-test with one attribute read).
         self.space: Optional[EdgeSpace] = None
-        if backend == "array":
+        if not reference:
             self.space = EdgeSpace(graph)
             store = ArrayEdgeValues(
                 self.clock, ValueKind.POSITIVE, self.space, name="activeness"

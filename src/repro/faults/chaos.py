@@ -42,7 +42,11 @@ lets it fire, then drives the recovery protocol a real deployment would:
   is classified ``diverged`` no matter what else went right
   (docs/replication.md § Read routing).
 
-Every run is classified against the scenario's contract:
+Every engine under test (pipeline engine, recovery, servers, shard
+workers) is the array serving engine; every oracle is the dict
+reference built by :func:`~repro.core.anc.reference_engine`, so each
+cell's byte-identity contract also checks the two against each other
+under faults.  Every run is classified against the scenario's contract:
 
 * ``recovered`` — final engine state is **byte-identical** to the
   fault-free oracle (exact float reprs, all cluster levels);
@@ -60,11 +64,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -85,7 +88,7 @@ if TYPE_CHECKING:  # runtime import is deferred: repro.shard imports repro.fault
     from ..shard.worker import ShardDeployment
 
 from ..core.activation import Activation
-from ..core.anc import ANCParams, make_engine
+from ..core.anc import ANCParams, make_engine, reference_engine
 from ..graph.generators import planted_partition
 from ..graph.graph import Graph
 from ..replica.admin import promote
@@ -151,25 +154,6 @@ SHARD_PARAMS = ANCParams(rep=1, k=2, seed=0, rescale_every=10**9)
 
 #: Shard scenarios run this many engine workers behind the router.
 SHARD_COUNT = 2
-
-
-def _sut_params(base: ANCParams) -> ANCParams:
-    """Engine parameters for a system-under-test engine.
-
-    ``ANC_BACKEND`` (``dict`` | ``array``) overrides the engine backend
-    of every SUT engine — the pipeline engine, recovery, the service
-    and replica servers, and the shard workers — while every *oracle*
-    keeps ``base`` (dict backend).  With ``ANC_BACKEND=array`` the
-    whole matrix therefore doubles as a dict-vs-array differential
-    harness: each cell's byte-identity contract is now checked across
-    backends, not just across fault injection
-    (``tests/chaos/test_chaos_matrix.py`` runs a pinned slice this way
-    in CI; see docs/engine-internals.md).
-    """
-    backend = os.environ.get("ANC_BACKEND", "").strip()
-    if not backend or backend == base.engine_backend:
-        return base
-    return replace(base, engine_backend=backend)
 
 
 def build_shard_workload(
@@ -678,7 +662,7 @@ def _run_pipeline(
     scenario: Scenario, seed: int, workdir: Path
 ) -> ChaosResult:
     graph, acts = _build_workload(seed)
-    oracle = make_engine("ANCO", graph, QUICK_PARAMS)
+    oracle = reference_engine("ANCO", graph, QUICK_PARAMS)
     apply_activations(oracle, acts)
     expected = engine_signature(oracle)
 
@@ -687,7 +671,7 @@ def _run_pipeline(
     data_dir = workdir / f"{scenario.name}-s{seed}"
     store = CheckpointStore(data_dir, faults=plan)
     wal = WriteAheadLog(store.wal_path, faults=plan)
-    engine = make_engine("ANCO", graph, _sut_params(QUICK_PARAMS))
+    engine = make_engine("ANCO", graph, QUICK_PARAMS)
     detail = "stream complete; simulated kill -9 at end"
     try:
         for i, act in enumerate(acts):
@@ -704,7 +688,7 @@ def _run_pipeline(
     plan.set_phase("recovery")
     try:
         recovered, replayed = recover_engine(
-            graph, store, params=_sut_params(QUICK_PARAMS)
+            graph, store, params=QUICK_PARAMS
         )
     except (WalCorruptError, CheckpointCorruptError) as exc:
         return ChaosResult(
@@ -824,7 +808,7 @@ def _run_service(
     scenario: Scenario, seed: int, workdir: Path
 ) -> ChaosResult:
     graph, acts = _build_workload(seed)
-    oracle = make_engine("ANCO", graph, QUICK_PARAMS)
+    oracle = reference_engine("ANCO", graph, QUICK_PARAMS)
     apply_activations(oracle, acts)
     expected = engine_signature(oracle)
 
@@ -843,7 +827,7 @@ def _run_service(
         seed=seed,
     )
     with ServerThread(
-        graph, config=config, params=_sut_params(QUICK_PARAMS)
+        graph, config=config, params=QUICK_PARAMS
     ) as handle:
         assert handle.server is not None and handle.port is not None
         try:
@@ -920,7 +904,7 @@ def _run_replica(
     scenario: Scenario, seed: int, workdir: Path
 ) -> ChaosResult:
     graph, acts = _build_workload(seed)
-    oracle = make_engine("ANCO", graph, QUICK_PARAMS)
+    oracle = reference_engine("ANCO", graph, QUICK_PARAMS)
     apply_activations(oracle, acts)
     expected = engine_signature(oracle)
 
@@ -960,7 +944,7 @@ def _run_replica(
         handle = ServerThread(
             graph,
             config=_config(plan, base / "follower", **_follower_kwargs(port)),
-            params=_sut_params(QUICK_PARAMS),
+            params=QUICK_PARAMS,
         ).start()
         threads.append(handle)
         return handle
@@ -989,7 +973,7 @@ def _run_replica(
             config=_config(
                 primary_plan, base / "primary", **dict(scenario.server)
             ),
-            params=_sut_params(QUICK_PARAMS),
+            params=QUICK_PARAMS,
         ).start()
         threads.append(primary)
         assert primary.port is not None
@@ -1375,7 +1359,7 @@ def _run_shard(
 
     # The oracle a correct deployment must merge back to: one engine over
     # the whole graph and the whole stream.
-    oracle = make_engine("ANCO", graph, SHARD_PARAMS)
+    oracle = reference_engine("ANCO", graph, SHARD_PARAMS)
     apply_activations(oracle, acts)
 
     # Sites under ``router.`` arm in the router process; everything else
@@ -1390,7 +1374,7 @@ def _run_shard(
         graph,
         shards=SHARD_COUNT,
         seed=0,
-        params=_sut_params(SHARD_PARAMS),
+        params=SHARD_PARAMS,
         data_dir=workdir / f"{scenario.name}-s{seed}",
         checkpoint_every=CHECKPOINT_EVERY,
         fault_specs={0: worker_specs} if worker_specs else None,
@@ -1459,7 +1443,7 @@ def _run_shard(
                 retry=RetryPolicy(attempts=4, base_delay=0.02, seed=seed),
             ) as worker_client:
                 signature = worker_client.request("signature")
-            shard_oracle = make_engine(
+            shard_oracle = reference_engine(
                 "ANCO", smap.shard_graph(shard), SHARD_PARAMS
             )
             apply_activations(shard_oracle, shard_acts[shard])
@@ -1549,7 +1533,7 @@ def _run_readpath(
     from ..readpath.router import ReadRouterConfig
 
     graph, acts = _build_workload(seed)
-    oracle = make_engine("ANCO", graph, QUICK_PARAMS)
+    oracle = reference_engine("ANCO", graph, QUICK_PARAMS)
     apply_activations(oracle, acts)
     expected = engine_signature(oracle)
 
@@ -1617,7 +1601,7 @@ def _run_readpath(
             config=_config(
                 primary_plan, base / "primary", **dict(scenario.server)
             ),
-            params=_sut_params(QUICK_PARAMS),
+            params=QUICK_PARAMS,
         ).start()
         threads.append(primary)
         assert primary.port is not None
@@ -1626,7 +1610,7 @@ def _run_readpath(
             config=_config(
                 follower_plan, base / "f1", **_follower_kwargs(primary.port)
             ),
-            params=_sut_params(QUICK_PARAMS),
+            params=QUICK_PARAMS,
         ).start()
         threads.append(f1)
         f2 = ServerThread(
@@ -1634,7 +1618,7 @@ def _run_readpath(
             config=_config(
                 None, base / "f2", **_follower_kwargs(primary.port)
             ),
-            params=_sut_params(QUICK_PARAMS),
+            params=QUICK_PARAMS,
         ).start()
         threads.append(f2)
         assert f1.port is not None and f2.port is not None

@@ -124,11 +124,13 @@ class ArrayPyramidIndex(PyramidIndex):
                 # would be a no-op for this partition.
                 dist = part.dist
                 seed = part.seed
+                parent = part.parent
                 o = seed[v]
                 if o >= 0:
                     d = dist[v] + w_uv
                     cur = dist[u]
-                    if d < cur or (d == cur and o < seed[u]):
+                    s = seed[u]
+                    if d < cur or (d == cur and o < s) or (o != s and parent[u] == v):
                         moved = self._repair_decrease(part, u, v, e_uv)
                         touched += moved
                         if moved_at is None:
@@ -141,7 +143,8 @@ class ArrayPyramidIndex(PyramidIndex):
                 if o >= 0:
                     d = dist[u] + w_uv
                     cur = dist[v]
-                    if d < cur or (d == cur and o < seed[v]):
+                    s = seed[v]
+                    if d < cur or (d == cur and o < s) or (o != s and parent[v] == u):
                         moved = self._repair_decrease(part, u, v, e_uv)
                         touched += moved
                         if moved_at is None:
@@ -198,31 +201,6 @@ class ArrayPyramidIndex(PyramidIndex):
             self.update_decreases += 1
         return touched
 
-    def _probe_endpoint(
-        self, part: VoronoiPartition, a: int, b: int, w_ab: float
-    ) -> bool:
-        """Inlined ``VoronoiPartition.probe(a, b)`` with the edge weight given."""
-        seed = part.seed
-        o = seed[b]
-        if o < 0:
-            return False
-        dist = part.dist
-        d = dist[b] + w_ab
-        cur = dist[a]
-        if d < cur or (d == cur and o < seed[a]):
-            seed[a] = o
-            dist[a] = d
-            parent = part.parent
-            old = parent[a]
-            if old != b:  # replicate _set_parent's children-set op history
-                children = part._children
-                if old >= 0:
-                    children[old].discard(a)
-                parent[a] = b
-                children[b].add(a)
-            return True
-        return False
-
     def _repair_decrease(
         self, part: VoronoiPartition, u: int, v: int, e_uv: int
     ) -> int:
@@ -246,7 +224,8 @@ class ArrayPyramidIndex(PyramidIndex):
                 continue
             d = dist[b_] + w_uv
             cur = dist[a_]
-            if d < cur or (d == cur and o < seed[a_]):
+            s_ = seed[a_]
+            if d < cur or (d == cur and o < s_) or (o != s_ and parent[a_] == b_):
                 seed[a_] = o
                 dist[a_] = d
                 old = parent[a_]
@@ -271,7 +250,8 @@ class ArrayPyramidIndex(PyramidIndex):
             for y, ey in zip(nbr[x], neid[x]):
                 dy = dx + w[ey]
                 cur = dist[y]
-                if dy < cur or (dy == cur and sx < seed[y]):
+                sy = seed[y]
+                if dy < cur or (dy == cur and sx < sy) or (sx != sy and parent[y] == x):
                     seed[y] = sx
                     dist[y] = dy
                     old = parent[y]
@@ -341,7 +321,8 @@ class ArrayPyramidIndex(PyramidIndex):
             for y, ey in zip(nbr[x], neid[x]):
                 dy = dx + w[ey]
                 cur = dist[y]
-                if dy < cur or (dy == cur and sx < seed[y]):
+                sy = seed[y]
+                if dy < cur or (dy == cur and sx < sy) or (sx != sy and parent[y] == x):
                     seed[y] = sx
                     dist[y] = dy
                     old = parent[y]

@@ -103,7 +103,7 @@ def add_relation_edge(engine: "ANCEngineBase", u: int, v: int) -> int:
         return 0
     engine.graph.add_edge(u, v)
     if engine.metric.space is not None:
-        # Array backend: intern the edge id *before* the metric/index
+        # Array stores: intern the edge id *before* the metric/index
         # writes so every flat store grows (and σ caches invalidate) in
         # lockstep with the graph.
         engine.metric.space.ensure_edge(u, v)

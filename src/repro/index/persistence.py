@@ -144,13 +144,12 @@ def load_index_resume(
     through ``repro.service.snapshots.recover_to`` — read their WAL
     resume seq and epoch from here instead of re-scanning the log.
 
-    ``space`` selects the engine backend: ``None`` restores the plain
-    dict-backed :class:`PyramidIndex`; an
+    ``space`` selects the index class: an
     :class:`~repro.core.arrays.EdgeSpace` (the restoring metric's
-    interning table) restores an
-    :class:`~repro.index.array_index.ArrayPyramidIndex` bound to it.
-    The on-disk document is identical either way — backends round-trip
-    each other's checkpoints byte for byte.
+    interning table; engine restores always pass one) restores an
+    :class:`~repro.index.array_index.ArrayPyramidIndex` bound to it,
+    ``None`` the plain dict-backed :class:`PyramidIndex`.  The on-disk
+    document is identical either way.
     """
     if faults is not None:
         action = faults.hit("index.load", path=str(path))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar, cast
 
 from ..graph.graph import Edge, Graph, edge_key
 from .voronoi import VoronoiPartition
@@ -29,6 +29,8 @@ from .voronoi import VoronoiPartition
 __all__ = ["levels_for", "seeds_at_level", "Pyramid", "PyramidIndex"]
 
 RngLike = Optional[random.Random]
+
+T = TypeVar("T")
 
 
 def levels_for(n: int) -> int:
@@ -132,7 +134,10 @@ class PyramidIndex:
         self._init_counters()
 
     def _init_counters(self) -> None:
-        """Zero the observability counters (restore paths call this too)."""
+        """Zero the observability counters and empty the graph-derived
+        cache (every construction path calls this)."""
+        #: name -> (graph.m, value) behind :meth:`graph_cache`.
+        self._graph_cache: Dict[str, Tuple[int, object]] = {}
         #: Cumulative touched-node count across updates (Fig 8 observability).
         self.total_touched = 0
         #: Number of weight updates dispatched.
@@ -178,6 +183,21 @@ class PyramidIndex:
     def num_levels(self) -> int:
         """Granularity levels per pyramid."""
         return self.pyramids[0].num_levels
+
+    def graph_cache(self, name: str, build: Callable[[Graph], T]) -> T:
+        """``build(self.graph)``, recomputed only when the graph grows.
+
+        For values derived from the graph alone, such as the vote
+        kernel's edge-endpoint arrays.  Edges are only ever appended to
+        ``graph.edges()``, so ``graph.m`` tells whether a stored value is
+        still current.
+        """
+        m = self.graph.m
+        hit = self._graph_cache.get(name)
+        if hit is None or hit[0] != m:
+            hit = (m, build(self.graph))
+            self._graph_cache[name] = hit
+        return cast(T, hit[1])
 
     def weight(self, u: int, v: int) -> float:
         """Current stored weight of edge ``{u, v}``."""

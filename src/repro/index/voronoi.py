@@ -26,7 +26,12 @@ whole graph.  The partition counts touched nodes per update so benchmarks
 
 Tie-breaking matches :func:`repro.graph.traversal.multi_source_dijkstra`:
 among equidistant seeds the smaller seed id wins, so an incrementally
-maintained partition stays comparable to a fresh rebuild.
+maintained partition stays comparable to a fresh rebuild.  One rule
+overrides the tie-break: a forest child always follows a parent whose
+seed changed.  A parent can move to a larger seed while its distance
+drops by less than one ulp of the child's, so the child's sum comes out
+unchanged; without the rule the child would keep the old seed under a
+parent in another cell.
 """
 
 from __future__ import annotations
@@ -155,14 +160,17 @@ class VoronoiPartition:
 
         Implements Algorithm 2: ``d = dist(S[b], b) + w(a, b)``; if that
         beats ``a``'s current distance (ties broken toward the smaller
-        seed id), ``a`` adopts seed, distance and parent from ``b``.
+        seed id), ``a`` adopts seed, distance and parent from ``b``.  A
+        child of ``b`` whose seed differs from ``b``'s adopts them
+        whatever ``d`` is: its path runs through ``b``.
         """
         o = self.seed[b]
         if o < 0:
             return False
         d = self.dist[b] + self.weight(a, b)
         cur = self.dist[a]
-        if d < cur or (d == cur and o < self.seed[a]):
+        s = self.seed[a]
+        if d < cur or (d == cur and o < s) or (o != s and self.parent[a] == b):
             self.seed[a] = o
             self.dist[a] = d
             self._set_parent(a, b)

@@ -5,7 +5,11 @@ The basic voting function ``H_l(u, v)`` lives on
 adds:
 
 * :func:`voted_edges` — materialize, for one granularity level, the edges
-  of ``G`` that survive the vote (the input to even/power clustering);
+  of ``G`` that survive the vote, one ``H_l`` call per edge (the
+  reference loop);
+* :func:`voted_adjacency` — the same edges as adjacency lists (the input
+  to even/power clustering), counted for every edge at once by one numpy
+  kernel over the level's ``k`` seed lists;
 * :class:`VoteTable` — the "Remarks" extension of Section V-C: a per-level,
   per-edge vote count maintained in real time, so that changes around
   user-specified nodes can be reported at a cost equal to the reporting.
@@ -13,10 +17,13 @@ adds:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
-from ..graph.graph import Edge, edge_key
+from ..graph.graph import Edge, Graph, edge_key
 from .pyramid import PyramidIndex
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["voted_edges", "voted_adjacency", "VoteTable"]
 
@@ -30,10 +37,35 @@ def voted_edges(index: PyramidIndex, level: int) -> List[Edge]:
     ]
 
 
+def _edge_endpoints(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
+    """The endpoints of ``graph.edges()``, in order, as two index arrays."""
+    import numpy as np
+
+    ends = np.array(graph.edges(), dtype=np.intp).reshape(graph.m, 2)
+    return ends[:, 0].copy(), ends[:, 1].copy()
+
+
 def voted_adjacency(index: PyramidIndex, level: int) -> List[List[int]]:
-    """Adjacency lists of the voted subgraph at ``level``."""
+    """Adjacency lists of the voted subgraph at ``level``.
+
+    Yields exactly :func:`voted_edges`' edges in the same order (each
+    appended to both endpoints' lists), but counts every edge's votes in
+    one vectorized pass per pyramid: a pyramid votes for ``(u, v)`` when
+    both endpoints have the same seed and that seed is not ``-1``.
+    """
+    # numpy loads on the first vote, so the routers, which import the
+    # engine modules but never cluster, do not pay for it.
+    import numpy as np
+
+    us, vs = index.graph_cache("edge_endpoints", _edge_endpoints)
+    votes = np.zeros(len(us), dtype=np.intp)
+    for partition in index.partitions_at(level):
+        seed = np.array(partition.seed, dtype=np.intp)
+        su = seed[us]
+        votes += (su >= 0) & (su == seed[vs])
+    keep = np.flatnonzero(votes >= index.support * index.k)
     adj: List[List[int]] = [[] for _ in range(index.graph.n)]
-    for u, v in voted_edges(index, level):
+    for u, v in zip(us[keep].tolist(), vs[keep].tolist()):
         adj[u].append(v)
         adj[v].append(u)
     return adj

@@ -4,8 +4,7 @@ Stdlib-only, shared by every layer of the stack (engines, index,
 service, CLI, bench harness — see ``docs/observability.md``):
 
 * :mod:`~repro.obs.instruments` — counters, gauges and sliding-window
-  histograms behind one :class:`MetricsRegistry` (promoted out of
-  ``repro.service.metrics``, which keeps a compatibility re-export);
+  histograms behind one :class:`MetricsRegistry`;
 * :mod:`~repro.obs.trace` — a low-overhead span tracer (nested phase
   timings, bounded ring buffer, deterministic sampling) plus the
   :class:`Observability` bundle components share, and the sanctioned

@@ -13,8 +13,6 @@ This package is that loop:
 * :mod:`~repro.service.snapshots` — write-ahead activation log plus
   periodic engine checkpoints (through :mod:`repro.index.persistence`),
   so recovery = load checkpoint + replay WAL tail;
-* :mod:`~repro.service.metrics` — counters and sliding-window
-  histograms behind a JSON snapshot;
 * :mod:`~repro.service.server` / :mod:`~repro.service.client` — a
   stdlib-only TCP JSON-lines protocol and its blocking client.
 
@@ -35,8 +33,8 @@ from .client import (
 )
 from .engine_host import EngineHost, PublishedState
 from .errors import BadRequest, Overloaded, ServiceFault, Unavailable, UnknownOp
+from ..obs.instruments import MetricsRegistry
 from .ingest import MicroBatcher
-from .metrics import MetricsRegistry
 from .server import ANCServer, ServerConfig
 from .snapshots import (
     CheckpointCorruptError,

@@ -27,9 +27,9 @@ from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 from ..core.activation import Activation
 from ..core.anc import ANCEngineBase
 from ..monitor import ClusterChange, ClusterWatcher
+from ..obs.instruments import MetricsRegistry
 from .errors import Fenced, Overloaded
 from .ingest import MicroBatcher
-from .metrics import MetricsRegistry
 from .snapshots import (
     CheckpointStore,
     WalCorruptError,

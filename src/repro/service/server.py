@@ -59,6 +59,7 @@ from ..graph.graph import Graph, edge_key
 from ..obs.export import chrome_trace, render_prometheus, span_dicts
 from ..obs.profiler import SamplingProfiler
 from ..obs.propagate import TraceContext
+from ..obs.instruments import MetricsRegistry
 from ..obs.trace import Observability, Tracer
 from .engine_host import EngineHost
 from .errors import (
@@ -71,7 +72,6 @@ from .errors import (
     fault_response,
 )
 from .ingest import MicroBatcher
-from .metrics import MetricsRegistry
 from .snapshots import CheckpointStore, WalRecord, WriteAheadLog, recover_to
 
 if TYPE_CHECKING:  # hook-only dependency (see repro.faults)

@@ -431,15 +431,10 @@ def dump_engine_state(engine: ANCEngineBase) -> Dict[str, object]:
     """
     metric = engine.metric
     clock = metric.clock
-    # The backend is an execution strategy, not engine state: both
-    # backends hold bitwise-identical values, so the checkpoint document
-    # must be byte-identical too.  The restorer picks its own backend.
-    params_doc = asdict(engine.params)
-    params_doc.pop("engine_backend", None)
     doc: Dict[str, object] = {
         "format": ENGINE_STATE_VERSION,
         "engine": type(engine).__name__,
-        "params": params_doc,
+        "params": asdict(engine.params),
         "activations": engine.activations_processed,
         "clock": {
             "t": clock.now,
@@ -471,18 +466,15 @@ def restore_engine(
     index_path: PathLike,
     *,
     faults: "Optional[FaultPlan]" = None,
-    backend: str = "dict",
 ) -> ANCEngineBase:
     """Rebuild an engine from :func:`dump_engine_state` + a saved index.
 
     No reinforcement sweep and no Dijkstra runs: the metric stores, node
     strengths and decay clock are restored verbatim and the index comes
-    back through :func:`repro.index.persistence.load_index`.
-
-    ``backend`` selects the engine backend of the *restored* engine;
-    checkpoints are backend-neutral, so a document written by either
-    backend restores under either (``tests/test_engine_parity.py``
-    crosses them).
+    back through :func:`repro.index.persistence.load_index`.  The
+    document is the same whether the array engine or the dict reference
+    wrote it, so either one's checkpoint restores into the array engine
+    (``tests/test_engine_parity.py`` checks both).
     """
     from ..core.metric import SimilarityFunction
 
@@ -496,9 +488,7 @@ def restore_engine(
     name = doc["engine"]
     if name not in engines:
         raise ValueError(f"unknown engine {name!r} in checkpoint")
-    params_doc = dict(doc["params"])  # type: ignore[arg-type]
-    params_doc["engine_backend"] = backend
-    params = ANCParams(**params_doc)
+    params = ANCParams(**doc["params"])  # type: ignore[arg-type]
 
     engine = engines[name].__new__(engines[name])  # type: ignore[assignment]
     engine.graph = graph
@@ -511,7 +501,6 @@ def restore_engine(
         rep=params.rep,
         rescale_every=params.rescale_every,
         initialize=False,
-        backend=backend,
     )
     clock_doc = doc["clock"]
     metric.clock._t = float(clock_doc["t"])  # type: ignore[index]
@@ -760,11 +749,7 @@ def recover_to(
                 )
             doc = json.loads(raw)
             engine = restore_engine(
-                graph,
-                doc,
-                path / "index.json",
-                faults=store.faults,
-                backend=params.engine_backend if params is not None else "dict",
+                graph, doc, path / "index.json", faults=store.faults
             )
             epoch = int(manifest.get("epoch", 0))
         except CheckpointCorruptError:

@@ -5,7 +5,9 @@ seeds.  Each cell must land in its contract — either the recovered
 engine state is byte-identical to the fault-free oracle (exact float
 reprs, same clusterings) or the failure surfaced as a *typed* error.
 A cell that diverges silently is the one unforgivable outcome and
-fails the suite (and the CI gate) immediately.
+fails the suite (and the CI gate) immediately.  Every engine under test
+runs the array serving engine and every oracle the dict reference, so
+each cell is also a cross-engine differential under faults.
 
 Gated behind ``@pytest.mark.chaos`` (enable with ``--chaos`` or
 ``ANC_CHAOS=1``) so the tier-1 suite stays fast.
@@ -64,33 +66,3 @@ def test_same_seed_same_outcome(seed, tmp_path):
     assert first.status == second.status
     assert first.injected == second.injected
 
-
-#: The CI differential slice: with ``ANC_BACKEND=array`` every SUT
-#: engine (pipeline, recovery, servers, shard workers) runs the array
-#: backend while the oracles stay on dict, so each cell's byte-identity
-#: contract doubles as a cross-backend check under faults.  One
-#: scenario per runner family keeps the slice fast; the full matrix
-#: accepts the same override locally.
-ARRAY_SLICE = (
-    "wal-torn-tail",
-    "service-batch-duplicate",
-    "shard-worker-crash-mid-batch",
-)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("name", ARRAY_SLICE)
-def test_array_backend_cell_in_contract(name, seed, tmp_path, monkeypatch):
-    """Array-backend SUT vs dict-backend oracle, under fault injection."""
-    monkeypatch.setenv("ANC_BACKEND", "array")
-    result = run_scenario(name, seed, tmp_path)
-    assert not result.silent_divergence, (
-        f"BACKEND DIVERGENCE in {name} seed={seed}: {result.detail}"
-    )
-    assert result.status != "error", (
-        f"harness escape in {name} seed={seed}: {result.detail}"
-    )
-    assert result.ok, (
-        f"{name} seed={seed}: expected {result.expect}, "
-        f"got {result.status} ({result.detail})"
-    )

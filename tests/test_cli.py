@@ -1,6 +1,10 @@
 """Tests for the repro-anc command-line interface."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,3 +170,16 @@ class TestDatasets:
         assert code == 0
         assert "CO" in text and "TW" in text
         assert text.count("\n") >= 18
+
+
+def test_import_leaves_scipy_out():
+    """Serving processes import ``repro.cli``; only ``cluster``'s
+    baselines need scipy, so the import must not pull it in."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, repro.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -1,12 +1,14 @@
-"""Differential parity harness: the array backend vs the dict oracle.
+"""Differential parity harness: the array engine vs the dict reference.
 
-The structure-of-arrays backend (``repro.core.arrays`` +
-``repro.index.array_index``) promises to be *bit-for-bit*
-interchangeable with the dict-of-dicts pipeline — not approximately
+Every engine :func:`~repro.core.anc.make_engine` builds runs on the
+structure-of-arrays stores (``repro.core.arrays`` +
+``repro.index.array_index``), which promise to be *bit-for-bit*
+interchangeable with the dict-of-dicts reference that
+:func:`~repro.core.anc.reference_engine` builds — not approximately
 equal, byte-identical: ``engine_signature`` reprs every float, the
 chaos matrix and the replication auditor compare exact digests, and
-checkpoints must restore under either backend.  This suite drives both
-backends through identical workloads and asserts exactly that:
+either engine's checkpoint must restore.  This suite drives both
+engines through identical workloads and asserts exactly that:
 
 * **property-based stream parity** (hypothesis, ``derandomize=True`` so
   CI and local runs explore the identical pinned example set): random
@@ -20,18 +22,21 @@ backends through identical workloads and asserts exactly that:
 * **rescale boundaries**: streams that land exactly on the batched
   decay-rescale tick (including ``rescale_every=1``, a rescale per
   activation);
-* **kill/recover points**: checkpoint + WAL tail written by one
-  backend, recovered by *both* (checkpoints are backend-neutral), and
-  the recovered engines match the never-killed oracle;
+* **kill/recover points**: checkpoint + WAL tail written by either
+  engine, recovered into the array engine, matching the never-killed
+  oracle;
 * **engine variants and subsystem paths**: ANCOR's periodic sweep,
   ANCF's refresh, dynamic edge insertion, the ParallelUpdater index
   path, the replica follower's WAL-record apply, and the per-shard
-  worker slices of ``repro.shard``.
+  worker slices of ``repro.shard``;
+* **the vote kernel**: ``voted_adjacency``'s numpy count equals the
+  per-edge ``same_cluster_vote`` loop at every level, on both index
+  classes, across dynamic edge insertion and seedless nodes.
 
-The dict backend stays the permanent oracle (``docs/engine-internals.md``);
-the fault-injection half of the differential story lives in
-``tests/chaos`` (``ANC_BACKEND=array`` runs every matrix cell against
-the dict oracle).
+The dict reference stays the permanent oracle
+(``docs/engine-internals.md``); the fault-injection half of the
+differential story lives in ``tests/chaos``, where every engine under
+test is the array engine and every oracle the reference.
 """
 
 from __future__ import annotations
@@ -49,10 +54,11 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.core.activation import Activation  # noqa: E402
-from repro.core.anc import ANCParams, make_engine  # noqa: E402
+from repro.core.anc import ANCParams, make_engine, reference_engine  # noqa: E402
 from repro.graph.generators import planted_partition  # noqa: E402
 from repro.graph.graph import Graph  # noqa: E402
 from repro.index.dynamic import add_relation_edge  # noqa: E402
+from repro.index.voting import voted_adjacency, voted_edges  # noqa: E402
 from repro.service.snapshots import (  # noqa: E402
     CheckpointStore,
     WriteAheadLog,
@@ -70,20 +76,18 @@ PINNED = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-BACKENDS = ("dict", "array")
+#: The dict reference first, the array engine second.
+BUILDERS = (reference_engine, make_engine)
 
 
-def _params(backend: str, **overrides: object) -> ANCParams:
+def _params(**overrides: object) -> ANCParams:
     base = dict(rep=2, k=2, seed=0, rescale_every=16, eps=0.3, mu=2)
     base.update(overrides)
-    return ANCParams(engine_backend=backend, **base)  # type: ignore[arg-type]
+    return ANCParams(**base)  # type: ignore[arg-type]
 
 
 def _pair(name: str, graph: Graph, **overrides: object):
-    return tuple(
-        make_engine(name, graph, _params(backend, **overrides))
-        for backend in BACKENDS
-    )
+    return tuple(build(name, graph, _params(**overrides)) for build in BUILDERS)
 
 
 def _checkpoint_doc(engine) -> str:
@@ -175,9 +179,9 @@ def test_interleaved_zoom_parity(wl, zoom_points):
 @PINNED
 @given(workload())
 def test_kill_recover_parity(wl):
-    """Checkpoint + WAL tail at a mid-stream kill point, recovered by
-    both backends, from stores written by both backends — all four
-    recovered engines must match the never-killed oracles bitwise."""
+    """Checkpoint + WAL tail at a mid-stream kill point, written by the
+    reference and by the array engine, recovered into the array engine —
+    both recovered engines must match the never-killed oracles bitwise."""
     graph, acts, rescale_every = wl
     cut = max(1, (2 * len(acts)) // 3)
     live_d, live_a = _pair("anco", graph, rescale_every=rescale_every)
@@ -186,13 +190,11 @@ def test_kill_recover_parity(wl):
     expected = engine_signature(live_d)
     assert expected == engine_signature(live_a)
 
+    params = _params(rescale_every=rescale_every)
     with tempfile.TemporaryDirectory() as tmp:
-        for writer_backend in BACKENDS:
-            victim = make_engine(
-                "anco", graph,
-                _params(writer_backend, rescale_every=rescale_every),
-            )
-            store = CheckpointStore(Path(tmp) / writer_backend)
+        for build in BUILDERS:
+            victim = build("anco", graph, params)
+            store = CheckpointStore(Path(tmp) / build.__name__)
             wal = WriteAheadLog(store.wal_path)
             for act in acts:
                 wal.append(act)
@@ -200,14 +202,9 @@ def test_kill_recover_parity(wl):
             store.write_checkpoint(victim)
             wal.close()
             del victim  # kill -9: recovery sees only the disk
-            for reader_backend in BACKENDS:
-                recovery = recover_to(
-                    graph, store,
-                    params=_params(reader_backend, rescale_every=rescale_every),
-                )
-                assert engine_signature(recovery.engine) == expected, (
-                    writer_backend, reader_backend,
-                )
+            recovery = recover_to(graph, store, params=params)
+            assert recovery.engine.metric.space is not None
+            assert engine_signature(recovery.engine) == expected, build.__name__
 
 
 # ----------------------------------------------------------------------
@@ -267,9 +264,9 @@ def test_dynamic_edge_insertion_parity():
     _graph, acts = _fixed_workload(seed=5)
     cut = len(acts) // 2
     engines = []
-    for backend in BACKENDS:
+    for build in BUILDERS:
         graph, _ = planted_partition(32, 4, p_in=0.5, p_out=0.06, seed=5)
-        engine = make_engine("anco", graph, _params(backend))
+        engine = build("anco", graph, _params())
         apply_activations(engine, acts[:cut])
         nodes = sorted(graph.nodes())
         added = 0
@@ -313,9 +310,8 @@ def test_replica_apply_parity():
 
 def test_shard_worker_parity():
     """Per-shard engine slices (the shard-worker state machine) agree
-    backend-to-backend, shard by shard."""
+    engine-to-engine, shard by shard."""
     from repro.faults.chaos import SHARD_PARAMS, build_shard_workload
-    from dataclasses import replace
 
     graph, acts = build_shard_workload(17)
     smap = ShardMap.build(graph, 2, seed=0)
@@ -325,13 +321,65 @@ def test_shard_worker_parity():
             a for a in acts if smap.shard_of_edge(a.u, a.v) == shard
         ]
         engines = tuple(
-            make_engine(
-                "ANCO",
-                shard_graph,
-                replace(SHARD_PARAMS, engine_backend=backend),
-            )
-            for backend in BACKENDS
+            build("ANCO", shard_graph, SHARD_PARAMS) for build in BUILDERS
         )
         for engine in engines:
             apply_activations(engine, shard_acts)
         assert engine_signature(engines[0]) == engine_signature(engines[1])
+
+
+# ----------------------------------------------------------------------
+# The vote kernel against the per-edge loop
+# ----------------------------------------------------------------------
+
+def _loop_adjacency(index, level: int) -> List[List[int]]:
+    """The reference: ``voted_edges``' per-edge ``same_cluster_vote`` loop."""
+    adj: List[List[int]] = [[] for _ in range(index.graph.n)]
+    for u, v in voted_edges(index, level):
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def _assert_votes_match(index) -> None:
+    for level in range(1, index.num_levels + 1):
+        assert voted_adjacency(index, level) == _loop_adjacency(index, level), level
+
+
+#: Nodes appended after the planted graph, joined only to each other, so
+#: every partition with its seeds on one side leaves the other seedless.
+EXTRA = 5
+
+
+@PINNED
+@given(
+    workload(),
+    st.lists(
+        st.tuples(st.integers(0, 23 + EXTRA), st.integers(0, 23 + EXTRA)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_vote_kernel_matches_loop(wl, inserts):
+    """After a stream with dynamic edge insertion, on both index
+    classes, ``voted_adjacency`` equals the ``same_cluster_vote`` loop
+    at every level, seedless (``-1``) nodes included."""
+    base, acts, rescale_every = wl
+    cut = len(acts) // 2
+    for build in BUILDERS:
+        n = base.n + EXTRA
+        graph = Graph(n, list(base.edges()))
+        for x in range(base.n, n - 1):
+            graph.add_edge(x, x + 1)
+        engine = build("anco", graph, _params(rescale_every=rescale_every))
+        index = engine.index
+        level1 = index.partitions_at(1)
+        assert any(s < 0 for part in level1 for s in part.seed)
+        apply_activations(engine, acts[:cut])
+        _assert_votes_match(index)
+        for u, v in inserts:
+            if u != v:
+                add_relation_edge(engine, u, v)
+        _assert_votes_match(index)
+        apply_activations(engine, acts[cut:])
+        _assert_votes_match(index)

@@ -45,7 +45,7 @@ from repro.service import (
     WriteAheadLog,
     recover_engine,
 )
-from repro.service.metrics import Counter, Gauge, Histogram
+from repro.obs.instruments import Counter, Gauge, Histogram
 from repro.service.snapshots import apply_activations, restore_engine
 from repro.workloads.streams import community_biased_stream
 

@@ -10,9 +10,12 @@ import random
 
 import pytest
 
+from repro.core.arrays import EdgeSpace
 from repro.graph.generators import grid_graph, path_graph, planted_partition
 from repro.graph.graph import Graph, edge_key
 from repro.graph.traversal import INF, multi_source_dijkstra
+from repro.index.array_index import ArrayPyramidIndex
+from repro.index.pyramid import PyramidIndex
 from repro.index.voronoi import VoronoiPartition
 
 
@@ -81,6 +84,28 @@ class TestUpdateDecrease:
         weights.set(*e, 0.5)
         touched = part.update_decrease(*e)
         assert touched <= graph.n
+
+
+@pytest.mark.parametrize("index_class", [PyramidIndex, ArrayPyramidIndex])
+def test_child_follows_parent_across_sub_ulp_improvement(index_class):
+    """Node 1 moves from seed 0 to seed 3 while its distance drops by 1,
+    far below one ulp of node 2's 1e17: node 2's probe sum is unchanged,
+    and the smaller-seed tie rule alone would leave it on seed 0 under a
+    parent on seed 3 — an index ``check_consistency`` (and so checkpoint
+    loading) rejects."""
+    graph = Graph(4, [(0, 1), (1, 3), (1, 2)])
+    weights = {(0, 1): 10.0, (1, 3): 20.0, (1, 2): 1e17}
+    extra = {"space": EdgeSpace(graph)} if index_class is ArrayPyramidIndex else {}
+    for rng_seed in range(100):
+        index = index_class(graph, weights, k=1, seed=rng_seed, **extra)
+        part = index.partitions_at(2)[0]
+        if set(part.seeds) == {0, 3}:
+            break
+    assert part.seed == [0, 0, 0, 3]
+    index.update_edge_weight(1, 3, 9.0)
+    index.check_consistency()
+    assert part.seed == [0, 3, 3, 3]
+    assert part.parent[2] == 1
 
 
 class TestUpdateIncrease:
