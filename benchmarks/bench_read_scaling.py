@@ -133,9 +133,6 @@ def _follower_kwargs(primary_port: int) -> Dict[str, object]:
         role="follower",
         primary_host="127.0.0.1",
         primary_port=primary_port,
-        # Caught-up followers re-poll at a relaxed cadence so the fetch
-        # loops do not sit on this box's one core during timed reads.
-        poll_interval=0.25,
         audit_interval=0.0,
     )
 
@@ -404,7 +401,7 @@ def test_routed_read_overhead(tmp_path):
         fproc, fhost, fport = _spawn_server(
             edgelist, tmp_path / "f",
             "--role", "follower", "--primary", f"{phost}:{pport}",
-            "--poll-interval", "0.25", "--audit-interval", "0",
+            "--audit-interval", "0",
         )
         procs.append(fproc)
 

@@ -407,7 +407,6 @@ def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
         primary_host=primary_host,
         primary_port=primary_port,
         replica_id=args.replica_id or "",
-        poll_interval=args.poll_interval,
         audit_interval=args.audit_interval,
         profile=args.profile,
         profile_hz=args.profile_hz,
@@ -828,10 +827,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--primary", default=None, metavar="HOST:PORT",
                          help="primary endpoint a follower replicates from")
     p_serve.add_argument("--replica-id", default=None,
-                         help="identity a follower acks under "
+                         help="identity a follower fetches under "
                               "(default: its own host:port)")
-    p_serve.add_argument("--poll-interval", type=float, default=0.02,
-                         help="follower fetch cadence while caught up (seconds)")
     p_serve.add_argument("--audit-interval", type=float, default=0.25,
                          help="divergence-audit cadence on a follower "
                               "(seconds; 0 = off)")

@@ -7,7 +7,7 @@ and this package removes the node itself as the single point of failure:
 
 * a **primary** (an ordinary :class:`~repro.service.server.ANCServer`)
   streams its committed WAL records to followers through the same
-  JSON-lines protocol (``wal_fetch`` / ``replica_ack`` ops);
+  JSON-lines protocol (the long-polled ``wal_fetch`` op);
 * a **follower** (:class:`ReplicationLink`) bootstraps from the latest
   checkpoint + WAL tail, applies records through its own engine host,
   serves read-only snapshot queries, and continuously audits its engine

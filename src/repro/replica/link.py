@@ -7,15 +7,18 @@ by :meth:`ANCServer.start` when the server is configured with
     fetch a chunk of committed WAL records from the primary
       → verify the chunk is a contiguous extension of our log
       → apply each record through :meth:`ANCServer.apply_replicated`
-      → ack our applied watermark (feeds the primary's lag gauges)
       → periodically audit our engine signature against the primary's
 
 The link *pulls*: the primary keeps no per-follower cursor beyond the
-lag bookkeeping, so a follower that crashes and restarts simply resumes
-fetching from wherever its own recovered WAL ends. Chunks that arrive
-reordered or gapped (the ``replica.fetch`` fault site exercises both)
-are discarded wholesale and refetched — the WAL's seq contiguity check
-makes partial application impossible, so discarding is always safe.
+lag bookkeeping, which each fetch's ``from_seq`` (our applied
+watermark) feeds, so a follower that crashes and restarts simply
+resumes fetching from wherever its own recovered WAL ends. A fetch that
+finds nothing new parks on the primary until the next append, for at
+most ``wait`` seconds, so the loop never sleeps and records ship as
+they are appended. Chunks that arrive reordered or gapped (the
+``replica.fetch`` fault site exercises both) are discarded wholesale
+and refetched — the WAL's seq contiguity check makes partial
+application impossible, so discarding is always safe.
 
 Divergence auditing compares :func:`~repro.service.snapshots.signature_digest`
 values, but only when both sides report the same applied count — a lagging
@@ -38,6 +41,9 @@ from ..service.snapshots import WalRecord
 log = logging.getLogger("repro.replica")
 
 __all__ = ["ReplicationError", "ReplicationLink"]
+
+#: Seconds a caught-up fetch parks on the primary when auditing is off.
+IDLE_FETCH_WAIT = 1.0
 
 
 class ReplicationError(RuntimeError):
@@ -77,7 +83,7 @@ class ReplicationLink:
     primary:
         ``(host, port)`` of the primary to replicate from.
     replica_id:
-        Identity sent with every fetch/ack; keys the primary's
+        Identity sent with every fetch; keys the primary's
         per-follower lag gauge.
     """
 
@@ -87,7 +93,6 @@ class ReplicationLink:
         primary: Tuple[str, int],
         *,
         replica_id: str,
-        poll_interval: float = 0.02,
         fetch_max: int = 512,
         audit_interval: float = 0.25,
         reconnect_backoff: float = 0.2,
@@ -99,9 +104,14 @@ class ReplicationLink:
         self.server = server
         self.primary = (str(primary[0]), int(primary[1]))
         self.replica_id = replica_id
-        self.poll_interval = float(poll_interval)
         self.fetch_max = max(1, int(fetch_max))
         self.audit_interval = float(audit_interval)
+        #: How long a caught-up fetch parks on the primary: one audit
+        #: interval keeps the audit cadence, and bounds how long stop()
+        #: or a promotion waits to be noticed.
+        self.fetch_wait = (
+            self.audit_interval if self.audit_interval > 0 else IDLE_FETCH_WAIT
+        )
         self.reconnect_backoff = float(reconnect_backoff)
         self._stopped = False
         self._last_audit = 0.0
@@ -186,10 +196,8 @@ class ReplicationLink:
         reader, writer = await asyncio.open_connection(*self.primary)
         try:
             while self._active():
-                progressed = await self._fetch_once(reader, writer)
+                await self._fetch_once(reader, writer)
                 await self._maybe_audit(reader, writer)
-                if not progressed and self._active():
-                    await asyncio.sleep(self.poll_interval)
         finally:
             writer.close()
             try:
@@ -237,14 +245,15 @@ class ReplicationLink:
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-    ) -> bool:
-        """Fetch + apply one chunk. Returns True when progress was made."""
+    ) -> None:
+        """Fetch + apply one chunk (parks on the primary when caught up)."""
         start = self.server.host.ingested
         doc: Dict[str, object] = {
             "op": "wal_fetch",
             "from_seq": start,
             "max": self.fetch_max,
             "follower": self.replica_id,
+            "wait": self.fetch_wait,
         }
         ctx = self._mint_trace()
         if ctx is None:
@@ -274,7 +283,7 @@ class ReplicationLink:
             )
         raw = resp.get("records")
         if not isinstance(raw, list) or not raw:
-            return False
+            return
         records: List[WalRecord] = [_decode_record(r) for r in raw]
         if [r.seq for r in records] != list(range(start, start + len(records))):
             # Gapped or reordered chunk (e.g. the replica.fetch "reorder"
@@ -285,20 +294,10 @@ class ReplicationLink:
                 start,
                 len(records),
             )
-            return True
+            return
         for record in records:
             await self.server.apply_replicated(record)
         self._c_applied.inc(len(records))
-        await self._request(
-            reader,
-            writer,
-            {
-                "op": "replica_ack",
-                "follower": self.replica_id,
-                "applied": self.server.host.ingested,
-            },
-        )
-        return True
 
     # ------------------------------------------------------------------
     # Divergence auditing

@@ -20,8 +20,8 @@ complete checkpoint + WAL tail replay (see
 was acknowledged.
 
 A server runs as the ``primary`` (writable) or as a ``follower`` — a
-warm standby that pulls committed WAL records from its primary
-(``wal_fetch``/``replica_ack`` ops, driven by
+warm standby that pulls committed WAL records from its primary (the
+long-polled ``wal_fetch`` op, driven by
 :class:`repro.replica.link.ReplicationLink`), serves read-only snapshot
 queries and can be promoted on failover.  Every response envelope is
 stamped with the node's ``epoch`` and ``role``; epoch fencing and the
@@ -81,6 +81,19 @@ __all__ = ["ANCServer", "ServerConfig"]
 
 log = logging.getLogger("repro.service")
 
+#: Cap on a ``wal_fetch`` request's ``wait`` (seconds): the longest a
+#: caught-up fetch may park on this node before answering empty.
+MAX_FETCH_WAIT = 5.0
+
+
+async def _wait_set(event: asyncio.Event, seconds: float) -> None:
+    """Return once ``event`` is set or ``seconds`` have passed."""
+    try:
+        async with asyncio.timeout(seconds):
+            await event.wait()
+    except TimeoutError:
+        pass
+
 
 @dataclass
 class ServerConfig:
@@ -122,13 +135,11 @@ class ServerConfig:
     #: Endpoint of the primary a follower replicates from.
     primary_host: Optional[str] = None
     primary_port: int = 0
-    #: Identity under which a follower acks (default ``host:port``).
+    #: Identity under which a follower fetches (default ``host:port``).
     replica_id: str = ""
     #: In-memory WAL tail kept for followers, so ``wal_fetch`` is served
     #: without touching the disk until a follower falls far behind.
     wal_tail_capacity: int = 4096
-    #: Follower fetch cadence while caught up (seconds).
-    poll_interval: float = 0.02
     #: Divergence-audit cadence on a follower (seconds; 0 = disabled).
     audit_interval: float = 0.25
     #: Start the sampling profiler at boot (``serve --profile``); the
@@ -305,6 +316,9 @@ class ANCServer:
         self._wal_tail: Deque[WalRecord] = deque(
             maxlen=max(1, self.config.wal_tail_capacity)
         )
+        #: Set (and dropped) by the next WAL append; caught-up
+        #: ``wal_fetch`` requests park on it.  Created by the first parker.
+        self._appended: Optional[asyncio.Event] = None
         #: follower id -> {"applied": int, "last_seen": monotonic seconds}.
         self._replicas: Dict[str, Dict[str, float]] = {}
         self._crashed = False
@@ -353,7 +367,6 @@ class ANCServer:
                 (self.config.primary_host, int(self.config.primary_port)),
                 replica_id=self.config.replica_id
                 or f"{self.config.host}:{self.port}",
-                poll_interval=self.config.poll_interval,
                 audit_interval=self.config.audit_interval,
             )
             self.replication = link
@@ -418,6 +431,13 @@ class ANCServer:
             return
         server, self._server = self._server, None
         server.close()
+        # Close the connections too: from 3.12 on ``wait_closed()``
+        # waits for every client to hang up, and a follower's parked
+        # fetch or a router's pooled connection never would.
+        self._release_fetches()
+        await asyncio.sleep(0)  # released fetches answer before the hang-up
+        for writer in list(self._conns):
+            writer.close()
         await server.wait_closed()
         for task in self._background:
             task.cancel()
@@ -558,6 +578,15 @@ class ANCServer:
         # Fires on the event-loop thread (both host.ingest and
         # apply_replicated run there), so the deque needs no lock.
         self._wal_tail.append(record)
+        self._release_fetches()
+
+    def _release_fetches(self) -> None:
+        """Answer every parked ``wal_fetch`` now: on each append, and on a
+        stop (a crash included), fence or promotion, so that neither a
+        shutdown nor a failover waits out a park."""
+        appended, self._appended = self._appended, None
+        if appended is not None:
+            appended.set()
 
     def _wal_entries(self) -> int:
         """Committed records in this node's log (the replication head)."""
@@ -567,13 +596,15 @@ class ANCServer:
     def _wal_slice(self, from_seq: int, limit: int) -> List[WalRecord]:
         """Records ``[from_seq, from_seq + limit)`` — tail buffer first.
 
+        Tail seqs are contiguous, so the slice is indexed by offset.
         Falls back to a file scan when the follower is further behind
         than the in-memory tail reaches; a WAL-less (in-memory) node can
         only serve what its tail buffer still holds.
         """
         tail = self._wal_tail
         if tail and tail[0].seq <= from_seq:
-            return [r for r in tail if r.seq >= from_seq][:limit]
+            start = from_seq - tail[0].seq
+            return [tail[i] for i in range(start, min(start + limit, len(tail)))]
         if from_seq >= self._wal_entries() or self.host.wal is None:
             return []
         return list(
@@ -1085,22 +1116,35 @@ class ANCServer:
     async def _op_wal_fetch(self, request: Dict) -> Dict[str, object]:
         """Serve committed WAL records to a follower (pull replication).
 
-        A *fenced* node still answers — a behind follower may legally
-        finish catching up from a deposed primary's committed prefix.
+        A fetch that finds nothing new parks until the next WAL append,
+        for at most ``wait`` seconds (capped at :data:`MAX_FETCH_WAIT`),
+        so a caught-up follower gets each record as it is appended
+        without re-polling.  ``from_seq`` doubles as the follower's
+        applied watermark.  A *fenced* node still answers — a behind
+        follower may legally finish catching up from a deposed
+        primary's committed prefix.
         """
         from_seq = int(request.get("from_seq", 0))
         if from_seq < 0:
             raise ValueError(f"from_seq must be >= 0, got {from_seq}")
         limit = max(1, min(int(request.get("max", 512)), 4096))
+        wait = request.get("wait", 0.0)
+        if isinstance(wait, bool) or not isinstance(wait, (int, float)) or not wait >= 0:
+            raise ValueError(f"wait must be a number of seconds >= 0, got {wait!r}")
         follower = request.get("follower")
         if isinstance(follower, str) and follower:
             self._note_replica(follower, from_seq)
+        if wait > 0 and from_seq >= self._wal_entries() and not self._stop.is_set():
+            if self._appended is None:
+                self._appended = asyncio.Event()
+            await _wait_set(self._appended, min(float(wait), MAX_FETCH_WAIT))
         records = self._wal_slice(from_seq, limit)
         if self._faults is not None:
             action = self._faults.hit("replica.fetch", from_seq=from_seq)
             if action is not None:
                 if action.kind == "stall":
-                    await asyncio.sleep(action.seconds())
+                    # A slow primary; a stop ends the stall as it ends a park.
+                    await _wait_set(self._stop, action.seconds())
                 elif action.kind == "drop":
                     raise ConnectionResetError("injected replication-link drop")
                 elif action.kind == "reorder" and len(records) > 1:
@@ -1113,14 +1157,6 @@ class ANCServer:
             ],
             "entries": self._wal_entries(),
         }
-
-    async def _op_replica_ack(self, request: Dict) -> Dict[str, object]:
-        follower = request.get("follower")
-        if not isinstance(follower, str) or not follower:
-            raise ValueError("replica_ack needs a non-empty 'follower' id")
-        applied = int(request.get("applied", 0))
-        self._note_replica(follower, applied)
-        return {"entries": self._wal_entries()}
 
     async def _op_replicas(self, request: Dict) -> Dict[str, object]:
         now = time.monotonic()
@@ -1160,6 +1196,7 @@ class ANCServer:
         self.fenced_by = max(self.fenced_by, epoch)
         if self.host.wal is not None:
             self.host.wal.fence(epoch)
+        self._release_fetches()
         log.warning("fenced at epoch %d (own epoch %d)", self.fenced_by, self.epoch)
         return {"fenced_by": self.fenced_by}
 
@@ -1184,6 +1221,7 @@ class ANCServer:
         self.host.epoch = new_epoch
         if self.host.wal is not None:
             self.host.wal.epoch = new_epoch
+        self._release_fetches()
         log.info("promoted to primary at epoch %d", new_epoch)
         return {"promoted": True}
 
@@ -1208,7 +1246,6 @@ class ANCServer:
         "snapshot": _op_snapshot,
         "shutdown": _op_shutdown,
         "wal_fetch": _op_wal_fetch,
-        "replica_ack": _op_replica_ack,
         "replicas": _op_replicas,
         "signature": _op_signature,
         "fence": _op_fence,

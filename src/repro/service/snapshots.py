@@ -57,6 +57,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import zlib
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
@@ -810,8 +811,9 @@ def engine_signature(engine: ANCEngineBase) -> Dict[str, object]:
     Floats go through ``repr`` so 1e-16 drift is a mismatch, and clusters
     are captured at the bottom, √n and top levels of the pyramid.  The
     chaos matrix compares faulted runs against a fault-free oracle with
-    it, and the replication auditor (:mod:`repro.replica`) compares
-    primary against followers continuously.
+    it; the replication auditor (:mod:`repro.replica`) compares primary
+    and followers continuously through the cheaper
+    :func:`signature_digest`.
     """
     metric = engine.metric
     levels = sorted(
@@ -832,11 +834,36 @@ def engine_signature(engine: ANCEngineBase) -> Dict[str, object]:
 
 
 def signature_digest(engine: ANCEngineBase) -> str:
-    """A wire-friendly SHA-256 over the canonical JSON of the signature.
+    """SHA-256 over the engine state packed as little-endian bytes.
 
-    ``json.dumps`` renders tuples and lists identically, so a digest
-    computed locally compares equal to one computed from a signature
-    that round-tripped through the protocol.
+    Hashed in order: the activation and similarity counts (int64),
+    ``now`` and the clock anchor (float64), the anchored similarities
+    sorted by edge (int64 endpoints, then float64 values), and every
+    partition's seed array at every level (int64).  Equal floats pack
+    to equal bytes, and the seeds fix the clusters at every level, so
+    this covers more than :func:`engine_signature`.  Both engines pack
+    identically.  Each call hashes the live state (nothing is cached),
+    so in-place corruption shows at the next audit.
     """
-    doc = json.dumps(engine_signature(engine), sort_keys=True)
-    return hashlib.sha256(doc.encode()).hexdigest()
+    import numpy as np  # deferred: routers import this module, never numpy
+
+    metric = engine.metric
+    items = list(metric.similarity.items_anchored())
+    ends = np.array([x for edge, _ in items for x in edge], dtype="<i8").reshape(-1, 2)
+    values = np.array([value for _, value in items], dtype="<f8")
+    by_edge = np.lexsort((ends[:, 1], ends[:, 0]))
+    digest = hashlib.sha256(
+        struct.pack(
+            "<qqdd",
+            engine.activations_processed,
+            len(items),
+            engine.now,
+            metric.clock.anchor,
+        )
+    )
+    digest.update(ends[by_edge].tobytes())
+    digest.update(values[by_edge].tobytes())
+    for pyramid in engine.index.pyramids:
+        for level in sorted(pyramid.levels):
+            digest.update(np.array(pyramid.levels[level].seed, dtype="<i8").tobytes())
+    return digest.hexdigest()

@@ -13,8 +13,8 @@ engines through identical workloads and asserts exactly that:
 * **property-based stream parity** (hypothesis, ``derandomize=True`` so
   CI and local runs explore the identical pinned example set): random
   planted-partition graphs, random activation streams with shared-tick
-  events, random rescale periods — identical signatures, identical
-  cluster maps at *every* pyramid granularity, identical checkpoint
+  events, random rescale periods — identical signatures and audit
+  digests, identical cluster maps at *every* pyramid granularity, identical checkpoint
   documents;
 * **interleaved zooms**: query traffic (clusters / cluster_of /
   zoom_in / zoom_out) interleaved mid-stream answers identically and
@@ -66,6 +66,7 @@ from repro.service.snapshots import (  # noqa: E402
     dump_engine_state,
     engine_signature,
     recover_to,
+    signature_digest,
 )
 from repro.shard.shardmap import ShardMap  # noqa: E402
 
@@ -152,6 +153,7 @@ def test_random_stream_parity(wl):
     engine_d, engine_a = _pair("anco", graph, rescale_every=rescale_every)
     apply_activations(engine_d, acts)
     apply_activations(engine_a, acts)
+    assert signature_digest(engine_d) == signature_digest(engine_a)
     assert_parity(engine_d, engine_a)
 
 

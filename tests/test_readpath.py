@@ -64,7 +64,6 @@ def follower_kwargs(primary_port):
         role="follower",
         primary_host="127.0.0.1",
         primary_port=primary_port,
-        poll_interval=0.005,
         audit_interval=0.05,
     )
 

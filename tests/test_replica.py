@@ -13,11 +13,20 @@ docs/replication.md states:
 * promotion picks an epoch strictly above both nodes';
 * a keyed batch replicated before a failover is absorbed by the
   promoted follower's dedup map on resend (exactly once);
-* reordered/gapped fetch chunks are discarded wholesale and refetched.
+* reordered/gapped fetch chunks are discarded wholesale and refetched;
+* a caught-up ``wal_fetch`` parks until the next append, and a stop
+  releases it;
+* the divergence audit trips on a one-ulp similarity change and on a
+  seed change at any pyramid level.
 """
 
 from __future__ import annotations
 
+import asyncio
+import itertools
+import json
+import math
+import threading
 import time
 
 import pytest
@@ -34,8 +43,8 @@ from repro.graph.generators import planted_partition
 from repro.replica import ReplicationError, promote, replication_status
 from repro.replica.link import _decode_record
 from repro.service.client import RetryPolicy, ServiceClient, ServiceError
-from repro.service.server import ServerConfig
-from repro.service.snapshots import apply_activations
+from repro.service.server import ANCServer, ServerConfig
+from repro.service.snapshots import WriteAheadLog, apply_activations
 from repro.workloads.streams import community_biased_stream
 
 
@@ -60,7 +69,6 @@ def follower_kwargs(primary_port, replica_id="test-follower"):
         primary_host="127.0.0.1",
         primary_port=primary_port,
         replica_id=replica_id,
-        poll_interval=0.005,
         audit_interval=0.05,
     )
 
@@ -85,6 +93,20 @@ def counters(handle):
 def batches_of(stream, size=25):
     items = [(a.u, a.v, a.t) for a in stream]
     return [items[i : i + size] for i in range(0, len(items), size)]
+
+
+def parked(handle):
+    """Whether a ``wal_fetch`` has parked on ``handle`` since its last append."""
+    return handle.server._appended is not None
+
+
+def on_writer(handle, fn):
+    """Run ``fn(engine)`` on ``handle``'s writer thread, between batches."""
+    host = handle.server.host
+    future = asyncio.run_coroutine_threadsafe(
+        host._run_on_writer(fn, host.engine), handle._loop
+    )
+    return future.result(timeout=10.0)
 
 
 # ----------------------------------------------------------------------
@@ -377,6 +399,244 @@ class TestFailover:
                 finally:
                     client.close()
                 assert follower.server.host.ingested == len(stream)
+
+
+# ----------------------------------------------------------------------
+# Long-polled wal_fetch
+# ----------------------------------------------------------------------
+
+def ingested_primary(tmp_path, graph, stream, **config_kwargs):
+    """A started primary holding ``stream`` (the caller stops it)."""
+    primary = serve(graph, data_dir=tmp_path / "p", **config_kwargs).start()
+    with ServiceClient(primary.host, primary.port, timeout=5.0) as client:
+        client.ingest_batch([(a.u, a.v, a.t) for a in stream], key="lp-0")
+        client.sync()
+    return primary
+
+
+class TestLongPoll:
+    def test_parked_fetch_answers_on_append(self, tmp_path):
+        """A caught-up fetch parks, then answers with the new record
+        well within its ``wait`` of the append."""
+        graph, stream = make_workload(18)
+        head, rest = stream[:10], stream[10:12]
+        primary = ingested_primary(tmp_path, graph, head)
+        try:
+            answer = {}
+            fetcher = ServiceClient(primary.host, primary.port, timeout=10.0)
+
+            def fetch():
+                answer["doc"] = fetcher.request(
+                    "wal_fetch", from_seq=len(head), wait=4.0, follower="lp"
+                )
+                answer["at"] = time.monotonic()
+
+            thread = threading.Thread(target=fetch)
+            thread.start()
+            try:
+                wait_for(lambda: parked(primary), what="the fetch to park")
+                appended = time.monotonic()
+                with ServiceClient(primary.host, primary.port, timeout=5.0) as client:
+                    client.ingest_batch([(a.u, a.v, a.t) for a in rest], key="lp-1")
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+            finally:
+                fetcher.close()
+            assert answer["at"] - appended < 1.0
+            records = answer["doc"]["records"]
+            assert records and records[0][0] == len(head)
+        finally:
+            primary.stop()
+
+    def test_idle_fetch_answers_empty_after_wait(self, tmp_path):
+        graph, stream = make_workload(18)
+        primary = ingested_primary(tmp_path, graph, stream[:10])
+        try:
+            with ServiceClient(primary.host, primary.port, timeout=5.0) as client:
+                started = time.monotonic()
+                doc = client.request("wal_fetch", from_seq=10, wait=0.3)
+                elapsed = time.monotonic() - started
+            assert doc["records"] == [] and doc["entries"] == 10
+            assert elapsed >= 0.29
+        finally:
+            primary.stop()
+
+    @pytest.mark.parametrize("wait", [-0.5, "soon", True, [1.0]])
+    def test_bad_wait_is_refused(self, tmp_path, wait):
+        graph, stream = make_workload(18)
+        primary = ingested_primary(tmp_path, graph, stream[:10])
+        try:
+            with ServiceClient(primary.host, primary.port, timeout=5.0) as client:
+                with pytest.raises(ServiceError) as exc:
+                    client.request("wal_fetch", from_seq=10, wait=wait)
+            assert exc.value.code == "BAD_REQUEST"
+        finally:
+            primary.stop()
+
+    def test_stop_does_not_wait_out_a_parked_follower(self, tmp_path):
+        """Stopping a primary with a follower link parked on it finishes
+        well under the park time (``wait`` = the 4 s audit interval)."""
+        graph, stream = make_workload(18)
+        primary = ingested_primary(tmp_path, graph, stream[:10])
+        try:
+            with serve(
+                graph,
+                data_dir=tmp_path / "f",
+                **{**follower_kwargs(primary.port), "audit_interval": 4.0},
+            ) as follower:
+                wait_for(lambda: caught_up(follower, 10), what="follower catch-up")
+                wait_for(lambda: parked(primary), what="the follower to park")
+                started = time.monotonic()
+                primary.stop()
+                assert time.monotonic() - started < 2.0
+        finally:
+            primary.stop()
+
+    def test_stop_answers_parked_fetch_and_closes_the_connection(self, tmp_path):
+        """On a live loop, a stop answers the parked fetch at once and
+        hangs up on the client instead of leaving it connected."""
+        graph, stream = make_workload(18)
+
+        async def main():
+            server = ANCServer(
+                graph,
+                config=ServerConfig(
+                    port=0, metrics_interval=0.0, data_dir=tmp_path / "p"
+                ),
+                params=QUICK_PARAMS,
+            )
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            request = {"op": "wal_fetch", "from_seq": 0, "wait": 5.0}
+            writer.write(json.dumps(request).encode() + b"\n")
+            await writer.drain()
+            while server._appended is None:
+                await asyncio.sleep(0.01)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            await server.stop()
+            stopped = loop.time() - started
+            answer = json.loads(await asyncio.wait_for(reader.readline(), 1.0))
+            eof = await asyncio.wait_for(reader.read(), 1.0)
+            writer.close()
+            return stopped, answer, eof
+
+        stopped, answer, eof = asyncio.run(main())
+        assert stopped < 1.0
+        assert answer["ok"] and answer["records"] == []
+        assert eof == b""
+
+
+class TestWalSlice:
+    def test_offset_slice_matches_the_log(self, tmp_path):
+        """``wal_fetch`` indexes the in-memory tail by offset; every
+        boundary — before the tail (file-scan fallback), inside it, at
+        its end and past it — matches a scan of the log file."""
+        graph, stream = make_workload(18)
+        primary = ingested_primary(
+            tmp_path, graph, stream[:40], wal_tail_capacity=16
+        )
+        try:
+            server = primary.server
+            tail_start = server._wal_tail[0].seq
+            assert tail_start == 24
+            path = server.host.wal.path
+            for from_seq in (0, 10, 23, 24, 25, 31, 39, 40, 41):
+                for limit in (1, 5, 512):
+                    expected = list(
+                        itertools.islice(
+                            WriteAheadLog.replay_records(path, skip=from_seq), limit
+                        )
+                    )
+                    assert server._wal_slice(from_seq, limit) == expected, (
+                        from_seq,
+                        limit,
+                    )
+        finally:
+            primary.stop()
+
+
+# ----------------------------------------------------------------------
+# Divergence audit
+# ----------------------------------------------------------------------
+
+def nudge_similarity(engine):
+    """Move one anchored similarity by one ulp."""
+    similarity = engine.metric.similarity
+    (u, v), value = next(iter(similarity.items_anchored()))
+    similarity.set_anchored(u, v, math.nextafter(value, math.inf))
+
+
+def move_unsampled_seed(engine):
+    """Reassign one node's seed at a level outside {1, √n, top}, the
+    levels whose clusters :func:`engine_signature` captures."""
+    queries = engine.queries
+    sampled = {1, queries.sqrt_n_level(), queries.num_levels}
+    level = next(lv for lv in range(2, queries.num_levels) if lv not in sampled)
+    part = engine.index.pyramids[0].levels[level]
+    v = next(
+        v for v in range(engine.graph.n) if v not in part.seeds and part.seed[v] >= 0
+    )
+    part.seed[v] = next(s for s in part.seeds if s != part.seed[v])
+
+
+class TestDivergenceAudit:
+    @pytest.mark.parametrize(
+        "perturb",
+        [nudge_similarity, move_unsampled_seed],
+        ids=["similarity-ulp", "unsampled-level-seed"],
+    )
+    def test_audit_trips_on_perturbed_follower(self, tmp_path, perturb):
+        """At equal applied counts, a perturbed follower is marked
+        diverged within a few audits, then refuses cluster reads and
+        promotion with the typed ``DIVERGED``."""
+        graph, stream = make_workload(17)
+
+        with serve(graph, data_dir=tmp_path / "p") as primary:
+            with serve(
+                graph,
+                data_dir=tmp_path / "f",
+                **follower_kwargs(primary.port),
+            ) as follower:
+                with ServiceClient(primary.host, primary.port, timeout=5.0) as client:
+                    for i, items in enumerate(batches_of(stream)):
+                        client.ingest_batch(items, key=f"dv-{i}")
+                    client.sync()
+                wait_for(
+                    lambda: caught_up(follower, len(stream)),
+                    what="follower catch-up",
+                )
+                audits = counters(follower)["replica_audits"]
+                wait_for(
+                    lambda: counters(follower)["replica_audits"] >= audits + 2,
+                    what="two healthy audits",
+                )
+                assert follower.server.diverged is None
+
+                on_writer(follower, perturb)
+                # audit_interval is 0.05 s: the bound leaves room for a
+                # loaded machine; a healthy run trips at the next audit.
+                wait_for(
+                    lambda: follower.server.diverged is not None,
+                    timeout=2.0,
+                    what="the divergence verdict",
+                )
+                reader = ServiceClient(
+                    follower.host,
+                    follower.port,
+                    timeout=5.0,
+                    retry=RetryPolicy(attempts=1),
+                )
+                try:
+                    with pytest.raises(ServiceError) as exc:
+                        reader.request("clusters")
+                    assert exc.value.code == "DIVERGED"
+                    with pytest.raises(ServiceError) as exc:
+                        reader.request("promote", idempotent=False)
+                    assert exc.value.code == "DIVERGED"
+                finally:
+                    reader.close()
+                assert follower.server.role == "follower"
 
 
 # ----------------------------------------------------------------------

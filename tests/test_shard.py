@@ -556,7 +556,6 @@ class TestFleetObservability:
                 primary_host=host,
                 primary_port=port,
                 replica_id="trace-follower",
-                poll_interval=0.005,
                 audit_interval=0.05,
             )
             with ServerThread(
