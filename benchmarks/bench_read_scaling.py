@@ -74,7 +74,7 @@ from typing import Dict, List
 
 from repro.bench.reporting import format_table, save_result
 from repro.faults import ServerThread
-from repro.faults.chaos import QUICK_PARAMS, ReadRouterThread
+from repro.faults.chaos import QUICK_PARAMS, ReadRouterThread, ServingThread
 from repro.graph.generators import planted_partition
 from repro.readpath import ReadRouterConfig
 from repro.service.client import ServiceClient
@@ -117,7 +117,7 @@ def _workload(
     return graph, list(stream)
 
 
-def _serve(graph, data_dir: Path, **kwargs) -> ServerThread:
+def _serve(graph, data_dir: Path, **kwargs) -> ServingThread:
     config = ServerConfig(
         port=0,
         engine="anco",
@@ -137,7 +137,7 @@ def _follower_kwargs(primary_port: int) -> Dict[str, object]:
     )
 
 
-def _ingest(primary: ServerThread, stream) -> int:
+def _ingest(primary: ServingThread, stream) -> int:
     items = [(a.u, a.v, a.t) for a in stream]
     with ServiceClient(primary.host, primary.port, timeout=120) as client:
         for i in range(0, len(items), CHUNK):
@@ -147,7 +147,7 @@ def _ingest(primary: ServerThread, stream) -> int:
     return applied
 
 
-def _await_applied(handle: ServerThread, target: int, timeout: float = 60.0):
+def _await_applied(handle: ServingThread, target: int, timeout: float = 60.0):
     deadline = time.monotonic() + timeout
     while handle.server.host.applied < target:
         if time.monotonic() > deadline:
@@ -158,7 +158,7 @@ def _await_applied(handle: ServerThread, target: int, timeout: float = 60.0):
 
 
 def _sample_per_read(
-    handles: List[ServerThread], expect_applied: int
+    handles: List[ServingThread], expect_applied: int
 ) -> Dict[str, float]:
     """Per-read cost of every node, from interleaved best-of passes.
 

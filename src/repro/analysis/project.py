@@ -907,22 +907,25 @@ class _Summarizer:
         code: Optional[str] = None
         ops: List[Tuple[str, int, int, str]] = []
         for stmt in node.body:
+            # ``_OPS = {...}`` and ``_OPS: Dict[...] = {...}`` alike.
+            target: Optional[ast.expr] = None
+            value: Optional[ast.expr] = None
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                target = stmt.targets[0]
-                if isinstance(target, ast.Name):
-                    if target.id == "code":
-                        code = _str_const(stmt.value)
-                    elif target.id == "_OPS" and isinstance(stmt.value, ast.Dict):
-                        for key, value in zip(stmt.value.keys, stmt.value.values):
-                            if key is None:
-                                continue
-                            op = _str_const(key)
-                            if op is None:
-                                continue
-                            handler = dotted(value) or "<expr>"
-                            ops.append(
-                                (op, key.lineno, key.col_offset, handler)
-                            )
+                target, value = stmt.targets[0], stmt.value
+            elif isinstance(stmt, ast.AnnAssign):
+                target, value = stmt.target, stmt.value
+            if isinstance(target, ast.Name) and value is not None:
+                if target.id == "code":
+                    code = _str_const(value)
+                elif target.id == "_OPS" and isinstance(value, ast.Dict):
+                    for key, handler_node in zip(value.keys, value.values):
+                        if key is None:
+                            continue
+                        op = _str_const(key)
+                        if op is None:
+                            continue
+                        handler = dotted(handler_node) or "<expr>"
+                        ops.append((op, key.lineno, key.col_offset, handler))
             # Lock attributes assigned in __init__ bodies.
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for sub in walk_skipping_functions(stmt.body):
@@ -1058,6 +1061,32 @@ class ProjectModel:
             if mod in self.modules:
                 return mod
         return None
+
+    def lineage(self, module: str, cls: str) -> List[Tuple[str, str]]:
+        """``(module, class)`` of ``cls`` and of every base class the
+        project defines, nearest first; bases resolve through imports."""
+        out: List[Tuple[str, str]] = []
+        todo = [(module, cls)]
+        while todo:
+            mod, name = todo.pop(0)
+            if (mod, name) in out:
+                continue
+            out.append((mod, name))
+            summ = self.modules[mod]
+            for base in summ.classes.get(name, ()):
+                head, _, rest = base.partition(".")
+                if not rest and base in summ.classes:
+                    todo.append((mod, base))
+                    continue
+                target = summ.imports.get(head)
+                if target is None:
+                    continue
+                full = f"{target}.{rest}" if rest else target
+                base_mod = self._resolve_module(summ, full)
+                base_name = full.rsplit(".", 1)[-1]
+                if base_mod is not None and base_name in self.modules[base_mod].classes:
+                    todo.append((base_mod, base_name))
+        return out
 
     def _project_imports(self, summ: ModuleSummary) -> Set[str]:
         out: Set[str] = set()

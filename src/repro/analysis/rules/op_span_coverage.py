@@ -8,9 +8,10 @@ trace cannot attribute.  A handler counts as covered when any of:
 * a span-creating call (``tracer.span`` / ``tracer.wire_span``) appears
   in the handler itself or in code reachable from it through the call
   graph;
-* the table's class has a **dispatcher** — a method that reads the
-  ``_OPS`` attribute and opens a span — which wraps every handler it
-  dispatches (the ``_handle_request`` pattern);
+* the table's class, or a base class the project defines, has a
+  **dispatcher** — a method that reads the ``_OPS`` attribute and opens
+  a span — which wraps every handler it dispatches (the
+  ``_handle_request`` pattern; a router's shared front end);
 * an ``# anclint: disable=op-span-coverage — reason`` pragma on the
   handler's ``def`` line (counted, like every exemption).
 
@@ -59,9 +60,12 @@ def check(model: ProjectModel) -> Iterable[Tuple[str, int, int, str]]:
     ):
         return  # project has no tracing layer; nothing to cover yet
     for summ, table in model.op_tables():
+        lineage = set(model.lineage(summ.module, table.cls))
         dispatched = any(
-            info.cls == table.cls and info.reads_ops and _has_span_call(info)
-            for info in summ.functions.values()
+            (owner.module, info.cls) in lineage
+            and info.reads_ops
+            and _has_span_call(info)
+            for owner, info in model.functions.values()
         )
         if dispatched:
             continue

@@ -453,7 +453,6 @@ def cmd_shard_serve(args: argparse.Namespace, out: IO[str]) -> int:
         host=args.host,
         port=args.port,
         fanout_timeout=args.fanout_timeout,
-        stats_poll_interval=args.stats_poll_interval,
     )
     router = ShardRouter(deployment, config=config)
     try:
@@ -872,9 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_shard.add_argument("--fanout-timeout", type=float, default=10.0,
                          help="scatter-gather deadline per request "
                               "(seconds; 0 = wait forever)")
-    p_shard.add_argument("--stats-poll-interval", type=float, default=0.0,
-                         help="background per-shard lag/queue polling period "
-                              "(seconds; 0 = off)")
     _add_anc_params(p_shard)
     p_shard.set_defaults(func=cmd_shard_serve)
 

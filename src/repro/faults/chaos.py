@@ -11,20 +11,20 @@ lets it fire, then drives the recovery protocol a real deployment would:
   :func:`~repro.service.snapshots.recover_engine` and have the "client"
   resend every activation past the recovered high-water mark;
 * **service** scenarios run a real :class:`~repro.service.server.ANCServer`
-  on a background event loop (:class:`ServerThread`) and push the stream
+  on a background event loop (:func:`ServerThread`) and push the stream
   through a retrying :class:`~repro.service.client.ServiceClient`, so
   socket resets, duplicated batches, overload shedding and slow-reader
   eviction hit the actual protocol path;
 * **shard** scenarios run a real 2-shard deployment — worker processes
   behind a :class:`~repro.shard.router.ShardRouter` on a background
-  loop (:class:`RouterThread`) — and attack the scatter-gather tier: a
+  loop (:func:`RouterThread`) — and attack the scatter-gather tier: a
   worker hard-crashing mid-batch (supervised respawn + WAL recovery +
   idempotent resend), the router→worker link dropping with requests in
   flight, and one shard stalling a scatter past the fanout deadline.
   The merged answers must match a single-engine oracle and every
   worker's signature must match its per-shard oracle (docs/sharding.md);
 * **replica** scenarios run a primary *and* a WAL-shipping follower
-  (two :class:`ServerThread` instances) and attack the replication
+  (two :func:`ServerThread` instances) and attack the replication
   layer: stalled/severed/reordered links, a follower hard-crashing
   mid-apply, a primary killed mid-batch with the follower promoted in
   its place, and a split brain where the deposed primary keeps running
@@ -33,7 +33,7 @@ lets it fire, then drives the recovery protocol a real deployment would:
   replay must stay exactly-once across the failover;
 * **readpath** scenarios run a primary, *two* followers and a
   :class:`~repro.readpath.router.ReadRouter` on its own background loop
-  (:class:`ReadRouterThread`) and attack the read-routing tier under a
+  (:func:`ReadRouterThread`) and attack the read-routing tier under a
   live read-your-writes session: followers pinned behind the session
   token by stalled fetches, a follower hard-crashing under read load,
   a promotion while tokened reads keep flowing, and a session token
@@ -73,12 +73,14 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Generic,
     Hashable,
     List,
     Mapping,
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -104,6 +106,7 @@ from ..service.snapshots import (
     recover_engine,
     signature_digest,
 )
+from ..service.wire import FrontEnd
 from ..workloads.streams import community_biased_stream
 from .plan import FaultPlan, FaultSpec, InjectedCrash
 
@@ -114,6 +117,7 @@ __all__ = [
     "Scenario",
     "SCENARIOS",
     "ServerThread",
+    "ServingThread",
     "build_shard_workload",
     "engine_signature",
     "report_lines",
@@ -728,35 +732,44 @@ def _run_pipeline(
 # Service runner
 # ----------------------------------------------------------------------
 
-class ServerThread:
-    """An :class:`ANCServer` on a private event loop in a daemon thread.
+_S = TypeVar("_S", bound=Union[ANCServer, FrontEnd])
+
+
+class ServingThread(Generic[_S]):
+    """A server or router on a private event loop in a daemon thread.
 
     Lets blocking clients (the real :class:`ServiceClient`, chaos
-    scenarios, tests) talk to an in-process server.  Use as a context
-    manager; ``stop()`` requests a graceful shutdown and joins.
+    scenarios, tests) talk to an in-process :class:`ANCServer`,
+    :class:`~repro.shard.router.ShardRouter` or
+    :class:`~repro.readpath.router.ReadRouter`; ``build`` constructs it
+    on the thread's loop.  Use as a context manager; ``stop()`` requests
+    a graceful shutdown and joins.  ``timeout`` bounds both startup and
+    shutdown.
     """
 
     def __init__(
-        self,
-        graph: Graph,
-        *,
-        config: Optional[ServerConfig] = None,
-        params: Optional[ANCParams] = None,
-        names: Optional[Sequence[Hashable]] = None,
+        self, build: Callable[[], _S], *, host: str, name: str, timeout: float
     ) -> None:
-        self._graph = graph
-        self._config = config or ServerConfig()
-        self._params = params
-        self._names = names
-        self.server: Optional[ANCServer] = None
+        self._build = build
+        self._name = name
+        self._timeout = timeout
+        self.served: Optional[_S] = None
         self.port: Optional[int] = None
-        self.host: str = self._config.host
+        self.host = host
         self.error: Optional[BaseException] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._started = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="anc-chaos-server", daemon=True
-        )
+        self._thread = threading.Thread(target=self._run, name=name, daemon=True)
+
+    @property
+    def server(self) -> Optional[_S]:
+        """The served object (named for what :func:`ServerThread` runs)."""
+        return self.served
+
+    @property
+    def router(self) -> Optional[_S]:
+        """The served object (named for what the router harnesses run)."""
+        return self.served
 
     def _run(self) -> None:
         try:
@@ -768,42 +781,56 @@ class ServerThread:
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self.server = ANCServer(
-            self._graph,
-            self._names,
-            config=self._config,
-            params=self._params,
-        )
-        await self.server.start()
-        self.port = self.server.port
+        self.served = self._build()
+        await self.served.start()
+        self.port = self.served.port
         self._started.set()
-        await self.server.serve_forever()
+        await self.served.serve_forever()
 
-    def start(self) -> "ServerThread":
+    def start(self) -> "ServingThread[_S]":
         self._thread.start()
-        if not self._started.wait(timeout=15.0):
-            raise RuntimeError("server thread did not start within 15s")
+        if not self._started.wait(timeout=self._timeout):
+            raise RuntimeError(f"{self._name} did not start within {self._timeout}s")
         if self.error is not None:
-            raise RuntimeError("server thread failed on startup") from self.error
+            raise RuntimeError(f"{self._name} failed on startup") from self.error
         assert self.port is not None
         return self
 
     def stop(self) -> None:
         """Request a graceful shutdown and join the thread."""
-        if self._loop is not None and self.server is not None:
+        if self._loop is not None and self.served is not None:
             try:
-                self._loop.call_soon_threadsafe(self.server.request_stop)
-            except RuntimeError:  # anclint: disable=service-exception-discipline — the loop already exited (server shut down on its own); joining below is the only remaining work
+                self._loop.call_soon_threadsafe(self.served.request_stop)
+            except RuntimeError:  # anclint: disable=service-exception-discipline — the loop already exited (shut down on its own); joining below is the only remaining work
                 pass
-        self._thread.join(timeout=15.0)
+        self._thread.join(timeout=self._timeout)
         if self._thread.is_alive():  # pragma: no cover - hang diagnostics
-            raise RuntimeError("server thread did not shut down within 15s")
+            raise RuntimeError(
+                f"{self._name} did not shut down within {self._timeout}s"
+            )
 
-    def __enter__(self) -> "ServerThread":
+    def __enter__(self) -> "ServingThread[_S]":
         return self.start()
 
     def __exit__(self, *exc: object) -> None:
         self.stop()
+
+
+def ServerThread(
+    graph: Graph,
+    *,
+    config: Optional[ServerConfig] = None,
+    params: Optional[ANCParams] = None,
+    names: Optional[Sequence[Hashable]] = None,
+) -> ServingThread[ANCServer]:
+    """An :class:`ANCServer` on its own loop thread."""
+    cfg = config or ServerConfig()
+    return ServingThread(
+        lambda: ANCServer(graph, names, config=cfg, params=params),
+        host=cfg.host,
+        name="anc-chaos-server",
+        timeout=15.0,
+    )
 
 
 def _run_service(
@@ -896,10 +923,31 @@ def _await(check: Callable[[], bool], *, timeout: float, what: str) -> None:
         time.sleep(0.01)
 
 
-def _counters(handle: ServerThread) -> Dict[str, float]:
+def _counters(handle: ServingThread[ANCServer]) -> Dict[str, float]:
     assert handle.server is not None
     raw = handle.server.metrics.snapshot(rate_key=None).get("counters")
     return {k: float(v) for k, v in raw.items()} if isinstance(raw, Mapping) else {}
+
+
+def _node_config(
+    plan: Optional[FaultPlan], data_dir: Path, **role_kwargs: object
+) -> ServerConfig:
+    """One durable fleet node's config (replica and readpath runners)."""
+    return ServerConfig(
+        port=0,
+        engine="anco",
+        metrics_interval=0.0,
+        data_dir=data_dir,
+        checkpoint_every=CHECKPOINT_EVERY,
+        faults=plan,
+        **role_kwargs,  # type: ignore[arg-type]
+    )
+
+
+def _caught_up(handle: ServingThread[ANCServer], target: int) -> bool:
+    assert handle.server is not None
+    host = handle.server.host
+    return host.ingested >= target and host.applied >= target
 
 
 def _run_replica(
@@ -917,21 +965,6 @@ def _run_replica(
     follower_plan = FaultPlan(follower_specs, seed=seed) if follower_specs else None
     base = workdir / f"{scenario.name}-s{seed}"
 
-    def _config(
-        plan: Optional[FaultPlan],
-        data_dir: Path,
-        **role_kwargs: object,
-    ) -> ServerConfig:
-        return ServerConfig(
-            port=0,
-            engine="anco",
-            metrics_interval=0.0,
-            data_dir=data_dir,
-            checkpoint_every=CHECKPOINT_EVERY,
-            faults=plan,
-            **role_kwargs,  # type: ignore[arg-type]
-        )
-
     def _follower_kwargs(primary_port: int) -> Dict[str, object]:
         return {
             "role": "follower",
@@ -941,19 +974,14 @@ def _run_replica(
             "audit_interval": 0.05,
         }
 
-    def _start_follower(plan: Optional[FaultPlan], port: int) -> ServerThread:
+    def _start_follower(plan: Optional[FaultPlan], port: int) -> ServingThread[ANCServer]:
         handle = ServerThread(
             graph,
-            config=_config(plan, base / "follower", **_follower_kwargs(port)),
+            config=_node_config(plan, base / "follower", **_follower_kwargs(port)),
             params=QUICK_PARAMS,
         ).start()
         threads.append(handle)
         return handle
-
-    def _caught_up(handle: ServerThread, target: int) -> bool:
-        assert handle.server is not None
-        host = handle.server.host
-        return host.ingested >= target and host.applied >= target
 
     batches = [
         [(a.u, a.v, a.t) for a in acts[i : i + CLIENT_BATCH]]
@@ -967,18 +995,18 @@ def _run_replica(
         seed=seed,
     )
 
-    threads: List[ServerThread] = []
+    threads: List[ServingThread[ANCServer]] = []
     try:
         primary = ServerThread(
             graph,
-            config=_config(
+            config=_node_config(
                 primary_plan, base / "primary", **dict(scenario.server)
             ),
             params=QUICK_PARAMS,
         ).start()
         threads.append(primary)
         assert primary.port is not None
-        follower: Optional[ServerThread] = None
+        follower: Optional[ServingThread[ANCServer]] = None
         if scenario.flow != "catchup":
             follower = _start_follower(follower_plan, primary.port)
 
@@ -1183,159 +1211,44 @@ def _run_replica(
 # Shard runner: the scatter-gather tier over real worker processes
 # ----------------------------------------------------------------------
 
-class RouterThread:
-    """A :class:`~repro.shard.router.ShardRouter` on a private event loop.
+def RouterThread(
+    deployment: "ShardDeployment",
+    *,
+    config: Optional["RouterConfig"] = None,
+) -> "ServingThread[ShardRouter]":
+    """A :class:`~repro.shard.router.ShardRouter` on its own loop thread.
 
-    The shard analogue of :class:`ServerThread`: spawns the deployment's
-    worker processes, binds the router and serves until ``stop()``, so
-    blocking clients can drive a real multi-process topology from a
-    test.  Startup is slower than one server (one process spawn plus
-    recovery per shard), hence the longer timeouts.
+    Starting it spawns the deployment's worker processes (one spawn plus
+    recovery per shard), hence the longer timeout; stopping it reaps
+    them.
     """
+    from ..shard.router import RouterConfig, ShardRouter
 
-    def __init__(
-        self,
-        deployment: "ShardDeployment",
-        *,
-        config: Optional["RouterConfig"] = None,
-    ) -> None:
-        self._deployment = deployment
-        self._config = config
-        self.router: Optional["ShardRouter"] = None
-        self.port: Optional[int] = None
-        self.host: str = config.host if config is not None else "127.0.0.1"
-        self.error: Optional[BaseException] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._started = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="anc-chaos-router", daemon=True
-        )
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # anclint: disable=service-exception-discipline — a thread boundary cannot propagate; start()/stop() re-raise from ``self.error`` on the caller's thread
-            self.error = exc
-        finally:
-            self._started.set()
-
-    async def _main(self) -> None:
-        from ..shard.router import RouterConfig, ShardRouter
-
-        self._loop = asyncio.get_running_loop()
-        self.router = ShardRouter(
-            self._deployment, config=self._config or RouterConfig()
-        )
-        await self.router.start()
-        self.port = self.router.port
-        self._started.set()
-        await self.router.serve_forever()
-
-    def start(self) -> "RouterThread":
-        self._thread.start()
-        if not self._started.wait(timeout=120.0):
-            raise RuntimeError("router thread did not start within 120s")
-        if self.error is not None:
-            raise RuntimeError("router thread failed on startup") from self.error
-        assert self.port is not None
-        return self
-
-    def stop(self) -> None:
-        """Request a graceful shutdown (router + workers) and join."""
-        if self._loop is not None and self.router is not None:
-            try:
-                self._loop.call_soon_threadsafe(self.router.request_stop)
-            except RuntimeError:  # anclint: disable=service-exception-discipline — the loop already exited (router shut down on its own); joining below is the only remaining work
-                pass
-        self._thread.join(timeout=120.0)
-        if self._thread.is_alive():  # pragma: no cover - hang diagnostics
-            raise RuntimeError("router thread did not shut down within 120s")
-
-    def __enter__(self) -> "RouterThread":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
+    cfg = config or RouterConfig()
+    return ServingThread(
+        lambda: ShardRouter(deployment, config=cfg),
+        host=cfg.host,
+        name="anc-chaos-router",
+        timeout=120.0,
+    )
 
 
-class ReadRouterThread:
-    """A :class:`~repro.readpath.router.ReadRouter` on a private loop.
+def ReadRouterThread(
+    primary: Tuple[str, int],
+    *,
+    followers: Sequence[Tuple[str, int]] = (),
+    config: Optional["ReadRouterConfig"] = None,
+) -> "ServingThread[ReadRouter]":
+    """A :class:`~repro.readpath.router.ReadRouter` over a running fleet."""
+    from ..readpath.router import ReadRouter, ReadRouterConfig
 
-    The read-path analogue of :class:`RouterThread`: binds the router
-    over an already-running primary/follower fleet and serves until
-    ``stop()``, so blocking clients can drive tokened reads and
-    passthrough writes through the real routing tier from a test.
-    """
-
-    def __init__(
-        self,
-        primary: Tuple[str, int],
-        *,
-        followers: Sequence[Tuple[str, int]] = (),
-        config: Optional["ReadRouterConfig"] = None,
-    ) -> None:
-        self._primary = primary
-        self._followers = list(followers)
-        self._config = config
-        self.router: Optional["ReadRouter"] = None
-        self.port: Optional[int] = None
-        self.host: str = config.host if config is not None else "127.0.0.1"
-        self.error: Optional[BaseException] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._started = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="anc-chaos-readrouter", daemon=True
-        )
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # anclint: disable=service-exception-discipline — a thread boundary cannot propagate; start()/stop() re-raise from ``self.error`` on the caller's thread
-            self.error = exc
-        finally:
-            self._started.set()
-
-    async def _main(self) -> None:
-        from ..readpath.router import ReadRouter, ReadRouterConfig
-
-        self._loop = asyncio.get_running_loop()
-        self.router = ReadRouter(
-            self._primary,
-            followers=self._followers,
-            config=self._config or ReadRouterConfig(),
-        )
-        await self.router.start()
-        self.port = self.router.port
-        self._started.set()
-        await self.router.serve_forever()
-
-    def start(self) -> "ReadRouterThread":
-        self._thread.start()
-        if not self._started.wait(timeout=30.0):
-            raise RuntimeError("read-router thread did not start within 30s")
-        if self.error is not None:
-            raise RuntimeError(
-                "read-router thread failed on startup"
-            ) from self.error
-        assert self.port is not None
-        return self
-
-    def stop(self) -> None:
-        """Request a graceful shutdown and join."""
-        if self._loop is not None and self.router is not None:
-            try:
-                self._loop.call_soon_threadsafe(self.router.request_stop)
-            except RuntimeError:  # anclint: disable=service-exception-discipline — the loop already exited (router shut down on its own); joining below is the only remaining work
-                pass
-        self._thread.join(timeout=30.0)
-        if self._thread.is_alive():  # pragma: no cover - hang diagnostics
-            raise RuntimeError("read-router thread did not shut down within 30s")
-
-    def __enter__(self) -> "ReadRouterThread":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
+    cfg = config or ReadRouterConfig()
+    return ServingThread(
+        lambda: ReadRouter(primary, followers=list(followers), config=cfg),
+        host=cfg.host,
+        name="anc-chaos-readrouter",
+        timeout=30.0,
+    )
 
 
 def _normalized_clusters(clusters: Sequence[Sequence[object]]) -> Tuple[Tuple[int, ...], ...]:
@@ -1545,19 +1458,6 @@ def _run_readpath(
     follower_plan = FaultPlan(follower_specs, seed=seed) if follower_specs else None
     base = workdir / f"{scenario.name}-s{seed}"
 
-    def _config(
-        plan: Optional[FaultPlan], data_dir: Path, **role_kwargs: object
-    ) -> ServerConfig:
-        return ServerConfig(
-            port=0,
-            engine="anco",
-            metrics_interval=0.0,
-            data_dir=data_dir,
-            checkpoint_every=CHECKPOINT_EVERY,
-            faults=plan,
-            **role_kwargs,  # type: ignore[arg-type]
-        )
-
     def _follower_kwargs(primary_port: int) -> Dict[str, object]:
         # replica_id is left at its host:port default — the identity the
         # router's auto-registration path keys on.
@@ -1567,11 +1467,6 @@ def _run_readpath(
             "primary_port": primary_port,
             "audit_interval": 0.05,
         }
-
-    def _caught_up(handle: ServerThread, target: int) -> bool:
-        assert handle.server is not None
-        host = handle.server.host
-        return host.ingested >= target and host.applied >= target
 
     batches = [
         [(a.u, a.v, a.t) for a in acts[i : i + CLIENT_BATCH]]
@@ -1591,14 +1486,14 @@ def _run_readpath(
     reads_ok = 0
     typed_denials = 0
 
-    threads: List[ServerThread] = []
-    router_handle: Optional[ReadRouterThread] = None
+    threads: List[ServingThread[ANCServer]] = []
+    router_handle: Optional["ServingThread[ReadRouter]"] = None
     router: Optional["ReadRouter"] = None
     client: Optional[ServiceClient] = None
     try:
         primary = ServerThread(
             graph,
-            config=_config(
+            config=_node_config(
                 primary_plan, base / "primary", **dict(scenario.server)
             ),
             params=QUICK_PARAMS,
@@ -1607,7 +1502,7 @@ def _run_readpath(
         assert primary.port is not None
         f1 = ServerThread(
             graph,
-            config=_config(
+            config=_node_config(
                 follower_plan, base / "f1", **_follower_kwargs(primary.port)
             ),
             params=QUICK_PARAMS,
@@ -1615,7 +1510,7 @@ def _run_readpath(
         threads.append(f1)
         f2 = ServerThread(
             graph,
-            config=_config(
+            config=_node_config(
                 None, base / "f2", **_follower_kwargs(primary.port)
             ),
             params=QUICK_PARAMS,
@@ -1626,9 +1521,7 @@ def _run_readpath(
         router_handle = ReadRouterThread(
             ("127.0.0.1", primary.port),
             followers=[("127.0.0.1", f1.port), ("127.0.0.1", f2.port)],
-            config=ReadRouterConfig(
-                heartbeat_interval=0.05, retry_backoff=0.05
-            ),
+            config=ReadRouterConfig(heartbeat_interval=0.05),
         ).start()
         assert router_handle.port is not None
 

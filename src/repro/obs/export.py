@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
 from .instruments import MetricsRegistry
 from .trace import Span, Tracer
@@ -34,6 +34,7 @@ __all__ = [
     "render_json",
     "render_prometheus",
     "span_dicts",
+    "trace_op",
     "write_chrome_trace",
 ]
 
@@ -125,6 +126,32 @@ def chrome_trace(
         )
     events.sort(key=lambda e: (e["tid"], e["ts"]))  # type: ignore[index]
     return {"traceEvents": events, "displayTimeUnit": "ms"}
+
+
+def trace_op(tracer: Tracer, request: Mapping[str, Any]) -> Dict[str, object]:
+    """Apply one ``trace`` wire op to ``tracer``; returns the answer.
+
+    ``action`` is start (optional ``sample``) / stop / clear / status, or
+    dump (optional ``drain``, default true) for the Chrome trace.
+    """
+    action = str(request.get("action", "status"))
+    if action == "start":
+        sample = request.get("sample")
+        if sample is not None:
+            tracer.set_sample(float(sample))
+        tracer.enable()
+    elif action == "stop":
+        tracer.disable()
+    elif action == "clear":
+        tracer.drain()
+    elif action == "dump":
+        spans = tracer.drain() if bool(request.get("drain", True)) else tracer.spans()
+        return {"trace": chrome_trace(spans), **tracer.status()}
+    elif action != "status":
+        raise ValueError(
+            f"unknown trace action {action!r}; expected start/stop/status/dump/clear"
+        )
+    return dict(tracer.status())
 
 
 def write_chrome_trace(

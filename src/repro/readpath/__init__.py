@@ -8,6 +8,6 @@ degrading to the primary under a budget and to a typed ``RETRY_AFTER``
 after that, never to silently-stale data.
 """
 
-from .router import ReadRouter, ReadRouterConfig, Upstream
+from .router import FleetNode, ReadRouter, ReadRouterConfig
 
-__all__ = ["ReadRouter", "ReadRouterConfig", "Upstream"]
+__all__ = ["FleetNode", "ReadRouter", "ReadRouterConfig"]

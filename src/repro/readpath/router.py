@@ -43,33 +43,19 @@ it) and ``followers=N`` (live follower count).
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 import re
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..obs.propagate import TraceContext, current_context
-from ..obs.trace import Observability, Tracer
 from ..service.client import CircuitBreaker
-from ..service.errors import (
-    BadRequest,
-    Overloaded,
-    ServiceFault,
-    Unavailable,
-    fault_response,
-)
-from ..obs.instruments import MetricsRegistry
+from ..service.errors import BadRequest, Overloaded, ServiceFault, Unavailable
+from ..service.wire import TRANSPORT_ERRORS, FrontEnd, Handler, Upstream
 
-__all__ = ["READ_OPS", "ReadRouter", "ReadRouterConfig", "Upstream"]
+__all__ = ["READ_OPS", "FleetNode", "ReadRouter", "ReadRouterConfig"]
 
 log = logging.getLogger("repro.readpath")
-
-_LIMIT = 4 * 1024 * 1024
-
-#: Transport-layer failures that fail one upstream attempt.
-_TRANSPORT_ERRORS = (OSError, asyncio.IncompleteReadError, json.JSONDecodeError)
 
 #: Snapshot-read ops fanned across the follower fleet; every other op
 #: passes through to the primary.
@@ -77,6 +63,24 @@ READ_OPS = frozenset({"clusters", "local", "watch"})
 
 #: ``host:port`` replica ids (the server's default) auto-register.
 _ENDPOINT_ID = re.compile(r"^(?P<host>[\w.\-]+):(?P<port>\d{1,5})$")
+
+#: Per-heartbeat deadline; a missed beat marks the node down.
+HEARTBEAT_TIMEOUT = 2.0
+#: Passthrough (write-path) attempts across primary re-resolution.
+PRIMARY_ATTEMPTS = 6
+#: Base of the exponential backoff between passthrough attempts.
+RETRY_BACKOFF = 0.05
+#: ``retry_after`` hint when the ladder ends in a typed shed.
+SHED_RETRY_AFTER = 0.1
+#: Consecutive failures that open one node's circuit breaker, and the
+#: breaker's cooldown before a half-open probe.
+FAILURE_THRESHOLD = 3
+BREAKER_COOLDOWN = 1.0
+
+
+def _failed(exc: BaseException) -> str:
+    """How one upstream exchange failed, for the node's ``last_error``."""
+    return "timed out" if isinstance(exc, TimeoutError) else f"failed: {exc}"
 
 
 @dataclass
@@ -88,14 +92,8 @@ class ReadRouterConfig:
     port: int = 0
     #: Cadence of the upstream heartbeat (ping + primary ``replicas``).
     heartbeat_interval: float = 0.25
-    #: Per-heartbeat deadline; a missed beat marks the upstream down.
-    heartbeat_timeout: float = 2.0
     #: Per-attempt deadline of one forwarded request; 0 = no deadline.
     forward_timeout: float = 30.0
-    #: Passthrough (write-path) attempts across primary re-resolution.
-    primary_attempts: int = 6
-    #: Base of the exponential backoff between passthrough attempts.
-    retry_backoff: float = 0.05
     #: Router-imposed staleness bound (records behind the primary) for
     #: routed reads; ``None`` = only what the request itself asks for.
     max_staleness: Optional[int] = None
@@ -104,42 +102,20 @@ class ReadRouterConfig:
     primary_read_rate: float = 200.0
     #: Burst capacity of the primary-read bucket.
     primary_read_burst: float = 64.0
-    #: ``retry_after`` hint when the ladder ends in a typed shed.
-    shed_retry_after: float = 0.1
-    #: Consecutive failures that open one upstream's circuit breaker.
-    failure_threshold: int = 3
-    #: Breaker cooldown before a half-open probe.
-    breaker_cooldown: float = 1.0
-    #: Idle pooled connections kept per upstream.
-    pool_capacity: int = 8
-    #: Evict a client whose response write does not drain (0 = never).
-    write_timeout: float = 30.0
-    #: Span ring-buffer capacity of the router tracer.
-    trace_capacity: int = 8192
 
 
-class Upstream:
+class FleetNode(Upstream):
     """Router-side state of one fleet node (primary or follower).
 
-    Holds the last envelope facts (role / epoch / applied), the derived
-    replication lag, a per-node :class:`CircuitBreaker`, the smooth
-    weighted-round-robin credit, and a small pool of idle connections
-    (pooling, not one serialized link, so concurrent reads to the same
-    follower overlap instead of queueing).
+    On top of the node's pooled connections (pooling, not one
+    serialized link, so concurrent reads to the same follower overlap
+    instead of queueing) it holds the last envelope facts (role / epoch
+    / applied), the derived replication lag, a per-node
+    :class:`CircuitBreaker` and the smooth weighted-round-robin credit.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        role: str = "follower",
-        failure_threshold: int = 3,
-        cooldown: float = 1.0,
-        pool_capacity: int = 8,
-    ) -> None:
-        self.host = str(host)
-        self.port = int(port)
+    def __init__(self, host: str, port: int, *, role: str = "follower") -> None:
+        super().__init__(host, port)
         self.role = role
         self.epoch = 0
         self.fenced_by = 0
@@ -150,79 +126,18 @@ class Upstream:
         self.alive = False
         self.reads_served = 0
         self.breaker = CircuitBreaker(
-            failure_threshold=failure_threshold, cooldown=cooldown
+            failure_threshold=FAILURE_THRESHOLD, cooldown=BREAKER_COOLDOWN
         )
         #: Smooth-WRR credit (error diffusion; no PRNG).
         self.wrr = 0.0
         self.last_error: Optional[ServiceFault] = None
-        self._pool_capacity = max(0, int(pool_capacity))
-        self._idle: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
-        #: Connections currently carrying a request (so shutdown can
-        #: abort them; an idle-only sweep would leave a forward parked
-        #: against a dead upstream holding its handler open).
-        self._inflight: Set[asyncio.StreamWriter] = set()
-
-    @property
-    def key(self) -> str:
-        return f"{self.host}:{self.port}"
 
     @property
     def fenced(self) -> bool:
         return self.fenced_by > self.epoch
 
-    async def acquire(self) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        """An idle pooled connection, or a fresh one."""
-        while self._idle:
-            reader, writer = self._idle.pop()
-            if not writer.is_closing():
-                self._inflight.add(writer)
-                return reader, writer
-            writer.transport.abort()
-        reader, writer = await asyncio.open_connection(
-            self.host, self.port, limit=_LIMIT
-        )
-        self._inflight.add(writer)
-        return reader, writer
-
-    def release(
-        self, conn: Tuple[asyncio.StreamReader, asyncio.StreamWriter]
-    ) -> None:
-        """Return a healthy connection to the pool (or drop it)."""
-        reader, writer = conn
-        self._inflight.discard(writer)
-        if len(self._idle) < self._pool_capacity and not writer.is_closing():
-            self._idle.append((reader, writer))
-        else:
-            writer.transport.abort()
-
-    def forget(
-        self, conn: Tuple[asyncio.StreamReader, asyncio.StreamWriter]
-    ) -> None:
-        """Abort a connection that failed mid-request."""
-        _reader, writer = conn
-        self._inflight.discard(writer)
-        writer.transport.abort()
-
-    def abort_pool(self) -> None:
-        """Drop every idle connection (the upstream went away)."""
-        for _reader, writer in self._idle:
-            writer.transport.abort()
-        self._idle.clear()
-
-    def abort_connections(self) -> None:
-        """Abort everything, idle *and* in flight (router shutdown).
-
-        Failing the in-flight requests is the point: a forward parked
-        against a dead upstream would otherwise pin its connection
-        handler — and the server's close — for ``forward_timeout``.
-        """
-        self.abort_pool()
-        for writer in list(self._inflight):
-            writer.transport.abort()
-        self._inflight.clear()
-
     def status(self) -> Dict[str, object]:
-        """This upstream's row in the ``route_status`` admin op."""
+        """This node's row in the ``route_status`` admin op."""
         return {
             "role": self.role,
             "epoch": self.epoch,
@@ -235,8 +150,10 @@ class Upstream:
         }
 
 
-class ReadRouter:
+class ReadRouter(FrontEnd):
     """Asyncio front tier fanning reads across one replicated fleet."""
+
+    _PREFIX = "readpath"
 
     def __init__(
         self,
@@ -246,12 +163,9 @@ class ReadRouter:
         config: Optional[ReadRouterConfig] = None,
     ) -> None:
         self.config = config or ReadRouterConfig()
+        super().__init__(self.config.host, self.config.port)
 
-        self.metrics = MetricsRegistry()
-        self.tracer = Tracer(enabled=False, capacity=self.config.trace_capacity)
-        self.obs = Observability(registry=self.metrics, tracer=self.tracer)
-
-        self._upstreams: Dict[str, Upstream] = {}
+        self._upstreams: Dict[str, FleetNode] = {}
         self._primary_key = self._register(primary[0], primary[1], role="primary")
         for host, port in followers:
             self._register(host, port, role="follower")
@@ -265,8 +179,8 @@ class ReadRouter:
         self._budget_stamp = time.monotonic()
 
         self._refresh_lock = asyncio.Lock()
+        self._heartbeat: Optional["asyncio.Task[None]"] = None
 
-        self._c_requests = self.metrics.counter("readpath_requests")
         self._c_follower_reads = self.metrics.counter("readpath_follower_reads")
         self._c_primary_reads = self.metrics.counter("readpath_primary_reads")
         self._c_stale_bounces = self.metrics.counter("readpath_stale_bounces")
@@ -286,12 +200,6 @@ class ReadRouter:
         )
         self.metrics.gauge("readpath_budget_tokens", lambda: self._budget_tokens)
 
-        self.port: Optional[int] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._background: List[asyncio.Task] = []
-        self._stop = asyncio.Event()
-        self._conns: Set[asyncio.StreamWriter] = set()
-
     # ------------------------------------------------------------------
     # Fleet bookkeeping
     # ------------------------------------------------------------------
@@ -300,15 +208,7 @@ class ReadRouter:
         key = f"{host}:{int(port)}"
         if key in self._upstreams:
             return key
-        up = Upstream(
-            host,
-            port,
-            role=role,
-            failure_threshold=self.config.failure_threshold,
-            cooldown=self.config.breaker_cooldown,
-            pool_capacity=self.config.pool_capacity,
-        )
-        self._upstreams[key] = up
+        self._upstreams[key] = FleetNode(host, port, role=role)
         slug = re.sub(r"\W", "_", key)
         self.metrics.gauge(
             f"readpath_lag_{slug}",
@@ -321,7 +221,7 @@ class ReadRouter:
         log.info("registered upstream %s as %s", key, role)
         return key
 
-    def _live_followers(self) -> List[Upstream]:
+    def _live_followers(self) -> List[FleetNode]:
         return [
             up
             for up in self._upstreams.values()
@@ -331,7 +231,7 @@ class ReadRouter:
     def _has_followers(self) -> bool:
         return any(up.role == "follower" for up in self._upstreams.values())
 
-    def _current_primary(self) -> Optional[Upstream]:
+    def _current_primary(self) -> Optional[FleetNode]:
         """The node claiming ``primary`` at the highest unfenced epoch.
 
         Role re-resolution after ``promote``/``fence`` lives here: the
@@ -340,7 +240,7 @@ class ReadRouter:
         old primary loses to the promoted follower's strictly higher
         epoch, and a fenced node is never selected.
         """
-        best: Optional[Upstream] = None
+        best: Optional[FleetNode] = None
         for up in self._upstreams.values():
             if up.role != "primary" or up.fenced or not up.alive:
                 continue
@@ -353,7 +253,7 @@ class ReadRouter:
         # the forward itself can discover the truth.
         return self._upstreams.get(self._primary_key)
 
-    def _observe(self, up: Upstream, response: Mapping[str, object]) -> None:
+    def _observe(self, up: FleetNode, response: Mapping[str, object]) -> None:
         """Fold one response envelope into the upstream's state."""
         role = response.get("role")
         if isinstance(role, str) and role in ("primary", "follower"):
@@ -380,82 +280,31 @@ class ReadRouter:
             else max(0, self._primary_entries - up.applied)
         )
 
-    def _note_down(self, up: Upstream, fault: ServiceFault) -> None:
-        """One failed upstream exchange: breaker, pool, liveness."""
+    def _note_down(self, up: FleetNode, fault: ServiceFault) -> None:
+        """One failed exchange with ``up``: breaker, liveness, last error."""
         self._c_upstream_errors.inc()
         up.breaker.record_failure()
-        up.abort_pool()
         up.alive = False
         up.last_error = fault
 
-    # ------------------------------------------------------------------
-    # Upstream I/O (pooled)
-    # ------------------------------------------------------------------
-    async def _upstream_request(
-        self,
-        up: Upstream,
-        payload: Mapping[str, object],
-        *,
-        timeout: Optional[float] = None,
-        record: bool = True,
-    ) -> Dict[str, object]:
-        """One request over a pooled connection; returns the raw envelope.
-
-        Transport failures raise (the caller decides the next rung); a
-        request cancelled or failed mid-flight aborts its connection so
-        a late response can never be read by the next request.
-        ``record=False`` keeps background probes (heartbeats, fleet
-        polls) out of the forward histogram, which measures only
-        client-driven forwards.
-        """
-        if self._stop.is_set():
-            # Shutdown already aborted the upstream connections; starting
-            # another rung here would only re-park the handler.
-            raise Unavailable("read router is shutting down")
-        data = json.dumps(payload).encode() + b"\n"
-        deadline = timeout if timeout is not None else self.config.forward_timeout
-        reader, writer = await asyncio.wait_for(up.acquire(), deadline or None)
-        # The forward histogram times the upstream wire round-trip —
-        # request bytes out to response bytes in, i.e. what the upstream
-        # and the network cost — not this router's own encode/decode CPU.
-        started = time.monotonic()
-        try:
-            writer.write(data)
-            await asyncio.wait_for(writer.drain(), deadline or None)
-            line = await asyncio.wait_for(reader.readline(), deadline or None)
-        except BaseException:
-            up.forget((reader, writer))
-            raise
-        if record:
-            self._h_forward.observe(time.monotonic() - started)
-        if not line:
-            up.forget((reader, writer))
-            raise ConnectionResetError(
-                f"upstream {up.key} closed the connection mid-request"
-            )
-        try:
-            response = json.loads(line)
-        except json.JSONDecodeError:
-            up.forget((reader, writer))
-            raise
-        if not isinstance(response, dict):
-            up.forget((reader, writer))
-            raise ConnectionResetError(
-                f"upstream {up.key} sent a non-object response"
-            )
-        up.release((reader, writer))
-        return response
-
     async def _forward(
-        self, up: Upstream, payload: Mapping[str, object]
+        self, up: FleetNode, payload: Mapping[str, object]
     ) -> Dict[str, object]:
-        """Forward with trace propagation; folds the envelope in."""
+        """Forward with trace propagation; folds the envelope in.
+
+        The forward histogram times the wire round trip (request bytes
+        out to answer bytes in): what the node and the network cost,
+        not this router's encode/decode.  Heartbeats and fleet polls
+        stay out of it.
+        """
         op = str(payload.get("op"))
         with self.tracer.wire_span("readpath.forward", op=op, upstream=up.key):
-            bound = current_context()
-            if bound is not None:
-                payload = {**payload, "trace": bound.to_wire()}
-            response = await self._upstream_request(up, payload)
+            response = await up.request(
+                payload,
+                timeout=self.config.forward_timeout,
+                trace=True,
+                observe=self._h_forward.observe,
+            )
         self._observe(up, response)
         return response
 
@@ -468,21 +317,11 @@ class ReadRouter:
             self._c_heartbeats.inc()
             for up in list(self._upstreams.values()):
                 try:
-                    response = await self._upstream_request(
-                        up,
-                        {"op": "ping"},
-                        timeout=self.config.heartbeat_timeout,
-                        record=False,
+                    response = await up.request(
+                        {"op": "ping"}, timeout=HEARTBEAT_TIMEOUT
                     )
-                except asyncio.TimeoutError:
-                    self._note_down(
-                        up, Unavailable(f"heartbeat to {up.key} timed out")
-                    )
-                    continue
-                except _TRANSPORT_ERRORS as exc:
-                    self._note_down(
-                        up, Unavailable(f"heartbeat to {up.key} failed: {exc}")
-                    )
+                except TRANSPORT_ERRORS as exc:
+                    self._note_down(up, Unavailable(f"heartbeat to {up.key} {_failed(exc)}"))
                     continue
                 self._observe(up, response)
                 up.breaker.record_success()
@@ -500,20 +339,13 @@ class ReadRouter:
         if primary is None or not primary.alive:
             return
         try:
-            response = await self._upstream_request(
+            response = await primary.request(
+                {"op": "replicas"}, timeout=HEARTBEAT_TIMEOUT
+            )
+        except TRANSPORT_ERRORS as exc:
+            self._note_down(
                 primary,
-                {"op": "replicas"},
-                timeout=self.config.heartbeat_timeout,
-                record=False,
-            )
-        except asyncio.TimeoutError:
-            self._note_down(
-                primary, Unavailable(f"replicas poll of {primary.key} timed out")
-            )
-            return
-        except _TRANSPORT_ERRORS as exc:
-            self._note_down(
-                primary, Unavailable(f"replicas poll of {primary.key} failed: {exc}")
+                Unavailable(f"replicas poll of {primary.key} {_failed(exc)}"),
             )
             return
         if not response.get("ok", False):
@@ -554,7 +386,7 @@ class ReadRouter:
             bound = asked if bound is None else min(bound, asked)
         return bound
 
-    def _follower_order(self, required: int) -> List[Upstream]:
+    def _follower_order(self, required: int) -> List[FleetNode]:
         """Live followers in lag-aware smooth-WRR order.
 
         Weight is ``1 / (1 + lag)``; every candidate accrues its weight
@@ -595,7 +427,7 @@ class ReadRouter:
             return True
         return False
 
-    async def _route_read(self, request: Dict) -> Dict[str, object]:
+    async def _op_read(self, request: Dict) -> Dict[str, object]:
         """The degradation ladder behind every routed snapshot read."""
         token = request.get("token")
         required = int(token) if isinstance(token, int) else 0
@@ -608,13 +440,8 @@ class ReadRouter:
         for up in self._follower_order(required):
             try:
                 response = await self._forward(up, payload)
-            except asyncio.TimeoutError:
-                self._note_down(up, Unavailable(f"read on {up.key} timed out"))
-                continue
-            except _TRANSPORT_ERRORS as exc:
-                self._note_down(
-                    up, Unavailable(f"read on {up.key} failed: {exc}")
-                )
+            except TRANSPORT_ERRORS as exc:
+                self._note_down(up, Unavailable(f"read on {up.key} {_failed(exc)}"))
                 continue
             up.breaker.record_success()
             if response.get("ok", False):
@@ -650,14 +477,8 @@ class ReadRouter:
         ):
             try:
                 response = await self._forward(primary, payload)
-            except asyncio.TimeoutError:
-                self._note_down(
-                    primary, Unavailable(f"read on {primary.key} timed out")
-                )
-            except _TRANSPORT_ERRORS as exc:
-                self._note_down(
-                    primary, Unavailable(f"read on {primary.key} failed: {exc}")
-                )
+            except TRANSPORT_ERRORS as exc:
+                self._note_down(primary, Unavailable(f"read on {primary.key} {_failed(exc)}"))
             else:
                 primary.breaker.record_success()
                 if response.get("ok", False):
@@ -682,7 +503,7 @@ class ReadRouter:
         raise Overloaded(
             "no follower can serve within the staleness bound and the "
             "primary read budget is exhausted; retry shortly",
-            retry_after=self.config.shed_retry_after,
+            retry_after=SHED_RETRY_AFTER,
         )
 
     # ------------------------------------------------------------------
@@ -697,13 +518,10 @@ class ReadRouter:
         epoch — the client never has to know a failover happened.
         """
         payload = {k: v for k, v in request.items() if k not in ("id", "trace")}
-        attempts = max(1, self.config.primary_attempts)
         last_fault: Optional[ServiceFault] = None
-        for attempt in range(attempts):
+        for attempt in range(PRIMARY_ATTEMPTS):
             if attempt > 0:
-                await asyncio.sleep(
-                    self.config.retry_backoff * (2 ** (attempt - 1))
-                )
+                await asyncio.sleep(RETRY_BACKOFF * (2 ** (attempt - 1)))
                 await self._refresh_once()
             primary = self._current_primary()
             if primary is None:
@@ -711,18 +529,8 @@ class ReadRouter:
                 continue
             try:
                 response = await self._forward(primary, payload)
-            except asyncio.TimeoutError:
-                self._note_down(
-                    primary,
-                    Unavailable(f"primary {primary.key} timed out"),
-                )
-                last_fault = primary.last_error
-                continue
-            except _TRANSPORT_ERRORS as exc:
-                self._note_down(
-                    primary,
-                    Unavailable(f"primary {primary.key} unreachable: {exc}"),
-                )
+            except TRANSPORT_ERRORS as exc:
+                self._note_down(primary, Unavailable(f"primary {primary.key} {_failed(exc)}"))
                 last_fault = primary.last_error
                 continue
             primary.breaker.record_success()
@@ -750,9 +558,6 @@ class ReadRouter:
     # ------------------------------------------------------------------
     # Router-local ops
     # ------------------------------------------------------------------
-    async def _op_read(self, request: Dict) -> Dict[str, object]:
-        return await self._route_read(request)
-
     async def _op_metrics(self, request: Dict) -> Dict[str, object]:
         rate_key = request.get("rate_key")
         return {
@@ -781,160 +586,52 @@ class ReadRouter:
             },
         }
 
-    async def _op_shutdown(self, request: Dict) -> Dict[str, object]:
-        self.request_stop()
-        return {"stopping": True}
-
-    _OPS: Dict[str, Callable] = {
+    _OPS: Dict[str, Handler] = {
         "clusters": _op_read,
         "local": _op_read,
         "watch": _op_read,
         "metrics": _op_metrics,
         "metrics_text": _op_metrics_text,
         "route_status": _op_route_status,
-        "shutdown": _op_shutdown,
+        "shutdown": FrontEnd._op_shutdown,
     }
 
     # ------------------------------------------------------------------
-    # Lifecycle (mirrors ANCServer so CLI/bench harnesses carry over)
+    # Front-end steps
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Probe the fleet once, then bind and start heartbeating."""
+    async def _on_start(self) -> None:
+        """Probe the fleet once, then heartbeat it until the stop."""
         await self._refresh_once()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.config.host,
-            self.config.port,
-            limit=_LIMIT,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
         if self.config.heartbeat_interval > 0:
-            self._background.append(
-                asyncio.create_task(
-                    self._heartbeat_loop(self.config.heartbeat_interval)
-                )
+            self._heartbeat = asyncio.create_task(
+                self._heartbeat_loop(self.config.heartbeat_interval)
             )
-        log.info(
-            "read router serving on %s:%d (%d upstreams, %d live followers)",
-            self.config.host,
-            self.port,
-            len(self._upstreams),
-            len(self._live_followers()),
-        )
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        await self._stop.wait()
-        await self._shutdown()
-
-    async def run(self, *, announce: Optional[Callable[[str], object]] = None) -> None:
-        """Start, announce ``SERVING <host> <port>``, serve until stopped."""
-        await self.start()
-        emit = announce if announce is not None else lambda line: print(line, flush=True)
-        for key, up in sorted(self._upstreams.items()):
-            emit(f"UPSTREAM {up.role} {key}")
-        emit(f"SERVING {self.config.host} {self.port}")
-        await self.serve_forever()
-
-    def request_stop(self) -> None:
-        self._stop.set()
-
-    async def stop(self) -> None:
-        self.request_stop()
-        if self._server is not None:
-            await self._shutdown()
-
-    async def _shutdown(self) -> None:
-        if self._server is None:
-            return
-        server, self._server = self._server, None
-        server.close()
-        # Fail the in-flight work *before* waiting for the server: on
-        # 3.11 ``wait_closed()`` blocks until every connection handler
-        # returns, and a handler can be parked in a forward against a
-        # dead upstream for the whole ``forward_timeout``.  Aborting the
-        # upstream connections snaps those forwards (the stop-check in
-        # ``_upstream_request`` keeps the ladder from re-parking), and
-        # aborting the client transports unblocks handlers mid-read.
-        for up in self._upstreams.values():
-            up.abort_connections()
-        for writer in list(self._conns):
-            writer.transport.abort()
-        try:
-            await asyncio.wait_for(server.wait_closed(), timeout=5.0)
-        except asyncio.TimeoutError:
-            log.warning(
-                "read-router connections did not drain within 5s; "
-                "abandoning them"
-            )
-        for task in self._background:
-            task.cancel()
-        for task in self._background:
+    async def _on_stop(self) -> None:
+        if self._heartbeat is not None:
+            self._heartbeat.cancel()
             try:
-                await task
+                await self._heartbeat
             except asyncio.CancelledError:
                 pass
-        self._background.clear()
+            self._heartbeat = None
 
-    # ------------------------------------------------------------------
-    # Connection plumbing
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._conns.add(writer)
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                response = await self._handle_request(line)
-                writer.write(json.dumps(response).encode() + b"\n")
-                try:
-                    await asyncio.wait_for(
-                        writer.drain(), self.config.write_timeout or None
-                    )
-                except asyncio.TimeoutError:
-                    log.warning("evicting slow read-router client")
-                    writer.transport.abort()
-                    return
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):  # anclint: disable=service-exception-discipline — peer went away mid-conversation; closing our side below is the handling
-            pass
-        finally:
-            self._conns.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # anclint: disable=service-exception-discipline — close handshake racing the peer's reset; nothing to map
-                pass
+    def upstreams(self) -> List[FleetNode]:
+        return list(self._upstreams.values())
 
-    async def _handle_request(self, raw: bytes) -> Dict[str, object]:
-        request_id: object = None
-        self._c_requests.inc()
-        try:
-            request = json.loads(raw)
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-            request_id = request.get("id")
-            op = request.get("op")
-            if not isinstance(op, str):
-                raise BadRequest(f"request needs a string 'op', got {op!r}")
-            handler = self._OPS.get(op, ReadRouter._op_passthrough)
-            ctx = TraceContext.from_wire(request.get("trace"))
-            with self.tracer.wire_span(f"readpath.{op}", ctx, op=op):
-                response = await handler(self, request)
-            response.setdefault("ok", True)
-        except Exception as exc:  # protocol boundary: map to a typed envelope
-            response = fault_response(exc)
+    def _announce_lines(self) -> List[str]:
+        return [
+            f"UPSTREAM {up.role} {key}" for key, up in sorted(self._upstreams.items())
+        ]
+
+    def _unrouted(self, op: object) -> Handler:
+        if not isinstance(op, str):
+            raise BadRequest(f"request needs a string 'op', got {op!r}")
+        return ReadRouter._op_passthrough
+
+    def _stamp(self, response: Dict[str, object]) -> None:
         # Router envelope: epoch 0 never trips client fencing heuristics
         # (module docstring); ``followers`` advertises live capacity.
         response["epoch"] = 0
         response["role"] = "readpath-router"
         response["followers"] = len(self._live_followers())
-        if request_id is not None:
-            response["id"] = request_id
-        return response

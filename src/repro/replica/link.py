@@ -30,13 +30,13 @@ can inspect how the logs disagree) but refuses snapshot queries.
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 from typing import Dict, List, Optional, Tuple
 
 from ..core.activation import Activation
-from ..obs.propagate import TraceContext, current_context, new_span_id
+from ..obs.propagate import TraceContext, new_span_id
 from ..service.snapshots import WalRecord
+from ..service.wire import TRANSPORT_ERRORS, Upstream
 
 log = logging.getLogger("repro.replica")
 
@@ -49,9 +49,9 @@ IDLE_FETCH_WAIT = 1.0
 class ReplicationError(RuntimeError):
     """A replication-protocol violation (refused fetch, stale primary...).
 
-    Raised inside the link's session loop and handled there: the session
-    is torn down and retried after ``reconnect_backoff``. It never
-    propagates out of :meth:`ReplicationLink.run`.
+    Raised inside the link's loop and handled there: the fetch is
+    retried after ``reconnect_backoff``. It never propagates out of
+    :meth:`ReplicationLink.run`.
     """
 
 
@@ -103,6 +103,9 @@ class ReplicationLink:
             raise TypeError("ReplicationLink needs an ANCServer")
         self.server = server
         self.primary = (str(primary[0]), int(primary[1]))
+        #: Pooled connection to the primary; requests carry no deadline
+        #: (a caught-up fetch parks there by design).
+        self._upstream = Upstream(*self.primary)
         self.replica_id = replica_id
         self.fetch_max = max(1, int(fetch_max))
         self.audit_interval = float(audit_interval)
@@ -157,69 +160,39 @@ class ReplicationLink:
         return int(self._lag())
 
     async def run(self) -> None:
-        """Reconnect loop: run sessions until stopped/promoted/crashed."""
-        while self._active():
-            try:
-                await self._session()
-            except asyncio.CancelledError:
-                raise
-            except (
-                OSError,
-                ConnectionError,
-                EOFError,
-                asyncio.IncompleteReadError,
-                json.JSONDecodeError,
-                ReplicationError,
-            ) as exc:
-                if not self._active():
-                    break
-                self._c_errors.inc()
-                log.warning(
-                    "replication session to %s:%d failed (%s); reconnecting",
-                    self.primary[0],
-                    self.primary[1],
-                    exc,
-                )
-            except Exception as exc:  # anclint: disable=service-exception-discipline — an injected crash in apply_replicated already crashed the server (checked below); anything else is logged and retried because a follower must outlive a flaky primary
-                if not self._active():
-                    break
-                self._c_errors.inc()
-                log.warning("replication session error (%s); reconnecting", exc)
-            if self._active():
-                await asyncio.sleep(self.reconnect_backoff)
-        log.info("replication link to %s:%d stopped", *self.primary)
+        """Fetch loop: runs until stopped/promoted/crashed.
 
-    # ------------------------------------------------------------------
-    # One connection's worth of work
-    # ------------------------------------------------------------------
-    async def _session(self) -> None:
-        reader, writer = await asyncio.open_connection(*self.primary)
+        A failed request aborts its connection; the next one reconnects
+        after ``reconnect_backoff``.
+        """
         try:
             while self._active():
-                await self._fetch_once(reader, writer)
-                await self._maybe_audit(reader, writer)
+                try:
+                    await self._fetch_once()
+                    await self._maybe_audit()
+                    continue
+                except asyncio.CancelledError:
+                    raise
+                except (*TRANSPORT_ERRORS, ReplicationError) as exc:
+                    if not self._active():
+                        break
+                    self._c_errors.inc()
+                    log.warning(
+                        "replication session to %s:%d failed (%s); reconnecting",
+                        self.primary[0],
+                        self.primary[1],
+                        exc,
+                    )
+                except Exception as exc:  # anclint: disable=service-exception-discipline — an injected crash in apply_replicated already crashed the server (checked below); anything else is logged and retried because a follower must outlive a flaky primary
+                    if not self._active():
+                        break
+                    self._c_errors.inc()
+                    log.warning("replication session error (%s); reconnecting", exc)
+                if self._active():
+                    await asyncio.sleep(self.reconnect_backoff)
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):  # anclint: disable=service-exception-discipline — the peer may have reset first; the socket is gone either way
-                pass
-
-    async def _request(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        doc: Dict[str, object],
-    ) -> Dict[str, object]:
-        writer.write(json.dumps(doc).encode("utf-8") + b"\n")
-        await writer.drain()
-        line = await reader.readline()
-        if not line:
-            raise ReplicationError("primary closed the connection mid-request")
-        decoded = json.loads(line.decode("utf-8"))
-        if not isinstance(decoded, dict):
-            raise ReplicationError(f"malformed response: {decoded!r}")
-        return decoded
+            self._upstream.abort_all()
+        log.info("replication link to %s:%d stopped", *self.primary)
 
     def _mint_trace(self) -> Optional[TraceContext]:
         """A root trace context for one fetch (None = tracing off).
@@ -241,11 +214,7 @@ class ReplicationLink:
         trace_id = f"{self.replica_id}:wal:{self._trace_seq:x}"
         return TraceContext(trace_id, new_span_id(), sampled)
 
-    async def _fetch_once(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    async def _fetch_once(self) -> None:
         """Fetch + apply one chunk (parks on the primary when caught up)."""
         start = self.server.host.ingested
         doc: Dict[str, object] = {
@@ -257,15 +226,12 @@ class ReplicationLink:
         }
         ctx = self._mint_trace()
         if ctx is None:
-            resp = await self._request(reader, writer, doc)
+            resp = await self._upstream.request(doc)
         else:
             with self.server.tracer.wire_span(
                 "replica.wal_fetch", ctx, from_seq=start
             ):
-                bound = current_context()
-                if bound is not None:
-                    doc["trace"] = bound.to_wire()
-                resp = await self._request(reader, writer, doc)
+                resp = await self._upstream.request(doc, trace=True)
         if not resp.get("ok", False):
             raise ReplicationError(
                 f"wal_fetch refused: {resp.get('error_type')}: {resp.get('error')}"
@@ -302,18 +268,14 @@ class ReplicationLink:
     # ------------------------------------------------------------------
     # Divergence auditing
     # ------------------------------------------------------------------
-    async def _maybe_audit(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    async def _maybe_audit(self) -> None:
         if self.audit_interval <= 0:
             return
         now = asyncio.get_running_loop().time()
         if now - self._last_audit < self.audit_interval:
             return
         self._last_audit = now
-        resp = await self._request(reader, writer, {"op": "signature"})
+        resp = await self._upstream.request({"op": "signature"})
         if not resp.get("ok", False):
             # A primary mid-shutdown may refuse; auditing is best-effort.
             return

@@ -56,7 +56,7 @@ from typing import (
 from ..core.activation import Activation
 from ..core.anc import ANCParams, make_engine
 from ..graph.graph import Graph, edge_key
-from ..obs.export import chrome_trace, render_prometheus, span_dicts
+from ..obs.export import render_prometheus, span_dicts, trace_op
 from ..obs.profiler import SamplingProfiler
 from ..obs.propagate import TraceContext
 from ..obs.instruments import MetricsRegistry
@@ -73,17 +73,22 @@ from .errors import (
 )
 from .ingest import MicroBatcher
 from .snapshots import CheckpointStore, WalRecord, WriteAheadLog, recover_to
+from .wire import LINE_LIMIT
 
 if TYPE_CHECKING:  # hook-only dependency (see repro.faults)
     from ..faults.plan import FaultPlan
 
-__all__ = ["ANCServer", "ServerConfig"]
+__all__ = ["MAX_KEY_LEN", "ANCServer", "ServerConfig"]
 
 log = logging.getLogger("repro.service")
 
 #: Cap on a ``wal_fetch`` request's ``wait`` (seconds): the longest a
 #: caught-up fetch may park on this node before answering empty.
 MAX_FETCH_WAIT = 5.0
+
+#: Longest ``ingest_batch`` key: every WAL record of the batch carries
+#: it, so a 4,096-record ``wal_fetch`` chunk stays near 1.3 MB.
+MAX_KEY_LEN = 256
 
 
 async def _wait_set(event: asyncio.Event, seconds: float) -> None:
@@ -342,7 +347,7 @@ class ANCServer:
             self._handle_connection,
             self.config.host,
             self.config.port,
-            limit=4 * 1024 * 1024,
+            limit=LINE_LIMIT,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.config.profile:
@@ -854,6 +859,10 @@ class ANCServer:
             raise ValueError(
                 "ingest_batch key must be non-empty and whitespace-free"
             )
+        if isinstance(key, str) and len(key) > MAX_KEY_LEN:
+            raise ValueError(
+                f"ingest_batch key is longer than {MAX_KEY_LEN} characters"
+            )
         if self._faults is not None:
             action = self._faults.hit("server.ingest_batch", key=key)
             if action is not None:
@@ -1029,28 +1038,7 @@ class ANCServer:
         return {"text": render_prometheus(self.metrics, namespace=namespace)}
 
     async def _op_trace(self, request: Dict) -> Dict[str, object]:
-        tracer = self.tracer
-        action = str(request.get("action", "status"))
-        if action == "start":
-            sample = request.get("sample")
-            if sample is not None:
-                tracer.set_sample(float(sample))
-            tracer.enable()
-        elif action == "stop":
-            tracer.disable()
-        elif action == "clear":
-            tracer.drain()
-        elif action == "dump":
-            spans = (
-                tracer.drain() if bool(request.get("drain", True)) else tracer.spans()
-            )
-            return {"trace": chrome_trace(spans), **tracer.status()}
-        elif action != "status":
-            raise ValueError(
-                f"unknown trace action {action!r}; expected "
-                f"start/stop/status/dump/clear"
-            )
-        return dict(tracer.status())
+        return trace_op(self.tracer, request)
 
     async def _op_trace_fetch(self, request: Dict) -> Dict[str, object]:
         """This process's span buffer in wire form (fleet trace assembly).

@@ -25,7 +25,7 @@ topology, cross-shard edge semantics, and failure handling.
 
 from .admin import format_shard_doc, format_shardmap, shard_status
 from .merge import merge_clusters, merge_stats, namespaced_id
-from .router import RouterConfig, ShardRouter, WorkerLink
+from .router import RouterConfig, ShardRouter
 from .shardmap import CrossEdge, ShardMap
 from .worker import ShardDeployment, ShardWorker, WorkerSpec, worker_main
 
@@ -38,7 +38,6 @@ __all__ = [
     "worker_main",
     "ShardRouter",
     "RouterConfig",
-    "WorkerLink",
     "merge_clusters",
     "merge_stats",
     "namespaced_id",

@@ -14,11 +14,12 @@ Envelope conventions: responses are stamped ``role="router"``,
 stale-epoch rotation only arms for ``0 < epoch``, so a router in an
 endpoint list never trips replica fencing heuristics.
 
-Failure handling per forward: transport errors are retried with
-exponential backoff under the shard's link lock; between attempts the
-router checks whether the worker *process* died and respawns it on the
-same data directory (WAL recovery + the resent idempotency key make the
-crash invisible to the client beyond latency).  A scatter that misses
+Failure handling per forward: each shard has a pooled
+:class:`~repro.service.wire.Upstream`, and a transport failure is
+retried with exponential backoff; between attempts the router checks
+whether the worker *process* died and respawns it on the same data
+directory (WAL recovery + the resent idempotency key make the crash
+invisible to the client beyond latency).  A scatter that misses
 ``fanout_timeout`` turns into a typed ``RETRY_AFTER`` so clients back
 off instead of hanging on one slow shard.
 
@@ -27,69 +28,58 @@ Chaos hook points (see :mod:`repro.faults.injectors`):
 * ``router.forward`` — ingest-path forwards; ``drop`` severs the link
   *after* the request bytes leave (the genuinely ambiguous in-flight
   partition: the retry resends the same key and the worker's dedup map
-  decides), ``delay`` stalls the send.
+  decides), ``delay`` stalls the first attempt.
 * ``router.scatter`` — fan-out queries; ``stall`` holds one shard's arm
   (``args: {"shard", "seconds"}``) so the scatter deadline trips.
-
-The background stats poll (``stats_poll_interval``) bypasses both hooks
-and is disabled in chaos runs, keeping ``at_count`` triggers
-deterministic with respect to client-visible traffic only.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
-import json
-import logging
 import os
 import time
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     List,
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
 
 from ..graph.graph import edge_key
-from ..obs.export import chrome_trace, span_dicts
+from ..obs.export import span_dicts, trace_op
 from ..obs.federate import (
     Source,
     federate_snapshots,
     render_prometheus_federated,
 )
-from ..obs.instruments import MetricsRegistry
-from ..obs.propagate import TraceContext, current_context
-from ..obs.trace import Observability, Tracer
 from ..service.errors import (
     BadRequest,
     Overloaded,
     ServiceFault,
     Unavailable,
-    UnknownOp,
-    fault_response,
 )
+from ..service.server import MAX_KEY_LEN
+from ..service.wire import TRANSPORT_ERRORS, FrontEnd, Upstream
 from .merge import merge_clusters, merge_stats
-from .worker import ShardDeployment, ShardWorker
+from .worker import ShardDeployment
 
 if TYPE_CHECKING:  # hook-only dependency (see repro.faults)
     from ..faults.plan import FaultAction, FaultPlan
 
-__all__ = ["RouterConfig", "ShardRouter", "WorkerLink"]
+__all__ = ["RouterConfig", "ShardRouter"]
 
-log = logging.getLogger("repro.shard")
-
-_LIMIT = 4 * 1024 * 1024
-
-#: Transport-layer failures a forward retries through.
-_TRANSPORT_ERRORS = (OSError, asyncio.IncompleteReadError, json.JSONDecodeError)
+#: Per-attempt deadline of one worker request.
+FORWARD_TIMEOUT = 30.0
+#: Attempts per forward (worker respawn in between).
+FORWARD_ATTEMPTS = 4
+#: Base of the exponential backoff between forward attempts.
+RETRY_BACKOFF = 0.05
 
 
 @dataclass
@@ -101,160 +91,21 @@ class RouterConfig:
     port: int = 0
     #: Deadline for a full scatter (all shards answered); 0 = no deadline.
     fanout_timeout: float = 10.0
-    #: Per-attempt deadline of one worker request; 0 = no deadline.
-    forward_timeout: float = 30.0
-    #: Transport-failure retries per forward (worker respawn in between).
-    forward_attempts: int = 4
-    #: Base of the exponential backoff between forward attempts.
-    retry_backoff: float = 0.05
     #: ``retry_after`` hint handed to clients when a scatter times out.
     shed_retry_after: float = 0.25
-    #: Period of the background per-shard gauge refresh (0 = disabled;
-    #: chaos runs disable it so fault triggers stay deterministic).
-    stats_poll_interval: float = 0.0
-    #: Evict a client whose response write does not drain in time (0 = never).
-    write_timeout: float = 30.0
-    #: Span ring-buffer capacity of the router tracer (``trace`` op).
-    trace_capacity: int = 8192
     #: Chaos hooks for the router tier (worker plans travel in specs).
     faults: Optional["FaultPlan"] = None
 
 
-class WorkerLink:
-    """One serialized JSON-lines connection to one shard worker.
-
-    Requests are funneled through a lock (the protocol is strictly
-    request/response per connection), retried across transport failures
-    and — when the worker process itself died — across a supervised
-    respawn.  A request cancelled mid-flight (scatter deadline) aborts
-    the connection: a response may already be in the pipe, and the next
-    request must not read it as its own.
-    """
-
-    def __init__(
-        self,
-        worker: ShardWorker,
-        config: RouterConfig,
-        *,
-        on_retry: Callable[[], None],
-        on_restart: Callable[[], None],
-    ) -> None:
-        self.worker = worker
-        self.shard_id = worker.shard_id
-        self._config = config
-        self._on_retry = on_retry
-        self._on_restart = on_restart
-        self._lock = asyncio.Lock()
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-
-    def abort(self) -> None:
-        """Drop the connection now (no handshake)."""
-        if self._writer is not None:
-            self._writer.transport.abort()
-        self._reader = None
-        self._writer = None
-
-    async def aclose(self) -> None:
-        writer = self._writer
-        self._reader = None
-        self._writer = None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except OSError:  # anclint: disable=service-exception-discipline — close handshake racing a dead worker; the link is being discarded either way
-                pass
-
-    async def _connect(self) -> None:
-        if self._writer is not None and not self._writer.is_closing():
-            return
-        port = self.worker.port
-        if port is None:
-            raise ConnectionError(f"shard {self.shard_id} worker has no port")
-        self._reader, self._writer = await asyncio.open_connection(
-            self.worker.spec.host, port, limit=_LIMIT
-        )
-
-    async def _respawn_if_dead(self) -> None:
-        """Restart the worker process if it died (blocking → executor)."""
-        loop = asyncio.get_running_loop()
-        restarted = await loop.run_in_executor(None, self.worker.restart_if_dead)
-        if restarted:
-            self._on_restart()
-
-    async def request(
-        self,
-        payload: Mapping[str, object],
-        *,
-        action: Optional["FaultAction"] = None,
-        timeout: Optional[float] = None,
-    ) -> Dict[str, object]:
-        """Send one request; return the decoded response envelope.
-
-        ``action`` is a fired ``router.forward`` fault to apply to the
-        *first* attempt only (retries model the recovery path, not the
-        fault).  Raises :class:`Unavailable` once attempts are spent.
-        """
-        data = json.dumps(payload).encode() + b"\n"
-        deadline = timeout if timeout is not None else self._config.forward_timeout
-        last_exc: Optional[BaseException] = None
-        async with self._lock:
-            for attempt in range(max(1, self._config.forward_attempts)):
-                if attempt > 0:
-                    self._on_retry()
-                    await self._respawn_if_dead()
-                    await asyncio.sleep(
-                        self._config.retry_backoff * (2 ** (attempt - 1))
-                    )
-                try:
-                    return await asyncio.wait_for(
-                        self._attempt(data, action), deadline or None
-                    )
-                except asyncio.TimeoutError as exc:
-                    self.abort()
-                    last_exc = exc
-                except _TRANSPORT_ERRORS as exc:
-                    self.abort()
-                    last_exc = exc
-                except asyncio.CancelledError:
-                    # A response may be in flight; never let the next
-                    # request on this link read it.
-                    self.abort()
-                    raise
-                action = None  # the injected fault fired; retries run clean
-        raise Unavailable(
-            f"shard {self.shard_id} unreachable after "
-            f"{self._config.forward_attempts} attempts: "
-            f"{type(last_exc).__name__}: {last_exc}"
-        )
-
-    async def _attempt(
-        self, data: bytes, action: Optional["FaultAction"]
-    ) -> Dict[str, object]:
-        await self._connect()
-        assert self._reader is not None and self._writer is not None
-        if action is not None and action.kind == "delay":
-            await asyncio.sleep(action.seconds())
-        self._writer.write(data)
-        await self._writer.drain()
-        if action is not None and action.kind == "drop":
-            # Partition after the bytes left: ambiguous in-flight write.
-            self.abort()
-            raise ConnectionResetError("injected router-worker partition")
-        line = await self._reader.readline()
-        if not line:
-            raise ConnectionResetError(
-                f"shard {self.shard_id} closed the connection mid-request"
-            )
-        response = json.loads(line)
-        if not isinstance(response, dict):
-            raise ValueError(f"shard {self.shard_id} sent a non-object response")
-        return response
+def _sever() -> None:
+    """The ``drop`` fault: partition after the request bytes left."""
+    raise ConnectionResetError("injected router-worker partition")
 
 
-class ShardRouter:
+class ShardRouter(FrontEnd):
     """Asyncio front tier multiplexing clients over a :class:`ShardDeployment`."""
+
+    _PREFIX = "router"
 
     def __init__(
         self,
@@ -262,18 +113,14 @@ class ShardRouter:
         *,
         config: Optional[RouterConfig] = None,
     ) -> None:
+        self.config = config or RouterConfig()
+        super().__init__(self.config.host, self.config.port)
         self.deployment = deployment
         self.shard_map = deployment.shard_map
-        self.config = config or RouterConfig()
         self._faults = self.config.faults
-
-        self.metrics = MetricsRegistry()
-        self.tracer = Tracer(enabled=False, capacity=self.config.trace_capacity)
-        self.obs = Observability(registry=self.metrics, tracer=self.tracer)
         if self._faults is not None:
             self._faults.attach_obs(self.obs)
 
-        self._c_requests = self.metrics.counter("router_requests")
         self._c_ingested = self.metrics.counter("router_ingested")
         self._c_retries = self.metrics.counter("router_forward_retries")
         self._c_timeouts = self.metrics.counter("router_scatter_timeouts")
@@ -294,17 +141,13 @@ class ShardRouter:
             for v in range(self.shard_map.n)
         }
 
-        self.links: List[WorkerLink] = [
-            WorkerLink(
-                worker,
-                self.config,
-                on_retry=self._c_retries.inc,
-                on_restart=self._c_restarts.inc,
-            )
-            for worker in deployment.workers
-        ]
-        # Per-shard freshness gauges, refreshed from every scatter answer
-        # (and the optional poll loop): applied, queue depth, and lag =
+        #: shard -> pooled link to its worker's current port.
+        self._links: Dict[int, Upstream] = {}
+        #: Held around a respawn only: two concurrent restarts would
+        #: start two worker processes on one data directory.
+        self._respawn_locks = [asyncio.Lock() for _ in range(self.shards)]
+        # Per-shard freshness gauges, refreshed from every forwarded
+        # answer and every ``stats``: applied, queue depth, and lag =
         # activations routed to the shard minus activations it applied.
         self._shard_applied: Dict[int, float] = {}
         self._shard_queue: Dict[int, float] = {}
@@ -330,152 +173,38 @@ class ShardRouter:
         self._key_prefix = f"r:{os.getpid():x}-{int(time.time() * 1000) & 0xFFFFFF:x}"
         self._key_counter = itertools.count()
 
-        self.port: Optional[int] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._background: List[asyncio.Task] = []
-        self._stop = asyncio.Event()
-        self._conns: Set[asyncio.StreamWriter] = set()
-
-    # ------------------------------------------------------------------
-    # Lifecycle (mirrors ANCServer so CLI/bench harnesses carry over)
-    # ------------------------------------------------------------------
     @property
     def shards(self) -> int:
         return self.shard_map.shards
 
-    async def start(self) -> None:
-        """Spawn the workers (if needed) and bind the router socket."""
+    # ------------------------------------------------------------------
+    # Front-end steps
+    # ------------------------------------------------------------------
+    async def _on_start(self) -> None:
+        """Spawn the workers (if needed) before the router binds."""
         if not self.deployment.started:
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(None, self.deployment.start)
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.config.host,
-            self.config.port,
-            limit=_LIMIT,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        if self.config.stats_poll_interval > 0:
-            self._background.append(
-                asyncio.create_task(self._poll_loop(self.config.stats_poll_interval))
-            )
-        log.info(
-            "router serving on %s:%d over %d shards",
-            self.config.host,
-            self.port,
-            self.shards,
-        )
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        await self._stop.wait()
-        await self._shutdown()
-
-    async def run(self, *, announce: Optional[Callable[[str], object]] = None) -> None:
-        """Start, announce shard endpoints + ``SERVING``, serve until stopped."""
-        await self.start()
-        emit = announce if announce is not None else lambda line: print(line, flush=True)
-        for shard, (host, port) in sorted(self.deployment.endpoints().items()):
-            emit(f"SHARD {shard} {host} {port}")
-        emit(f"SERVING {self.config.host} {self.port}")
-        await self.serve_forever()
-
-    def request_stop(self) -> None:
-        self._stop.set()
-
-    async def stop(self) -> None:
-        self.request_stop()
-        if self._server is not None:
-            await self._shutdown()
-
-    async def _shutdown(self) -> None:
-        if self._server is None:
-            return
-        server, self._server = self._server, None
-        server.close()
-        await server.wait_closed()
-        for task in self._background:
-            task.cancel()
-        for task in self._background:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        self._background.clear()
-        for link in self.links:
-            await link.aclose()
+    async def _on_stop(self) -> None:
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self.deployment.stop)
-        for writer in list(self._conns):
-            writer.transport.abort()
 
-    # ------------------------------------------------------------------
-    # Connection plumbing
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._conns.add(writer)
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                response = await self._handle_request(line)
-                writer.write(json.dumps(response).encode() + b"\n")
-                try:
-                    await asyncio.wait_for(
-                        writer.drain(), self.config.write_timeout or None
-                    )
-                except asyncio.TimeoutError:
-                    log.warning("evicting slow router client")
-                    writer.transport.abort()
-                    return
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):  # anclint: disable=service-exception-discipline — peer went away mid-conversation; closing our side below is the handling
-            pass
-        finally:
-            self._conns.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # anclint: disable=service-exception-discipline — close handshake racing the peer's reset; nothing to map
-                pass
+    def upstreams(self) -> List[Upstream]:
+        return list(self._links.values())
 
-    async def _handle_request(self, raw: bytes) -> Dict[str, object]:
-        request_id: object = None
-        self._c_requests.inc()
-        try:
-            request = json.loads(raw)
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-            request_id = request.get("id")
-            op = request.get("op")
-            handler = self._OPS.get(op)
-            if handler is None:
-                raise UnknownOp(f"unknown op {op!r}")
-            # Bind the client's trace context around the whole dispatch:
-            # a sampled request records one ``router.<op>`` span, and the
-            # forwards it triggers stamp child contexts onto the worker
-            # payloads (:meth:`_forward`) — the middle of the
-            # client → router → worker causality chain.
-            ctx = TraceContext.from_wire(request.get("trace"))
-            with self.tracer.wire_span(f"router.{op}", ctx, op=str(op)):
-                response = await handler(self, request)
-            response.setdefault("ok", True)
-        except Exception as exc:  # protocol boundary: map to a typed envelope
-            response = fault_response(exc)
+    def _announce_lines(self) -> List[str]:
+        return [
+            f"SHARD {shard} {host} {port}"
+            for shard, (host, port) in sorted(self.deployment.endpoints().items())
+        ]
+
+    def _stamp(self, response: Dict[str, object]) -> None:
         # Router envelope: epoch 0 never trips client fencing heuristics
         # (module docstring); ``shards`` advertises the topology width.
         response["epoch"] = 0
         response["role"] = "router"
         response["shards"] = self.shards
-        if request_id is not None:
-            response["id"] = request_id
-        return response
 
     # ------------------------------------------------------------------
     # Forwarding
@@ -515,15 +244,67 @@ class ShardRouter:
             # and the stamped child makes the worker's ``server.<op>``
             # span its child; an unsampled one propagates ids only.
             with self.tracer.wire_span("router.forward", op=op, shard=shard):
-                bound = current_context()
-                if bound is not None:
-                    payload = {**payload, "trace": bound.to_wire()}
-                response = await self.links[shard].request(payload, action=action)
+                response = await self._request(shard, payload, action)
         self._h_forward.observe(time.monotonic() - start)
         if not response.get("ok", False):
             raise self._worker_fault(shard, response)
         self._note_answer(shard, response)
         return response
+
+    async def _request(
+        self,
+        shard: int,
+        payload: Mapping[str, object],
+        action: Optional["FaultAction"],
+    ) -> Dict[str, object]:
+        """Send ``payload`` to the shard's worker, retrying across
+        transport failures and respawning a dead worker in between.
+
+        ``action`` is a fired ``router.forward`` fault, applied to the
+        *first* attempt only (retries model the recovery path, not the
+        fault).  Raises :class:`Unavailable` once attempts are spent.
+        """
+        if action is not None and action.kind == "delay":
+            await asyncio.sleep(action.seconds())
+        on_sent = _sever if action is not None and action.kind == "drop" else None
+        last_exc: Optional[BaseException] = None
+        for attempt in range(FORWARD_ATTEMPTS):
+            if attempt > 0:
+                self._c_retries.inc()
+                await self._respawn_if_dead(shard)
+                await asyncio.sleep(RETRY_BACKOFF * (2 ** (attempt - 1)))
+            try:
+                return await self._link(shard).request(
+                    payload, timeout=FORWARD_TIMEOUT, trace=True, on_sent=on_sent
+                )
+            except TRANSPORT_ERRORS as exc:
+                last_exc = exc
+            on_sent = None  # the injected fault fired; retries run clean
+        raise Unavailable(
+            f"shard {shard} unreachable after {FORWARD_ATTEMPTS} attempts: "
+            f"{type(last_exc).__name__}: {last_exc}"
+        )
+
+    def _link(self, shard: int) -> Upstream:
+        """The shard's pooled link, following its worker to a new port."""
+        worker = self.deployment.workers[shard]
+        if worker.port is None:
+            raise ConnectionRefusedError(f"shard {shard} worker has no port")
+        link = self._links.get(shard)
+        if link is None or link.port != worker.port:
+            if link is not None:
+                link.abort_all()
+            link = self._links[shard] = Upstream(worker.spec.host, worker.port)
+        return link
+
+    async def _respawn_if_dead(self, shard: int) -> None:
+        """Restart the worker process if it died (blocking → executor)."""
+        worker = self.deployment.workers[shard]
+        loop = asyncio.get_running_loop()
+        async with self._respawn_locks[shard]:
+            restarted = await loop.run_in_executor(None, worker.restart_if_dead)
+        if restarted:
+            self._c_restarts.inc()
 
     async def _scatter(
         self, op: str, payload: Mapping[str, object]
@@ -628,6 +409,10 @@ class ShardRouter:
         key = request.get("key")
         if key is not None and not isinstance(key, str):
             raise ValueError("ingest_batch 'key' must be a string")
+        # Workers see ``<key>@s<shard>``, which must fit their key bound.
+        room = MAX_KEY_LEN - len(f"@s{self.shards - 1}")
+        if key is not None and len(key) > room:
+            raise ValueError(f"ingest_batch key is longer than {room} characters")
         # Validate and route *every* item before forwarding *any*: a bad
         # activation rejects the whole batch, same as a single server.
         by_shard: Dict[int, List[List[object]]] = {}
@@ -778,9 +563,7 @@ class ShardRouter:
                 depth = doc.get("queue_depth")
                 if isinstance(depth, (int, float)):
                     self._shard_queue[shard] = float(depth)
-                applied = doc.get("applied")
-                if isinstance(applied, (int, float)):
-                    self._shard_applied[shard] = float(applied)
+                self._note_answer(shard, doc)
         merged = merge_stats(docs)
         merged["cross_edges"] = len(self.shard_map.cross_edges)
         merged["worker_restarts"] = self.deployment.total_restarts()
@@ -834,34 +617,15 @@ class ShardRouter:
         }
 
     async def _op_trace(self, request: Dict) -> Dict[str, object]:
-        tracer = self.tracer
-        action = str(request.get("action", "status"))
-        if action == "start":
-            sample = request.get("sample")
-            if sample is not None:
-                tracer.set_sample(float(sample))
-            tracer.enable()
-        elif action == "stop":
-            tracer.disable()
-        elif action == "clear":
-            tracer.drain()
-        elif action == "dump":
-            spans = (
-                tracer.drain() if bool(request.get("drain", True)) else tracer.spans()
-            )
-            return {"trace": chrome_trace(spans), **tracer.status()}
-        elif action != "status":
-            raise ValueError(
-                f"unknown trace action {action!r}; expected "
-                f"start/stop/status/dump/clear"
-            )
-        if action in ("start", "stop", "clear"):
+        answer = trace_op(self.tracer, request)
+        if request.get("action") in ("start", "stop", "clear"):
             # Engine-span control is fleet-wide through the router: one
             # ``trace start`` arms every worker's tracer too.  (Wire
             # spans need none of this — the sampled flag in the request
             # envelope is their only switch.)
             await self._scatter("trace", dict(request, op="trace"))
-        return dict(tracer.status())
+            answer = dict(self.tracer.status())
+        return answer
 
     async def _op_trace_fetch(self, request: Dict) -> Dict[str, object]:
         """Every process's span buffer, merged-ready (fleet tracing).
@@ -927,10 +691,6 @@ class ShardRouter:
         }
         return {"shard_map": doc}
 
-    async def _op_shutdown(self, request: Dict) -> Dict[str, object]:
-        self.request_stop()
-        return {"stopping": True}
-
     _OPS = {
         "ping": _op_ping,
         "ingest": _op_ingest,
@@ -951,26 +711,5 @@ class ShardRouter:
         "trace_fetch": _op_trace_fetch,
         "profile": _op_profile,
         "shard_map": _op_shard_map,
-        "shutdown": _op_shutdown,
+        "shutdown": FrontEnd._op_shutdown,
     }
-
-    # ------------------------------------------------------------------
-    # Background freshness poll
-    # ------------------------------------------------------------------
-    async def _poll_loop(self, interval: float) -> None:
-        """Refresh per-shard gauges off the client path (no fault hooks)."""
-        while True:
-            await asyncio.sleep(interval)
-            for link in self.links:
-                try:
-                    response = await link.request({"op": "stats"})
-                except ServiceFault:  # anclint: disable=service-exception-discipline — best-effort gauge refresh; the next tick retries and client traffic reports real faults
-                    continue
-                doc = response.get("stats")
-                if isinstance(doc, Mapping):
-                    applied = doc.get("applied")
-                    if isinstance(applied, (int, float)):
-                        self._shard_applied[link.shard_id] = float(applied)
-                    depth = doc.get("queue_depth")
-                    if isinstance(depth, (int, float)):
-                        self._shard_queue[link.shard_id] = float(depth)

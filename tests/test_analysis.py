@@ -1240,6 +1240,66 @@ def test_op_span_coverage_pragma_suppresses(tmp_path):
     assert result.suppressed.get("op-span-coverage") == 1
 
 
+def write_subclass_span_fixture(tmp_path, *, base_span):
+    """A router whose dispatcher lives in a base class in another module."""
+    pkg = tmp_path / "pkg" / "service"
+    pkg.mkdir(parents=True)
+    dispatch_body = (
+        '        with self.tracer.wire_span(f"front.{op}", None):\n'
+        "            return await handler(self, request)\n"
+        if base_span
+        else "        return await handler(self, request)\n"
+    )
+    (pkg / "front.py").write_text(
+        "class FrontBase:\n"
+        "    async def _handle(self, op, request):\n"
+        "        handler = self._OPS.get(op)\n" + dispatch_body
+    )
+    (pkg / "router.py").write_text(
+        "from .front import FrontBase\n"
+        "\n\n"
+        "class SpanRouter(FrontBase):\n"
+        "    async def _op_ping(self, request):\n"
+        '        with self.tracer.span("router.ping"):\n'
+        '            return {"t": 1.0}\n'
+        "\n"
+        "    async def _op_fetch(self, request):\n"
+        "        return {}\n"
+        '\n    _OPS = {"ping": _op_ping, "fetch": _op_fetch}\n'
+    )
+
+
+def test_op_span_coverage_base_class_dispatcher_covers(tmp_path):
+    write_subclass_span_fixture(tmp_path, base_span=True)
+    assert wp_lint(tmp_path, select=["op-span-coverage"]).findings == []
+
+
+def test_op_span_coverage_base_without_span_still_fails(tmp_path):
+    # The base dispatches the table but opens no span: inheriting it
+    # covers nothing, so the span-less handler is still flagged.
+    write_subclass_span_fixture(tmp_path, base_span=False)
+    findings = wp_lint(tmp_path, select=["op-span-coverage"]).findings
+    assert len(findings) == 1, [f.message for f in findings]
+    assert "SpanRouter._op_fetch" in findings[0].message
+
+
+def test_annotated_op_table_is_extracted(tmp_path):
+    # ``_OPS: Dict[...] = {...}`` is as much an op table as a plain
+    # assignment: its handlers reach the inventory and the span rule.
+    pkg = write_span_fixture(tmp_path, dispatcher_span=False, handler_span=False)
+    server = pkg / "server.py"
+    server.write_text(
+        "from typing import Callable, Dict\n\n\n"
+        + server.read_text().replace("    _OPS = {", "    _OPS: Dict[str, Callable] = {")
+    )
+    model = build_project([tmp_path], package="pkg")
+    tables = [table for _summ, table in model.op_tables()]
+    assert [t.cls for t in tables] == ["SpanServer"]
+    assert tables[0].op_names() == {"ping", "fetch"}
+    findings = wp_lint(tmp_path, select=["op-span-coverage"]).findings
+    assert ["SpanServer._op_fetch" in f.message for f in findings] == [True]
+
+
 def test_baseline_roundtrip_and_stale(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("def f(xs=[]):\n    return xs\n")
@@ -1400,6 +1460,8 @@ def test_cli_list_ops_inventory():
     table = out.getvalue()
     assert "| `ping` |" in table
     assert "ANCServer" in table and "ShardRouter" in table
+    # The read router's table is annotated; it counts all the same.
+    assert "| `route_status` | ReadRouter |" in table
     # The six ops this PR routed through the shard tier are covered.
     for op in ("zoom_in", "zoom_out", "watch", "unwatch", "changes", "snapshot"):
         assert f"| `{op}` |" in table

@@ -172,14 +172,29 @@ class TestDatasets:
         assert text.count("\n") >= 18
 
 
-def test_import_leaves_scipy_out():
+@pytest.mark.parametrize(
+    "module, absent",
+    [
+        pytest.param("repro.cli", ("scipy",), id="repro.cli"),
+        pytest.param(
+            "repro.readpath.router", ("numpy", "repro.shard"),
+            id="repro.readpath.router",
+        ),
+    ],
+)
+def test_import_leaves_scipy_out(module, absent):
     """Serving processes import ``repro.cli``; only ``cluster``'s
-    baselines need scipy, so the import must not pull it in."""
+    baselines need scipy, so the import must not pull it in.  The read
+    router (``read-serve``) must not grow into numpy or the shard tier
+    either: its resident set is part of the serving benchmark."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    probe = "import sys, repro.cli; print('scipy' in sys.modules)"
+    probe = (
+        f"import sys, {module}; print(sorted(m for m in sys.modules "
+        f"if any(m == a or m.startswith(a + '.') for a in {absent!r})))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"

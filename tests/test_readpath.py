@@ -96,7 +96,7 @@ def free_dead_port():
 
 
 def router_config(**overrides):
-    base = dict(heartbeat_interval=0.05, retry_backoff=0.05)
+    base = dict(heartbeat_interval=0.05)
     base.update(overrides)
     return ReadRouterConfig(**base)
 

@@ -114,6 +114,34 @@ def on_writer(handle, fn):
 # ----------------------------------------------------------------------
 
 class TestReplication:
+    def test_follower_catches_up_behind_long_keys(self, tmp_path):
+        """A follower starting behind 600 records whose batch keys are
+        120 characters long fetches 512-record chunks of ~75 KB: the
+        link must read them (4 MiB line limit) and catch up cleanly."""
+        graph, _ = make_workload(4)
+        edges = itertools.islice(itertools.cycle(graph.edges()), 600)
+        items = [(u, v, float(i // 40)) for i, (u, v) in enumerate(edges)]
+        with serve(graph, data_dir=tmp_path / "p") as primary:
+            client = ServiceClient(primary.host, primary.port, timeout=5.0)
+            try:
+                for i in range(0, len(items), 8):
+                    key = f"{'k' * 110}-{i:09d}"
+                    assert len(key) == 120
+                    client.ingest_batch(items[i : i + 8], key=key)
+                assert client.sync() == len(items)
+            finally:
+                client.close()
+            with serve(
+                graph,
+                data_dir=tmp_path / "f",
+                **follower_kwargs(primary.port),
+            ) as follower:
+                wait_for(
+                    lambda: caught_up(follower, len(items)),
+                    what="follower catch-up behind long keys",
+                )
+                assert counters(follower).get("replica_link_errors", 0) == 0
+
     def test_follower_replicates_to_identical_state(self, tmp_path):
         """A caught-up follower holds the byte-identical engine, serves
         reads, refuses writes, and shows up in the primary's lag map."""

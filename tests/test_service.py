@@ -760,6 +760,31 @@ class TestServerProtocol:
             assert "error" in response
         assert alive["ok"] is True  # the connection survived every error
 
+    def test_ingest_batch_key_validation(self, small_planted):
+        """Keys are non-empty, whitespace-free and at most 256
+        characters: every WAL record of the batch carries its key."""
+        graph, _ = small_planted
+        (u, v) = graph.edges()[0]
+        keys = ["", "a b", "k" * 256, "k" * 257]
+
+        async def scenario(reader, writer, server):
+            return [
+                await rpc(
+                    reader, writer, op="ingest_batch",
+                    items=[[u, v, float(i + 1)]], key=key,
+                )
+                for i, key in enumerate(keys)
+            ]
+
+        empty, spaced, longest, too_long = run_server_scenario(
+            scenario, graph_and_labels=small_planted
+        )
+        for response in (empty, spaced, too_long):
+            assert response["ok"] is False
+            assert response["error_type"] == "BAD_REQUEST"
+        assert "256" in too_long["error"]
+        assert longest["ok"] is True and longest["accepted"] == 1
+
     def test_zoom_and_watch_ops(self, small_planted, quick_params):
         graph, labels = small_planted
         acts = make_stream(graph, labels, timestamps=15, seed=9)

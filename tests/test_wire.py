@@ -1,0 +1,232 @@
+"""The shared JSON-lines transport: :class:`Upstream` and :class:`FrontEnd`.
+
+Every test runs against an in-process asyncio peer whose answers are
+scripted per request (``op``), so the transport's failure paths —
+cancellation mid-flight, a peer that never answers, EOF, a malformed
+line — are driven deterministically.  The router tests put a real
+:class:`ShardRouter` / :class:`ReadRouter` in front of the same peer.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import json
+import time
+
+import pytest
+
+from repro.graph.generators import planted_partition
+from repro.readpath.router import ReadRouter, ReadRouterConfig
+from repro.service.wire import LINE_LIMIT, TRANSPORT_ERRORS, Upstream
+from repro.shard.router import RouterConfig, ShardRouter
+from repro.shard.worker import ShardDeployment
+
+
+class Peer:
+    """A scripted JSON-lines server; counts the connections it accepts."""
+
+    def __init__(self) -> None:
+        self.connections = 0
+        self.received = asyncio.Event()
+        self._server = None
+        self.port = None
+
+    async def __aenter__(self) -> "Peer":
+        self._server = await asyncio.start_server(
+            self._serve, "127.0.0.1", 0, limit=LINE_LIMIT
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+        return self
+
+    async def __aexit__(self, *exc) -> None:
+        self._server.close()
+
+    async def _serve(self, reader, writer) -> None:
+        self.connections += 1
+        try:
+            while True:
+                line = await reader.readline()
+                if not line:
+                    return
+                request = json.loads(line)
+                self.received.set()
+                op = request.get("op")
+                if op == "slow":
+                    await asyncio.sleep(request["delay"])
+                elif op == "never":
+                    await asyncio.Event().wait()
+                elif op == "eof":
+                    return
+                elif op == "list":
+                    writer.write(b"[1, 2]\n")
+                    await writer.drain()
+                    continue
+                answer = {"ok": True, "n": request.get("n")}
+                if op == "big":
+                    answer["blob"] = "x" * request["size"]
+                if op == "ping":
+                    answer.update(t=0.0, applied=0, role="primary", epoch=1)
+                if op == "replicas":
+                    answer.update(entries=0, replicas={})
+                writer.write(json.dumps(answer).encode() + b"\n")
+                await writer.drain()
+        except (ConnectionResetError, asyncio.CancelledError):
+            pass
+        finally:
+            writer.close()
+
+
+def run(coro):
+    return asyncio.run(asyncio.wait_for(coro, 20.0))
+
+
+# ----------------------------------------------------------------------
+# Upstream
+# ----------------------------------------------------------------------
+
+def test_cancelled_request_aborts_its_connection():
+    async def main():
+        async with Peer() as peer:
+            up = Upstream("127.0.0.1", peer.port)
+            task = asyncio.create_task(
+                up.request({"op": "slow", "delay": 0.3, "n": 1})
+            )
+            await peer.received.wait()  # the request bytes left
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            # The late answer to n=1 lands on a dead connection; the
+            # next request gets its own answer on a fresh one.
+            answer = await up.request({"op": "echo", "n": 2})
+            assert answer["n"] == 2
+            await asyncio.sleep(0.4)
+            assert (await up.request({"op": "echo", "n": 3}))["n"] == 3
+            assert peer.connections == 2
+            up.abort_all()
+
+    run(main())
+
+
+def test_abort_all_fails_a_parked_request():
+    async def main():
+        async with Peer() as peer:
+            up = Upstream("127.0.0.1", peer.port)
+            task = asyncio.create_task(up.request({"op": "never"}))
+            await peer.received.wait()
+            started = time.monotonic()
+            up.abort_all()
+            with pytest.raises(TRANSPORT_ERRORS):
+                await asyncio.wait_for(task, 1.0)
+            assert time.monotonic() - started < 1.0
+            # A closed upstream refuses new requests outright.
+            with pytest.raises(TRANSPORT_ERRORS):
+                await up.request({"op": "echo"})
+
+    run(main())
+
+
+def test_one_mebibyte_answer_reads():
+    async def main():
+        async with Peer() as peer:
+            up = Upstream("127.0.0.1", peer.port)
+            answer = await up.request({"op": "big", "size": 1 << 20})
+            assert len(answer["blob"]) == 1 << 20
+            up.abort_all()
+
+    run(main())
+
+
+@pytest.mark.parametrize("op", ["eof", "list"])
+def test_bad_answer_is_a_transport_error_and_drops_the_connection(op):
+    async def main():
+        async with Peer() as peer:
+            up = Upstream("127.0.0.1", peer.port)
+            assert (await up.request({"op": "echo", "n": 1}))["n"] == 1
+            assert peer.connections == 1
+            with pytest.raises(TRANSPORT_ERRORS):
+                await up.request({"op": op})
+            assert (await up.request({"op": "echo", "n": 2}))["n"] == 2
+            assert peer.connections == 2
+            up.abort_all()
+
+    run(main())
+
+
+def test_timeout_bounds_the_whole_attempt():
+    async def main():
+        async with Peer() as peer:
+            up = Upstream("127.0.0.1", peer.port)
+            with pytest.raises(TimeoutError):
+                await up.request({"op": "never"}, timeout=0.2)
+            assert (await up.request({"op": "echo", "n": 7}))["n"] == 7
+            up.abort_all()
+
+    run(main())
+
+
+# ----------------------------------------------------------------------
+# FrontEnd: both routers stop promptly with a client still connected
+# ----------------------------------------------------------------------
+
+async def _stop_with_idle_client(router) -> float:
+    await router.start()
+    reader, writer = await asyncio.open_connection("127.0.0.1", router.port)
+    writer.write(b'{"op": "ping", "id": 1}\n')
+    await writer.drain()
+    answer = json.loads(await reader.readline())
+    assert answer["ok"] and answer["id"] == 1, answer
+    started = time.monotonic()  # the client now idles on its connection
+    await router.stop()
+    elapsed = time.monotonic() - started
+    writer.close()
+    return elapsed
+
+
+def _peer_router(peer):
+    """A 1-shard router whose worker endpoint is the peer (no process)."""
+    graph, _ = planted_partition(12, 2, p_in=0.6, p_out=0.0, seed=3)
+    deployment = ShardDeployment(graph, shards=1)
+    deployment.workers[0].port = peer.port
+    deployment._started = True
+    return ShardRouter(deployment, config=RouterConfig()), graph
+
+
+def test_shard_router_stops_with_an_idle_client():
+    async def main():
+        async with Peer() as peer:
+            router, _ = _peer_router(peer)
+            return await _stop_with_idle_client(router)
+
+    assert run(main()) < 2.0
+
+
+def test_shard_router_refuses_keys_the_suffix_would_push_past_the_bound():
+    """Workers see ``<key>@s0``: a 253-character client key fits the
+    256-character bound, a 254-character one is refused up front."""
+
+    async def main():
+        async with Peer() as peer:
+            router, graph = _peer_router(peer)
+            u, v = graph.edges()[0]
+            answers = []
+            for key in ("k" * 253, "k" * 254):
+                request = {"op": "ingest_batch", "items": [[u, v, 1.0]], "key": key}
+                answers.append(await router._respond(json.dumps(request).encode()))
+            await router.stop()
+            return answers
+
+    fits, too_long = run(main())
+    assert fits["ok"] is True
+    assert too_long["ok"] is False and too_long["error_type"] == "BAD_REQUEST"
+
+
+def test_read_router_stops_with_an_idle_client():
+    async def main():
+        async with Peer() as peer:
+            router = ReadRouter(
+                ("127.0.0.1", peer.port),
+                config=ReadRouterConfig(heartbeat_interval=0.05),
+            )
+            return await _stop_with_idle_client(router)
+
+    assert run(main()) < 2.0
