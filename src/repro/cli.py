@@ -1028,7 +1028,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chaos.add_argument(
         "--workdir", default=None, metavar="DIR",
-        help="keep scenario data directories here (default: temp dir)",
+        help="keep each cell's data in DIR/<scenario>-s<seed>, removing "
+        "a leftover directory there first (default: temp dir)",
     )
     p_chaos.add_argument(
         "--out", default=None, metavar="FILE",

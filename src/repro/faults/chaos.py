@@ -2,72 +2,72 @@
 
 Each :class:`Scenario` arms one failure mode over a deterministic
 synthetic workload (planted-partition graph + community-biased stream),
-lets it fire, then drives the recovery protocol a real deployment would:
+lets it fire, then drives the recovery protocol a real deployment would.
+A scenario's ``mode`` is its *family*; a *cell* is one (scenario, seed)
+run.  Three runners cover the five families:
 
-* **pipeline** scenarios exercise the durability layer directly — append
-  each activation to the WAL, apply it, checkpoint periodically; on an
+* **pipeline** drives the durability layer directly — append each
+  activation to the WAL, apply it, checkpoint periodically; on an
   :class:`~repro.faults.plan.InjectedCrash` (or at end of stream,
   standing in for a ``kill -9``) reopen the data directory, run
-  :func:`~repro.service.snapshots.recover_engine` and have the "client"
-  resend every activation past the recovered high-water mark;
-* **service** scenarios run a real :class:`~repro.service.server.ANCServer`
-  on a background event loop (:func:`ServerThread`) and push the stream
-  through a retrying :class:`~repro.service.client.ServiceClient`, so
-  socket resets, duplicated batches, overload shedding and slow-reader
-  eviction hit the actual protocol path;
-* **shard** scenarios run a real 2-shard deployment — worker processes
-  behind a :class:`~repro.shard.router.ShardRouter` on a background
-  loop (:func:`RouterThread`) — and attack the scatter-gather tier: a
-  worker hard-crashing mid-batch (supervised respawn + WAL recovery +
-  idempotent resend), the router→worker link dropping with requests in
-  flight, and one shard stalling a scatter past the fanout deadline.
-  The merged answers must match a single-engine oracle and every
-  worker's signature must match its per-shard oracle (docs/sharding.md);
-* **replica** scenarios run a primary *and* a WAL-shipping follower
-  (two :func:`ServerThread` instances) and attack the replication
-  layer: stalled/severed/reordered links, a follower hard-crashing
-  mid-apply, a primary killed mid-batch with the follower promoted in
-  its place, and a split brain where the deposed primary keeps running
-  behind an epoch fence (docs/replication.md).  The promoted follower
-  must reach the byte-identical oracle signature and a full session
-  replay must stay exactly-once across the failover;
-* **readpath** scenarios run a primary, *two* followers and a
-  :class:`~repro.readpath.router.ReadRouter` on its own background loop
-  (:func:`ReadRouterThread`) and attack the read-routing tier under a
-  live read-your-writes session: followers pinned behind the session
-  token by stalled fetches, a follower hard-crashing under read load,
-  a promotion while tokened reads keep flowing, and a session token
-  outliving a failover.  The binding contract is *no silent staleness*:
-  an ``ok`` read whose ``applied`` watermark is behind the session token
-  is classified ``diverged`` no matter what else went right
-  (docs/replication.md § Read routing).
+  :func:`~repro.service.snapshots.recover_engine` and resend every
+  activation past the recovered high-water mark;
+* the **fleet** runner (service, replica and readpath) runs a real
+  :class:`~repro.service.server.ANCServer` primary (:func:`ServerThread`)
+  with 0, 1 or 2 WAL-shipping followers and pushes the stream, under
+  per-batch idempotency keys, through a retrying
+  :class:`~repro.service.client.ServiceClient` that fails over to the
+  followers — or, for readpath, through a
+  :class:`~repro.readpath.router.ReadRouter` (:func:`ReadRouterThread`)
+  with a read-your-writes read after every batch.  A cell follows one
+  of five *flows*: ``steady`` (followers tail the live stream),
+  ``catchup`` (the follower starts after the stream committed),
+  ``follower-crash`` (the first follower crashes mid-apply, reads drain
+  to the survivors, it restarts from its own disk), ``crash-failover``
+  (the primary dies mid-batch, the first follower is promoted and the
+  session replayed exactly-once) and ``planned-failover`` (promotion at
+  the half-way batch; the deposed primary must then refuse a write
+  ``FENCED``).  Every surviving node — the primary and its followers,
+  or after a failover the promoted follower — must match the oracle with
+  no ``diverged`` audit verdict, and no ``ok`` read may return an
+  ``applied`` watermark below its session token (docs/replication.md);
+* **shard** drives 2 worker processes behind a
+  :class:`~repro.shard.router.ShardRouter` (:func:`RouterThread`); each
+  worker must match its per-shard oracle and the merged answers a
+  whole-graph oracle (docs/sharding.md).
 
-Every engine under test (pipeline engine, recovery, servers, shard
-workers) is the array serving engine; every oracle is the dict
-reference built by :func:`~repro.core.anc.reference_engine`, so each
-cell's byte-identity contract also checks the two against each other
-under faults.  Every run is classified against the scenario's contract:
+Every engine under test is the array serving engine and every oracle
+the dict reference from :func:`~repro.core.anc.reference_engine`, so
+each cell also checks the two against each other under faults.  One
+verdict (:func:`_verdict`) classifies every cell:
 
-* ``recovered`` — final engine state is **byte-identical** to the
-  fault-free oracle (exact float reprs, all cluster levels);
-* ``typed-failure`` — recovery refused with :class:`WalCorruptError` /
-  :class:`CheckpointCorruptError` (correct when the fault destroyed
-  acknowledged data);
-* ``diverged`` — recovery *claimed* success but the state differs.
-  This is the one outcome that is never acceptable; CI gates on it.
+* ``recovered`` — the state is **byte-identical** to the oracle's
+  (exact float reprs, all cluster levels), every check held and the
+  scenario's ``evidence`` shows the fault took effect;
+* ``typed-failure`` — a client call got a
+  :class:`~repro.service.client.ServiceError`, or recovery refused with
+  :class:`WalCorruptError` / :class:`CheckpointCorruptError` (correct
+  when the fault destroyed acknowledged data);
+* ``diverged`` — recovery *claimed* success but the state differs or a
+  check failed: the one outcome never acceptable; CI gates on it;
+* ``error`` — an armed fault never fired, or the harness failed.
 
-``repro-anc chaos`` runs the matrix from the command line and
-``tests/chaos/`` asserts it under pytest (``-m chaos``).
+A cell keeps its data in ``<workdir>/<scenario>-s<seed>``, removing a
+directory an earlier run left there.  ``repro-anc chaos`` runs the
+matrix from the command line and ``tests/chaos/`` under pytest
+(``-m chaos``).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import shutil
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -75,6 +75,7 @@ from typing import (
     Dict,
     Generic,
     Hashable,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -90,7 +91,7 @@ if TYPE_CHECKING:  # runtime import is deferred: repro.shard imports repro.fault
     from ..shard.worker import ShardDeployment
 
 from ..core.activation import Activation
-from ..core.anc import ANCParams, make_engine, reference_engine
+from ..core.anc import ANCEngineBase, ANCParams, make_engine, reference_engine
 from ..graph.generators import planted_partition
 from ..graph.graph import Graph
 from ..replica.admin import promote
@@ -220,6 +221,7 @@ class ChaosResult:
     expect: str
     detail: str = ""
     injected: List[Dict[str, object]] = field(default_factory=list)
+    family: str = ""  # the scenario's mode
 
     @property
     def ok(self) -> bool:
@@ -232,15 +234,7 @@ class ChaosResult:
         return self.status == "diverged"
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "status": self.status,
-            "expect": self.expect,
-            "ok": self.ok,
-            "detail": self.detail,
-            "injected": self.injected,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 @dataclass(frozen=True)
@@ -253,23 +247,26 @@ class Scenario:
     protocol's own resend/replay) or ``typed-failure`` (recovery must
     *refuse* because acknowledged data is unrecoverable).
 
-    ``flow`` only applies to ``mode="replica"`` and picks the driver:
-    ``steady`` (follower tails a live stream), ``catchup`` (follower
-    starts after the whole stream committed), ``follower-restart``
-    (follower crashes, restarts from its own disk, catches up),
-    ``failover`` (primary dies mid-batch, follower promoted, session
-    replayed) and ``split-brain`` (promotion while the old primary
-    still runs behind the fence).
+    ``flow`` applies to the fleet families (service, replica, readpath)
+    and names the script a cell follows: ``steady``, ``catchup``,
+    ``follower-crash``, ``crash-failover`` or ``planned-failover`` (see
+    the module docstring).  ``evidence`` is a predicate over the cell's
+    counters that shows the armed fault actually took effect; a cell
+    without it is out of contract.  Fleet cells count the surviving
+    primary's counters (over the first follower's), the router's and
+    ``reads_ok``; shard cells the router's and ``worker_restarts``.
+    Missing names read 0.
     """
 
     name: str
-    mode: str  # "pipeline" | "service" | "replica"
+    mode: str  # "pipeline" | "service" | "replica" | "shard" | "readpath"
     expect: str
     specs: Callable[[int, int], List[FaultSpec]]
     description: str = ""
     server: Mapping[str, object] = field(default_factory=dict)
     client_attempts: int = 6
     flow: str = "steady"
+    evidence: Optional[Callable[[Mapping[str, float]], bool]] = None
 
 
 # ----------------------------------------------------------------------
@@ -500,7 +497,7 @@ SCENARIOS: Tuple[Scenario, ...] = (
     Scenario(
         name="replica-follower-crash-catchup",
         mode="replica",
-        flow="follower-restart",
+        flow="follower-crash",
         expect="recovered",
         description="follower hard-crashes mid-apply; restarts from disk, catches up",
         specs=lambda seed, n: [
@@ -510,18 +507,19 @@ SCENARIOS: Tuple[Scenario, ...] = (
     Scenario(
         name="replica-failover-mid-batch",
         mode="replica",
-        flow="failover",
+        flow="crash-failover",
         expect="recovered",
         description="primary killed mid-batch; follower promoted, session replayed exactly-once",
         specs=lambda seed, n: [
             FaultSpec("wal.append", "crash", at_count=_mid(n))
         ],
         client_attempts=8,
+        evidence=lambda c: c["ingest_dedup_hits"] > 0,
     ),
     Scenario(
         name="replica-split-brain",
         mode="replica",
-        flow="split-brain",
+        flow="planned-failover",
         expect="recovered",
         description="follower promoted while the old primary lives; the fence blocks the stale side",
         # The first fetch: a long-polled follower may fetch only twice
@@ -549,6 +547,7 @@ SCENARIOS: Tuple[Scenario, ...] = (
             FaultSpec("wal.append", "crash", at_count=max(2, n // 2))
         ],
         client_attempts=8,
+        evidence=lambda c: c["worker_restarts"] >= 1,
     ),
     Scenario(
         name="shard-router-worker-partition",
@@ -563,6 +562,7 @@ SCENARIOS: Tuple[Scenario, ...] = (
             FaultSpec("router.forward", "drop", at_count=5),
         ],
         client_attempts=8,
+        evidence=lambda c: c["router_forward_retries"] >= 2,
     ),
     Scenario(
         name="shard-scatter-timeout",
@@ -582,12 +582,12 @@ SCENARIOS: Tuple[Scenario, ...] = (
         ],
         server={"fanout_timeout": 0.5, "shed_retry_after": 0.1},
         client_attempts=8,
+        evidence=lambda c: c["router_scatter_timeouts"] >= 1,
     ),
     # -- readpath scenarios: the read-routing tier under fire ----------
     Scenario(
         name="readpath-lagged-follower-read",
         mode="readpath",
-        flow="lagged-read",
         expect="recovered",
         description=(
             "stalled wal_fetch keeps the followers behind the session "
@@ -602,6 +602,9 @@ SCENARIOS: Tuple[Scenario, ...] = (
             ),
         ],
         client_attempts=8,
+        evidence=lambda c: (
+            c["readpath_stale_bounces"] + c["readpath_primary_reads"] >= 1
+        ),
     ),
     Scenario(
         name="readpath-follower-crash-mid-read",
@@ -616,11 +619,12 @@ SCENARIOS: Tuple[Scenario, ...] = (
             FaultSpec("replica.apply", "crash", at_count=_mid(n))
         ],
         client_attempts=8,
+        evidence=lambda c: c["readpath_upstream_errors"] >= 1,
     ),
     Scenario(
         name="readpath-promote-under-read-load",
         mode="readpath",
-        flow="promote-under-load",
+        flow="crash-failover",
         expect="recovered",
         description=(
             "primary killed mid-batch with reads in flight; a follower is "
@@ -630,11 +634,14 @@ SCENARIOS: Tuple[Scenario, ...] = (
             FaultSpec("wal.append", "crash", at_count=_mid(n))
         ],
         client_attempts=10,
+        evidence=lambda c: (
+            c["ingest_dedup_hits"] > 0 and c["readpath_reresolves"] >= 1
+        ),
     ),
     Scenario(
         name="readpath-stale-token-after-failover",
         mode="readpath",
-        flow="stale-token",
+        flow="planned-failover",
         expect="recovered",
         description=(
             "a session token outlives a planned failover; every "
@@ -646,6 +653,7 @@ SCENARIOS: Tuple[Scenario, ...] = (
             )
         ],
         client_attempts=10,
+        evidence=lambda c: c["reads_ok"] >= 1,
     ),
 )
 
@@ -661,24 +669,116 @@ def scenario_by_name(name: str) -> Scenario:
 
 
 # ----------------------------------------------------------------------
+# The verdict: one classification for every runner
+# ----------------------------------------------------------------------
+
+@dataclass
+class _Cell:
+    """What one (scenario, seed) run observed, for :func:`_verdict`.
+
+    A runner arms its faults through :meth:`arm`, records failed checks
+    with :meth:`check`, adds report text to ``notes`` and fills
+    ``counters`` for the scenario's ``evidence`` predicate.
+    """
+
+    scenario: Scenario
+    seed: int
+    path: Path
+    armed: List[FaultSpec] = field(default_factory=list)
+    plans: List[FaultPlan] = field(default_factory=list)
+    #: Fired-log entries of plans that lived (and died) in another process.
+    reconstructed: List[Dict[str, object]] = field(default_factory=list)
+    notes: List[str] = field(default_factory=list)
+    failed: List[str] = field(default_factory=list)
+    counters: Dict[str, float] = field(default_factory=dict)
+
+    def arm(self, specs: Sequence[FaultSpec]) -> Optional[FaultPlan]:
+        """A plan over ``specs`` whose fired log the verdict reads."""
+        self.armed.extend(specs)
+        if not specs:
+            return None
+        plan = FaultPlan(specs, seed=self.seed)
+        self.plans.append(plan)
+        return plan
+
+    def check(self, ok: bool, what: str) -> None:
+        if not ok:
+            self.failed.append(what)
+
+
+def _verdict(cell: _Cell, refused: Optional[Exception] = None) -> ChaosResult:
+    """Classify one cell from what its runner observed.
+
+    ``refused`` is the typed error that ended the run: a
+    :class:`ServiceError` out of a client call, or a
+    :class:`WalCorruptError` / :class:`CheckpointCorruptError` out of
+    recovery.  A cell with an armed fault that never fired is ``error``
+    whatever else happened: it did not test what its scenario claims.
+    """
+    scenario = cell.scenario
+    fired = [entry for plan in cell.plans for entry in plan.fired]
+    fired += cell.reconstructed
+    parts = list(cell.notes)
+    if refused is not None:
+        parts.append(f"{type(refused).__name__}: {refused}")
+    never = [
+        f"{spec.site}/{spec.kind}" + (f"@{spec.at_count}" if spec.at_count else "")
+        for spec in cell.armed
+        if not any(
+            (entry["site"], entry["kind"]) == (spec.site, spec.kind)
+            and spec.at_count in (None, entry["hit"])
+            for entry in fired
+        )
+    ]
+    failed = list(cell.failed)
+    if scenario.evidence is not None and not scenario.evidence(
+        defaultdict(float, cell.counters)
+    ):
+        failed.append("no evidence the fault took effect")
+    if never:
+        status = "error"
+        parts.append(f"armed but never fired: {', '.join(never)}")
+    elif refused is not None:
+        status = "typed-failure"
+    elif failed:
+        status = "diverged"
+        parts.append(f"failed: {', '.join(failed)}")
+    else:
+        status = "recovered"
+    return ChaosResult(
+        scenario.name,
+        cell.seed,
+        status,
+        scenario.expect,
+        detail="; ".join(parts),
+        injected=fired,
+        family=scenario.mode,
+    )
+
+
+def _oracle(
+    graph: Graph, acts: Sequence[Activation], params: ANCParams = QUICK_PARAMS
+) -> ANCEngineBase:
+    """The dict reference engine fed the fault-free stream."""
+    engine = reference_engine("ANCO", graph, params)
+    apply_activations(engine, acts)
+    return engine
+
+
+# ----------------------------------------------------------------------
 # Pipeline runner
 # ----------------------------------------------------------------------
 
-def _run_pipeline(
-    scenario: Scenario, seed: int, workdir: Path
-) -> ChaosResult:
-    graph, acts = _build_workload(seed)
-    oracle = reference_engine("ANCO", graph, QUICK_PARAMS)
-    apply_activations(oracle, acts)
-    expected = engine_signature(oracle)
+def _run_pipeline(cell: _Cell) -> None:
+    graph, acts = _build_workload(cell.seed)
+    expected = engine_signature(_oracle(graph, acts))
 
-    plan = FaultPlan(scenario.specs(seed, len(acts)), seed=seed)
+    plan = cell.arm(cell.scenario.specs(cell.seed, len(acts))) or FaultPlan()
     plan.set_phase("live")
-    data_dir = workdir / f"{scenario.name}-s{seed}"
-    store = CheckpointStore(data_dir, faults=plan)
+    store = CheckpointStore(cell.path, faults=plan)
     wal = WriteAheadLog(store.wal_path, faults=plan)
     engine = make_engine("ANCO", graph, QUICK_PARAMS)
-    detail = "stream complete; simulated kill -9 at end"
+    outcome = "stream complete; simulated kill -9 at end"
     try:
         for i, act in enumerate(acts):
             wal.append(act)
@@ -686,25 +786,16 @@ def _run_pipeline(
             if (i + 1) % CHECKPOINT_EVERY == 0:
                 store.write_checkpoint(engine)
     except InjectedCrash as exc:
-        detail = f"crashed: {exc}"
+        outcome = f"crashed: {exc}"
     finally:
         wal.close()
     del engine  # a crash loses all in-memory state; recover from disk only
+    cell.notes.append(outcome)
 
+    # A typed refusal (WalCorruptError / CheckpointCorruptError) raises
+    # out of here to the verdict.
     plan.set_phase("recovery")
-    try:
-        recovered, replayed = recover_engine(
-            graph, store, params=QUICK_PARAMS
-        )
-    except (WalCorruptError, CheckpointCorruptError) as exc:
-        return ChaosResult(
-            scenario.name,
-            seed,
-            "typed-failure",
-            scenario.expect,
-            detail=f"{detail}; {type(exc).__name__}: {exc}",
-            injected=list(plan.fired),
-        )
+    recovered, replayed = recover_engine(graph, store, params=QUICK_PARAMS)
     # The client resends everything past the recovered high-water mark —
     # it never got an ack for those, so at-least-once delivery covers the
     # tail the crash (or a benign torn/lost tail record) took.
@@ -716,20 +807,12 @@ def _run_pipeline(
             apply_activations(recovered, [act])
     finally:
         tail_wal.close()
-    got = engine_signature(recovered)
-    status = "recovered" if got == expected else "diverged"
-    return ChaosResult(
-        scenario.name,
-        seed,
-        status,
-        scenario.expect,
-        detail=f"{detail}; replayed {replayed}, resent {len(resend)}",
-        injected=list(plan.fired),
-    )
+    cell.notes.append(f"replayed {replayed}, resent {len(resend)}")
+    cell.check(engine_signature(recovered) == expected, "recovered signature")
 
 
 # ----------------------------------------------------------------------
-# Service runner
+# Thread harnesses: servers and routers on private event loops
 # ----------------------------------------------------------------------
 
 _S = TypeVar("_S", bound=Union[ANCServer, FrontEnd])
@@ -833,384 +916,6 @@ def ServerThread(
     )
 
 
-def _run_service(
-    scenario: Scenario, seed: int, workdir: Path
-) -> ChaosResult:
-    graph, acts = _build_workload(seed)
-    oracle = reference_engine("ANCO", graph, QUICK_PARAMS)
-    apply_activations(oracle, acts)
-    expected = engine_signature(oracle)
-
-    plan = FaultPlan(scenario.specs(seed, len(acts)), seed=seed)
-    config = ServerConfig(
-        port=0,
-        engine="anco",
-        metrics_interval=0.0,
-        faults=plan,
-        **scenario.server,  # type: ignore[arg-type]
-    )
-    retry = RetryPolicy(
-        attempts=scenario.client_attempts,
-        base_delay=0.02,
-        max_delay=0.25,
-        seed=seed,
-    )
-    with ServerThread(
-        graph, config=config, params=QUICK_PARAMS
-    ) as handle:
-        assert handle.server is not None and handle.port is not None
-        try:
-            client = ServiceClient(
-                handle.host, handle.port, timeout=5.0, retry=retry
-            )
-            try:
-                for start in range(0, len(acts), CLIENT_BATCH):
-                    chunk = acts[start : start + CLIENT_BATCH]
-                    client.ingest_batch([(a.u, a.v, a.t) for a in chunk])
-                applied = client.sync()
-                stats = client.stats()
-            finally:
-                client.close()
-        except ServiceError as exc:
-            return ChaosResult(
-                scenario.name,
-                seed,
-                "typed-failure",
-                scenario.expect,
-                detail=f"{type(exc).__name__}: {exc}",
-                injected=list(plan.fired),
-            )
-        # The writer is idle after sync() with no traffic in flight, so
-        # reading the engine from this thread observes a quiescent state.
-        got = engine_signature(handle.server.host.engine)
-        raw = handle.server.metrics.snapshot(rate_key=None).get("counters")
-        counters: Dict[str, float] = dict(raw) if isinstance(raw, dict) else {}
-        detail = (
-            f"applied={applied}/{len(acts)} degraded={stats.get('degraded')}"
-            f" shed={counters.get('ingest_shed', 0)}"
-            f" dedup={counters.get('ingest_dedup_hits', 0)}"
-            f" evictions={counters.get('slow_reader_evictions', 0)}"
-        )
-    if applied != len(acts) or got != expected:
-        status = "diverged"
-    else:
-        status = "recovered"
-    return ChaosResult(
-        scenario.name,
-        seed,
-        status,
-        scenario.expect,
-        detail=detail,
-        injected=list(plan.fired),
-    )
-
-
-# ----------------------------------------------------------------------
-# Replica runner: primary + WAL-shipping follower under link faults
-# ----------------------------------------------------------------------
-
-#: Fault sites armed on the *follower* of a replica scenario; everything
-#: else in the spec list arms on the primary (which serves ``wal_fetch``).
-_REPLICA_FOLLOWER_SITES = frozenset({"replica.apply"})
-
-
-def _await(check: Callable[[], bool], *, timeout: float, what: str) -> None:
-    """Poll ``check`` until true or raise after ``timeout`` seconds."""
-    deadline = time.monotonic() + timeout
-    while not check():
-        if time.monotonic() > deadline:
-            raise RuntimeError(f"timed out after {timeout}s waiting for {what}")
-        time.sleep(0.01)
-
-
-def _counters(handle: ServingThread[ANCServer]) -> Dict[str, float]:
-    assert handle.server is not None
-    raw = handle.server.metrics.snapshot(rate_key=None).get("counters")
-    return {k: float(v) for k, v in raw.items()} if isinstance(raw, Mapping) else {}
-
-
-def _node_config(
-    plan: Optional[FaultPlan], data_dir: Path, **role_kwargs: object
-) -> ServerConfig:
-    """One durable fleet node's config (replica and readpath runners)."""
-    return ServerConfig(
-        port=0,
-        engine="anco",
-        metrics_interval=0.0,
-        data_dir=data_dir,
-        checkpoint_every=CHECKPOINT_EVERY,
-        faults=plan,
-        **role_kwargs,  # type: ignore[arg-type]
-    )
-
-
-def _caught_up(handle: ServingThread[ANCServer], target: int) -> bool:
-    assert handle.server is not None
-    host = handle.server.host
-    return host.ingested >= target and host.applied >= target
-
-
-def _run_replica(
-    scenario: Scenario, seed: int, workdir: Path
-) -> ChaosResult:
-    graph, acts = _build_workload(seed)
-    oracle = reference_engine("ANCO", graph, QUICK_PARAMS)
-    apply_activations(oracle, acts)
-    expected = engine_signature(oracle)
-
-    specs = scenario.specs(seed, len(acts))
-    primary_specs = [s for s in specs if s.site not in _REPLICA_FOLLOWER_SITES]
-    follower_specs = [s for s in specs if s.site in _REPLICA_FOLLOWER_SITES]
-    primary_plan = FaultPlan(primary_specs, seed=seed) if primary_specs else None
-    follower_plan = FaultPlan(follower_specs, seed=seed) if follower_specs else None
-    base = workdir / f"{scenario.name}-s{seed}"
-
-    def _follower_kwargs(primary_port: int) -> Dict[str, object]:
-        return {
-            "role": "follower",
-            "primary_host": "127.0.0.1",
-            "primary_port": primary_port,
-            "replica_id": f"chaos-{seed}",
-            "audit_interval": 0.05,
-        }
-
-    def _start_follower(plan: Optional[FaultPlan], port: int) -> ServingThread[ANCServer]:
-        handle = ServerThread(
-            graph,
-            config=_node_config(plan, base / "follower", **_follower_kwargs(port)),
-            params=QUICK_PARAMS,
-        ).start()
-        threads.append(handle)
-        return handle
-
-    batches = [
-        [(a.u, a.v, a.t) for a in acts[i : i + CLIENT_BATCH]]
-        for i in range(0, len(acts), CLIENT_BATCH)
-    ]
-    keys = [f"{scenario.name}-{seed}-b{i}" for i in range(len(batches))]
-    retry = RetryPolicy(
-        attempts=scenario.client_attempts,
-        base_delay=0.02,
-        max_delay=0.25,
-        seed=seed,
-    )
-
-    threads: List[ServingThread[ANCServer]] = []
-    try:
-        primary = ServerThread(
-            graph,
-            config=_node_config(
-                primary_plan, base / "primary", **dict(scenario.server)
-            ),
-            params=QUICK_PARAMS,
-        ).start()
-        threads.append(primary)
-        assert primary.port is not None
-        follower: Optional[ServingThread[ANCServer]] = None
-        if scenario.flow != "catchup":
-            follower = _start_follower(follower_plan, primary.port)
-
-        detail_extra = ""
-        if scenario.flow in ("steady", "catchup", "follower-restart"):
-            client = ServiceClient(
-                primary.host, primary.port, timeout=5.0, retry=retry
-            )
-            try:
-                for items, key in zip(batches, keys):
-                    client.ingest_batch(items, key=key)
-                applied = client.sync()
-            finally:
-                client.close()
-            if scenario.flow == "catchup":
-                follower = _start_follower(follower_plan, primary.port)
-            if scenario.flow == "follower-restart":
-                assert follower is not None and follower.server is not None
-                _await(
-                    lambda: follower.server.crashed,  # type: ignore[union-attr]
-                    timeout=30.0,
-                    what="the injected follower crash",
-                )
-                follower.stop()
-                threads.remove(follower)
-                follower = _start_follower(None, primary.port)
-                detail_extra = " restarted-after-crash"
-            assert follower is not None and follower.server is not None
-            new_primary = follower
-            _await(
-                lambda: _caught_up(follower, len(acts)),
-                timeout=30.0,
-                what="follower catch-up",
-            )
-            got_primary = engine_signature(primary.server.host.engine)  # type: ignore[union-attr]
-            in_contract = got_primary == expected
-        elif scenario.flow == "failover":
-            assert follower is not None and follower.port is not None
-            client = ServiceClient(
-                primary.host,
-                primary.port,
-                timeout=5.0,
-                retry=retry,
-                failover=[(follower.host, follower.port)],
-            )
-            try:
-                promoted = False
-                i = 0
-                while i < len(batches):
-                    try:
-                        client.ingest_batch(batches[i], key=keys[i])
-                        i += 1
-                        if i == 1 and not promoted:
-                            # Let the follower replicate the first batch
-                            # before the crash-prone tail: the post-failover
-                            # replay below must then resume against the
-                            # dedup map rebuilt from *replicated* records
-                            # (the exactly-once contract), not merely
-                            # re-ingest into an empty promoted log.
-                            _await(
-                                lambda: _caught_up(follower, CLIENT_BATCH),
-                                timeout=30.0,
-                                what="follower replication of the first batch",
-                            )
-                    except ServiceError:
-                        if promoted:
-                            raise
-                        _await(
-                            lambda: primary.server.crashed,  # type: ignore[union-attr]
-                            timeout=10.0,
-                            what="the injected primary crash",
-                        )
-                        promote(
-                            ("127.0.0.1", follower.port),
-                            old_primary=("127.0.0.1", primary.port),
-                            timeout=2.0,
-                        )
-                        promoted = True
-                        # Replay the whole session through the promoted
-                        # follower: exactly-once dedup (rebuilt from the
-                        # replicated WAL) must absorb every duplicate.
-                        i = 0
-                applied = client.sync()
-            finally:
-                client.close()
-            assert follower.server is not None
-            new_primary = follower
-            dedup_hits = _counters(follower).get("ingest_dedup_hits", 0)
-            detail_extra = (
-                f" promoted={promoted} epoch={follower.server.epoch}"
-                f" dedup={dedup_hits:g}"
-            )
-            # The promoted node must outrank the dead primary's epoch 1
-            # (fencing stays strict even when the old node was
-            # unreachable), and the replayed session must have hit the
-            # dedup map rebuilt from replicated records — both silently
-            # degrade to a fresh re-ingest otherwise.
-            in_contract = (
-                promoted
-                and follower.server.role == "primary"
-                and follower.server.epoch > 1
-                and dedup_hits > 0
-            )
-        elif scenario.flow == "split-brain":
-            assert follower is not None and follower.port is not None
-            client = ServiceClient(
-                primary.host,
-                primary.port,
-                timeout=5.0,
-                retry=retry,
-                failover=[(follower.host, follower.port)],
-            )
-            try:
-                half = max(1, len(batches) // 2)
-                for items, key in zip(batches[:half], keys[:half]):
-                    client.ingest_batch(items, key=key)
-                client.sync()
-                promote(
-                    ("127.0.0.1", follower.port),
-                    old_primary=("127.0.0.1", primary.port),
-                    timeout=2.0,
-                )
-                # The deposed primary is still alive: the client must
-                # rotate off it on FENCED and land on the new primary.
-                for items, key in zip(batches[half:], keys[half:]):
-                    client.ingest_batch(items, key=key)
-                applied = client.sync()
-            finally:
-                client.close()
-            probe = ServiceClient(
-                primary.host,
-                primary.port,
-                timeout=2.0,
-                retry=RetryPolicy(attempts=1),
-            )
-            try:
-                probe.request(
-                    "ingest_batch",
-                    items=[list(batches[0][0])],
-                    key="split-brain-probe",
-                    idempotent=False,
-                )
-                stale_refused = False
-            except ServiceError as exc:  # anclint: disable=service-exception-discipline — FENCED here is the scenario's *pass* condition; anything else (or no error) is the split-brain failure the matrix reports
-                stale_refused = exc.code == "FENCED"
-            finally:
-                probe.close()
-            assert follower.server is not None
-            new_primary = follower
-            detail_extra = (
-                f" stale-write-refused={stale_refused}"
-                f" epoch={follower.server.epoch}"
-            )
-            in_contract = stale_refused and follower.server.role == "primary"
-        else:
-            raise ValueError(f"unknown replica flow {scenario.flow!r}")
-
-        assert new_primary.server is not None
-        got_follower = engine_signature(new_primary.server.host.engine)
-        counters = _counters(new_primary)
-        diverged = new_primary.server.diverged
-        status = (
-            "recovered"
-            if (
-                applied == len(acts)
-                and got_follower == expected
-                and diverged is None
-                and in_contract
-            )
-            else "diverged"
-        )
-        detail = (
-            f"applied={applied}/{len(acts)}"
-            f" refetches={counters.get('replica_refetches', 0):g}"
-            f" link_errors={counters.get('replica_link_errors', 0):g}"
-            f" audits={counters.get('replica_audits', 0):g}"
-            f"{detail_extra}"
-        )
-        if diverged is not None:
-            detail += f" diverged={diverged}"
-    finally:
-        # Followers first: their replication links hold connections into
-        # the primary, and stopping the primary under a live link cancels
-        # its handler tasks noisily.
-        for handle in reversed(threads):
-            handle.stop()
-    fired: List[Dict[str, object]] = []
-    for plan in (primary_plan, follower_plan):
-        if plan is not None:
-            fired.extend(plan.fired)
-    return ChaosResult(
-        scenario.name,
-        seed,
-        status,
-        scenario.expect,
-        detail=detail,
-        injected=fired,
-    )
-
-
-# ----------------------------------------------------------------------
-# Shard runner: the scatter-gather tier over real worker processes
-# ----------------------------------------------------------------------
-
 def RouterThread(
     deployment: "ShardDeployment",
     *,
@@ -1251,6 +956,394 @@ def ReadRouterThread(
     )
 
 
+def _await(check: Callable[[], bool], *, timeout: float, what: str) -> None:
+    """Poll ``check`` until true or raise after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not check():
+        if time.monotonic() > deadline:
+            raise RuntimeError(f"timed out after {timeout}s waiting for {what}")
+        time.sleep(0.01)
+
+
+def _counters(served: Union[ANCServer, FrontEnd]) -> Dict[str, float]:
+    return {
+        name: float(counter.value)
+        for name, counter in served.metrics.counters().items()
+    }
+
+
+def _retry(scenario: Scenario, seed: int) -> RetryPolicy:
+    """The retry policy of every cell's client."""
+    return RetryPolicy(
+        attempts=scenario.client_attempts,
+        base_delay=0.02,
+        max_delay=0.25,
+        seed=seed,
+    )
+
+
+# ----------------------------------------------------------------------
+# Fleet runner: a primary, its followers and (readpath) a read router
+# ----------------------------------------------------------------------
+
+#: Followers behind the primary, per fleet family.
+_FOLLOWERS = {"service": 0, "replica": 1, "readpath": 2}
+
+#: Fault sites armed on the first follower; every other site arms on the
+#: primary (which serves ``wal_fetch``).
+_FOLLOWER_SITES = frozenset({"replica.apply"})
+
+#: Client error codes a routed read may legally surface while the fleet
+#: is degraded — every one is typed, none hands back stale data.
+_TYPED_DENIALS = frozenset(
+    {"STALE", "RETRY_AFTER", "UNAVAILABLE", "TIMEOUT", "CONNECT"}
+)
+
+#: Counters a fleet cell's report line shows, where its nodes have them:
+#: the surviving primary's, the first follower's link and the read path.
+_REPORTED = (
+    "ingest_dedup_hits", "ingest_shed", "slow_reader_evictions",
+    "replica_refetches", "replica_link_errors", "replica_audits",
+    "reads_ok", "typed_denials", "readpath_follower_reads",
+    "readpath_primary_reads", "readpath_stale_bounces",
+    "readpath_reresolves", "readpath_upstream_errors",
+)
+
+
+def _server(handle: ServingThread[ANCServer]) -> ANCServer:
+    assert handle.server is not None
+    return handle.server
+
+
+def _endpoint(handle: ServingThread[_S]) -> Tuple[str, int]:
+    assert handle.port is not None
+    return handle.host, handle.port
+
+
+def _caught_up(handle: ServingThread[ANCServer], target: int) -> bool:
+    host = _server(handle).host
+    return host.ingested >= target and host.applied >= target
+
+
+class _Fleet:
+    """One fleet cell's nodes, router, client and read ledger.
+
+    The shape comes from the family: :data:`_FOLLOWERS` followers, a
+    data dir per node only when there are followers, and a
+    :class:`~repro.readpath.router.ReadRouter` with session-token reads
+    only for readpath cells.  The flows drive it.
+    """
+
+    def __init__(self, cell: _Cell, graph: Graph, acts: Sequence[Activation]) -> None:
+        scenario = cell.scenario
+        self.cell = cell
+        self.graph = graph
+        self.batches = [
+            [(a.u, a.v, a.t) for a in acts[i : i + CLIENT_BATCH]]
+            for i in range(0, len(acts), CLIENT_BATCH)
+        ]
+        self.keys = [
+            f"{scenario.name}-{cell.seed}-b{i}" for i in range(len(self.batches))
+        ]
+        specs = scenario.specs(cell.seed, len(acts))
+        self.primary_plan = cell.arm([s for s in specs if s.site not in _FOLLOWER_SITES])
+        self.follower_plan = cell.arm([s for s in specs if s.site in _FOLLOWER_SITES])
+        self.n_followers = _FOLLOWERS[scenario.mode]
+        self.reads = scenario.mode == "readpath"
+        #: Primary first, then followers in start order.
+        self.nodes: List[ServingThread[ANCServer]] = []
+        self.followers: List[ServingThread[ANCServer]] = []
+        self.router: Optional["ServingThread[ReadRouter]"] = None
+        self._client: Optional[ServiceClient] = None
+        self.promoted = False
+        # The no-silent-staleness ledger: every ok read whose applied
+        # watermark trails the session token at request time.
+        self.silent_stale: List[Tuple[int, int]] = []
+        self.reads_ok = 0
+        self.typed_denials = 0
+
+    @property
+    def primary(self) -> ServingThread[ANCServer]:
+        return self.nodes[0]
+
+    @property
+    def client(self) -> ServiceClient:
+        assert self._client is not None
+        return self._client
+
+    def _node(
+        self, name: str, plan: Optional[FaultPlan], **role: object
+    ) -> ServingThread[ANCServer]:
+        config = ServerConfig(
+            metrics_interval=0.0,
+            data_dir=self.cell.path / name if self.n_followers else None,
+            checkpoint_every=CHECKPOINT_EVERY,
+            faults=plan,
+            **role,  # type: ignore[arg-type]
+        )
+        handle = ServerThread(self.graph, config=config, params=QUICK_PARAMS)
+        self.nodes.append(handle.start())
+        return handle
+
+    def _follower(self, index: int, plan: Optional[FaultPlan]) -> ServingThread[ANCServer]:
+        # replica_id stays at its host:port default — the identity the
+        # read router's auto-registration keys on.
+        host, port = _endpoint(self.primary)
+        return self._node(
+            f"f{index + 1}",
+            plan,
+            role="follower",
+            primary_host=host,
+            primary_port=port,
+            audit_interval=0.05,
+        )
+
+    def start(self, *, follow: bool = True) -> None:
+        """Start the primary, the followers unless told not to, then the client."""
+        self._node("primary", self.primary_plan, **self.cell.scenario.server)
+        if follow:
+            self.follow()
+        entry = _endpoint(self.primary)
+        failover = [_endpoint(f) for f in self.followers]
+        if self.reads:
+            from ..readpath.router import ReadRouterConfig
+
+            self.router = ReadRouterThread(
+                entry,
+                followers=failover,
+                config=ReadRouterConfig(heartbeat_interval=0.05),
+            ).start()
+            entry, failover = _endpoint(self.router), []
+        self._client = ServiceClient(
+            *entry,
+            timeout=5.0,
+            retry=_retry(self.cell.scenario, self.cell.seed),
+            failover=failover,
+            session_reads=self.reads,
+        )
+
+    def follow(self) -> None:
+        """Start the family's followers; the first carries the follower plan."""
+        for index in range(self.n_followers):
+            plan = self.follower_plan if index == 0 else None
+            self.followers.append(self._follower(index, plan))
+
+    def ingest(self, indices: Iterable[int]) -> None:
+        """Send these batches under their keys; readpath reads after each."""
+        for i in indices:
+            self.client.ingest_batch(self.batches[i], key=self.keys[i])
+            self.read()
+
+    def read(self) -> None:
+        """One read-your-writes read (readpath only); ledgers the outcome."""
+        if not self.reads:
+            return
+        token = self.client.session_token
+        try:
+            doc = self.client.clusters_info()
+        except ServiceError as exc:
+            if exc.code not in _TYPED_DENIALS:
+                raise
+            self.typed_denials += 1
+            return
+        applied = int(doc.get("applied", -1))  # type: ignore[arg-type]
+        if applied < token:
+            self.silent_stale.append((token, applied))
+        self.reads_ok += 1
+
+    def promote(self) -> None:
+        """Promote the first follower, fencing the primary if it is alive."""
+        promote(
+            _endpoint(self.followers[0]),
+            old_primary=_endpoint(self.primary),
+            timeout=2.0,
+        )
+        self.promoted = True
+
+    def restart_follower(self) -> None:
+        """Replace the crashed first follower by a disarmed one on its disk."""
+        crashed = self.followers[0]
+        crashed.stop()
+        self.nodes.remove(crashed)
+        self.followers[0] = self._follower(0, None)
+
+    def primary_refuses_fenced(self) -> bool:
+        """Whether the (deposed) primary refuses a direct write FENCED."""
+        with ServiceClient(
+            *_endpoint(self.primary), timeout=2.0, retry=RetryPolicy(attempts=1)
+        ) as probe:
+            try:
+                probe.request(
+                    "ingest_batch",
+                    items=[list(self.batches[0][0])],
+                    key="split-brain-probe",
+                    idempotent=False,
+                )
+            except ServiceError as exc:  # anclint: disable=service-exception-discipline — FENCED here is the flow's *pass* condition; anything else (or no error) is the split-brain failure the matrix reports
+                return exc.code == "FENCED"
+        return False
+
+    def survivors(self) -> List[Tuple[str, ServingThread[ANCServer]]]:
+        """The nodes that must hold the oracle state, by name.
+
+        After a failover that is the promoted follower; otherwise the
+        primary and every follower.
+        """
+        if self.promoted:
+            return [("f1", self.followers[0])]
+        named = [("primary", self.primary)]
+        return named + [(f"f{i + 1}", f) for i, f in enumerate(self.followers)]
+
+    def stop(self) -> None:
+        # Client, router, followers, primary: each holds connections
+        # into the next, and stopping a node under a live link cancels
+        # its handler tasks noisily.
+        if self._client is not None:
+            self._client.close()
+        if self.router is not None:
+            self.router.stop()
+        for handle in reversed(self.nodes):
+            handle.stop()
+
+
+def _steady(fleet: _Fleet) -> None:
+    """Every batch against a live fleet; the followers tail the stream."""
+    fleet.start()
+    fleet.ingest(range(len(fleet.batches)))
+
+
+def _catchup(fleet: _Fleet) -> None:
+    """The follower starts only after the whole stream committed."""
+    fleet.start(follow=False)
+    fleet.ingest(range(len(fleet.batches)))
+    fleet.client.sync()
+    fleet.follow()
+
+
+def _follower_crash(fleet: _Fleet) -> None:
+    """The first follower hard-crashes mid-apply and restarts from disk."""
+    _steady(fleet)
+    crashed = _server(fleet.followers[0])
+    _await(lambda: crashed.crashed, timeout=30.0, what="the injected follower crash")
+    # The session's reads must survive the dead follower.
+    for _ in range(4):
+        fleet.read()
+    fleet.restart_follower()
+
+
+def _crash_failover(fleet: _Fleet) -> None:
+    """The primary dies mid-batch; the first follower is promoted and the
+    whole session replayed exactly-once."""
+    fleet.start()
+    primary = _server(fleet.primary)
+    i = 0
+    while i < len(fleet.batches):
+        try:
+            fleet.ingest([i])
+            i += 1
+            if i == 1 and not fleet.promoted:
+                # Let the follower replicate the first batch before the
+                # crash-prone tail: the post-failover replay below must
+                # then resume against the dedup map rebuilt from
+                # *replicated* records (the exactly-once contract), not
+                # merely re-ingest into an empty promoted log.
+                _await(
+                    lambda: _caught_up(fleet.followers[0], CLIENT_BATCH),
+                    timeout=30.0,
+                    what="follower replication of the first batch",
+                )
+        except ServiceError:
+            if fleet.promoted:
+                raise
+            _await(lambda: primary.crashed, timeout=10.0, what="the injected primary crash")
+            # Reads during the outage stay typed or fresh — the ledger
+            # catches anything silently stale.
+            fleet.read()
+            fleet.promote()
+            i = 0  # replay the session; dedup absorbs every duplicate
+    fleet.cell.check(fleet.promoted, "follower promoted")
+
+
+def _planned_failover(fleet: _Fleet) -> None:
+    """The first follower is promoted at the half-way batch while the old
+    primary still runs; the deposed primary must then refuse FENCED."""
+    fleet.start()
+    half = max(1, len(fleet.batches) // 2)
+    fleet.ingest(range(half))
+    fleet.client.sync()
+    fleet.promote()  # waits for the follower to drain the committed log
+    # The session token predates the failover; each read must reflect
+    # the session's writes or refuse typed.  The writes that follow must
+    # reach the new primary: a direct client rotates off the deposed one
+    # on FENCED, the read router re-resolves roles from epochs.
+    for _ in range(4):
+        fleet.read()
+    fleet.ingest(range(half, len(fleet.batches)))
+    fleet.cell.check(fleet.primary_refuses_fenced(), "deposed primary refuses FENCED")
+
+
+_FLOWS: Dict[str, Callable[[_Fleet], None]] = {
+    "steady": _steady,
+    "catchup": _catchup,
+    "follower-crash": _follower_crash,
+    "crash-failover": _crash_failover,
+    "planned-failover": _planned_failover,
+}
+
+
+def _run_fleet(cell: _Cell) -> None:
+    graph, acts = _build_workload(cell.seed)
+    expected = engine_signature(_oracle(graph, acts))
+    fleet = _Fleet(cell, graph, acts)
+    try:
+        _FLOWS[cell.scenario.flow](fleet)
+        applied = fleet.client.sync()
+        survivors = fleet.survivors()
+        for _, handle in survivors:
+            _await(
+                lambda h=handle: _caught_up(h, len(acts)),
+                timeout=30.0,
+                what="follower catch-up",
+            )
+    finally:
+        fleet.stop()
+
+    # Every node is stopped, so its engine is quiescent.
+    cell.check(applied == len(acts), "applied")
+    for name, handle in survivors:
+        server = _server(handle)
+        cell.check(
+            engine_signature(server.host.engine) == expected, f"signature {name}"
+        )
+        cell.check(server.diverged is None, f"{name} diverged: {server.diverged}")
+    cell.check(not fleet.silent_stale, f"silent-stale reads {fleet.silent_stale[:3]}")
+
+    # The first follower's (link) counters under the surviving primary's,
+    # then the router's and the read ledger's.
+    counters = _counters(_server(fleet.followers[0])) if fleet.followers else {}
+    counters.update(_counters(_server(survivors[0][1])))
+    if fleet.router is not None:
+        assert fleet.router.router is not None
+        counters.update(_counters(fleet.router.router))
+        counters.update(reads_ok=fleet.reads_ok, typed_denials=fleet.typed_denials)
+    cell.counters.update(counters)
+    cell.notes.append(
+        " ".join(
+            [f"applied={applied}/{len(acts)}"]
+            + [f"{name}={counters[name]:g}" for name in _REPORTED if name in counters]
+        )
+    )
+    if fleet.promoted:
+        new = _server(fleet.followers[0])
+        cell.check(new.role == "primary", f"promoted f1 is {new.role}")
+        cell.check(new.epoch > 1, f"promoted f1 at epoch {new.epoch}")
+        cell.notes.append(f"promoted epoch={new.epoch}")
+
+
+# ----------------------------------------------------------------------
+# Shard runner: the scatter-gather tier over real worker processes
+# ----------------------------------------------------------------------
+
 def _normalized_clusters(clusters: Sequence[Sequence[object]]) -> Tuple[Tuple[int, ...], ...]:
     """Order-free canonical form of a clustering (int labels)."""
     return tuple(
@@ -1258,38 +1351,32 @@ def _normalized_clusters(clusters: Sequence[Sequence[object]]) -> Tuple[Tuple[in
     )
 
 
-def _run_shard(
-    scenario: Scenario, seed: int, workdir: Path
-) -> ChaosResult:
+def _run_shard(cell: _Cell) -> None:
     from ..shard.router import RouterConfig
     from ..shard.shardmap import ShardMap
     from ..shard.worker import ShardDeployment
 
+    scenario, seed = cell.scenario, cell.seed
     graph, acts = build_shard_workload(seed)
     smap = ShardMap.build(graph, SHARD_COUNT, seed=0)
     shard_acts: Dict[int, List[Activation]] = {s: [] for s in range(SHARD_COUNT)}
     for act in acts:
         shard_acts[smap.shard_of_edge(act.u, act.v)].append(act)
 
-    # The oracle a correct deployment must merge back to: one engine over
-    # the whole graph and the whole stream.
-    oracle = reference_engine("ANCO", graph, SHARD_PARAMS)
-    apply_activations(oracle, acts)
-
     # Sites under ``router.`` arm in the router process; everything else
     # travels to shard 0's worker via its picklable spec (the plan — and
     # its fired log — then lives in the child).
     specs = scenario.specs(seed, len(shard_acts[0]))
-    router_specs = [s for s in specs if s.site.startswith("router.")]
+    router_plan = cell.arm([s for s in specs if s.site.startswith("router.")])
     worker_specs = [s for s in specs if not s.site.startswith("router.")]
-    router_plan = FaultPlan(router_specs, seed=seed) if router_specs else None
+    cell.armed.extend(worker_specs)
 
     deployment = ShardDeployment(
         graph,
         shards=SHARD_COUNT,
         seed=0,
         params=SHARD_PARAMS,
-        data_dir=workdir / f"{scenario.name}-s{seed}",
+        data_dir=cell.path,
         checkpoint_every=CHECKPOINT_EVERY,
         fault_specs={0: worker_specs} if worker_specs else None,
         fault_seed=seed,
@@ -1298,120 +1385,56 @@ def _run_shard(
         faults=router_plan,
         **scenario.server,  # type: ignore[arg-type]
     )
-    retry = RetryPolicy(
-        attempts=scenario.client_attempts,
-        base_delay=0.02,
-        max_delay=0.25,
-        seed=seed,
-    )
     batches = [
         acts[i : i + CLIENT_BATCH] for i in range(0, len(acts), CLIENT_BATCH)
     ]
     half = max(1, len(batches) // 2)
-    with RouterThread(deployment, config=router_config) as handle:
-        router = handle.router
-        assert router is not None and handle.port is not None
-        try:
-            client = ServiceClient(
-                handle.host, handle.port, timeout=15.0, retry=retry
-            )
-            try:
-                for i, chunk in enumerate(batches[:half]):
-                    client.ingest_batch(
-                        [(a.u, a.v, a.t) for a in chunk],
-                        key=f"{scenario.name}-{seed}-b{i}",
-                    )
-                # First scatter mid-stream: the stall scenario fires here
-                # and the client must recover through its typed retry.
-                client.request("clusters")
-                for i, chunk in enumerate(batches[half:], start=half):
+    try:
+        with RouterThread(deployment, config=router_config) as handle:
+            router = handle.router
+            assert router is not None and handle.port is not None
+            with ServiceClient(
+                handle.host, handle.port, timeout=15.0, retry=_retry(scenario, seed)
+            ) as client:
+                for i, chunk in enumerate(batches):
+                    if i == half:
+                        # First scatter mid-stream: the stall scenario
+                        # fires here and the client must recover through
+                        # its typed retry.
+                        client.request("clusters")
                     client.ingest_batch(
                         [(a.u, a.v, a.t) for a in chunk],
                         key=f"{scenario.name}-{seed}-b{i}",
                     )
                 applied = client.sync()
                 merged = client.request("clusters")
-            finally:
-                client.close()
-        except ServiceError as exc:
-            fired = list(router_plan.fired) if router_plan is not None else []
-            return ChaosResult(
-                scenario.name,
-                seed,
-                "typed-failure",
-                scenario.expect,
-                detail=f"{type(exc).__name__}: {exc}",
-                injected=fired,
-            )
 
-        # Per-shard byte-identity: each worker's signature must equal an
-        # oracle engine fed only that shard's slice of the stream.
-        sig_mismatches: List[int] = []
-        for shard in range(SHARD_COUNT):
-            worker = deployment.workers[shard]
-            assert worker.port is not None
-            with ServiceClient(
-                handle.host,
-                worker.port,
-                timeout=15.0,
-                retry=RetryPolicy(attempts=4, base_delay=0.02, seed=seed),
-            ) as worker_client:
-                signature = worker_client.request("signature")
-            shard_oracle = reference_engine(
-                "ANCO", smap.shard_graph(shard), SHARD_PARAMS
-            )
-            apply_activations(shard_oracle, shard_acts[shard])
-            if signature.get("digest") != signature_digest(shard_oracle):
-                sig_mismatches.append(shard)
-
+            # Per-shard byte-identity: each worker's signature must equal
+            # an oracle engine fed only that shard's slice of the stream.
+            for shard in range(SHARD_COUNT):
+                worker = deployment.workers[shard]
+                assert worker.port is not None
+                with ServiceClient(
+                    handle.host,
+                    worker.port,
+                    timeout=15.0,
+                    retry=RetryPolicy(attempts=4, base_delay=0.02, seed=seed),
+                ) as worker_client:
+                    signature = worker_client.request("signature")
+                shard_oracle = _oracle(
+                    smap.shard_graph(shard), shard_acts[shard], SHARD_PARAMS
+                )
+                cell.check(
+                    signature.get("digest") == signature_digest(shard_oracle),
+                    f"signature shard-{shard}",
+                )
+            cell.counters.update(_counters(router))
+    finally:
         restarts = deployment.total_restarts()
-        router_counters = {
-            name: counter.value
-            for name, counter in router.metrics.counters().items()
-        }
-
-    # Merged answer versus the whole-graph oracle at the level the
-    # deployment actually answered.
-    level = int(merged["level"])
-    clusters_match = _normalized_clusters(
-        merged["clusters"]
-    ) == _normalized_clusters(oracle.clusters(level))
-
-    # Scenario-specific evidence that the armed fault actually bit.
-    retries = router_counters.get("router_forward_retries", 0.0)
-    timeouts = router_counters.get("router_scatter_timeouts", 0.0)
-    contract_ok = True
-    if scenario.name == "shard-worker-crash-mid-batch":
-        contract_ok = restarts >= 1
-    elif scenario.name == "shard-router-worker-partition":
-        contract_ok = retries >= 2
-    elif scenario.name == "shard-scatter-timeout":
-        contract_ok = timeouts >= 1
-
-    status = (
-        "recovered"
-        if (
-            applied == len(acts)
-            and not sig_mismatches
-            and clusters_match
-            and contract_ok
-        )
-        else "diverged"
-    )
-    detail = (
-        f"applied={applied}/{len(acts)} restarts={restarts}"
-        f" forward_retries={retries:g} scatter_timeouts={timeouts:g}"
-        f" clusters_match={clusters_match}"
-    )
-    if sig_mismatches:
-        detail += f" sig_mismatch={sig_mismatches}"
-
-    fired = list(router_plan.fired) if router_plan is not None else []
-    if worker_specs and restarts >= 1:
-        # The worker's plan (and its fired log) died with the child
-        # process; reconstruct the entries from the observed crash.
-        for spec in worker_specs:
-            fired.append(
+        if worker_specs and restarts >= 1:
+            # The worker's plan (and its fired log) died with the child
+            # process; reconstruct the entries from the observed crash.
+            cell.reconstructed.extend(
                 {
                     "site": spec.site,
                     "kind": spec.kind,
@@ -1419,317 +1442,24 @@ def _run_shard(
                     "shard": 0,
                     "reconstructed": True,
                 }
+                for spec in worker_specs
             )
-    return ChaosResult(
-        scenario.name,
-        seed,
-        status,
-        scenario.expect,
-        detail=detail,
-        injected=fired,
-    )
+    cell.counters["worker_restarts"] = restarts
 
-
-# ----------------------------------------------------------------------
-# Readpath runner: tokened reads through the routing tier under fire
-# ----------------------------------------------------------------------
-
-#: Client error codes a routed read may legally surface while the fleet
-#: is degraded — every one is typed, none hands back stale data.
-_READPATH_TYPED_DENIALS = frozenset(
-    {"STALE", "RETRY_AFTER", "UNAVAILABLE", "TIMEOUT", "CONNECT"}
-)
-
-
-def _run_readpath(
-    scenario: Scenario, seed: int, workdir: Path
-) -> ChaosResult:
-    from ..readpath.router import ReadRouterConfig
-
-    graph, acts = _build_workload(seed)
-    oracle = reference_engine("ANCO", graph, QUICK_PARAMS)
-    apply_activations(oracle, acts)
-    expected = engine_signature(oracle)
-
-    specs = scenario.specs(seed, len(acts))
-    primary_specs = [s for s in specs if s.site not in _REPLICA_FOLLOWER_SITES]
-    follower_specs = [s for s in specs if s.site in _REPLICA_FOLLOWER_SITES]
-    primary_plan = FaultPlan(primary_specs, seed=seed) if primary_specs else None
-    follower_plan = FaultPlan(follower_specs, seed=seed) if follower_specs else None
-    base = workdir / f"{scenario.name}-s{seed}"
-
-    def _follower_kwargs(primary_port: int) -> Dict[str, object]:
-        # replica_id is left at its host:port default — the identity the
-        # router's auto-registration path keys on.
-        return {
-            "role": "follower",
-            "primary_host": "127.0.0.1",
-            "primary_port": primary_port,
-            "audit_interval": 0.05,
-        }
-
-    batches = [
-        [(a.u, a.v, a.t) for a in acts[i : i + CLIENT_BATCH]]
-        for i in range(0, len(acts), CLIENT_BATCH)
-    ]
-    keys = [f"{scenario.name}-{seed}-b{i}" for i in range(len(batches))]
-    retry = RetryPolicy(
-        attempts=scenario.client_attempts,
-        base_delay=0.02,
-        max_delay=0.25,
-        seed=seed,
-    )
-
-    # The no-silent-staleness ledger: every ok read whose applied
-    # watermark trails the session token at request time is a violation.
-    silent_stale: List[Tuple[int, int]] = []
-    reads_ok = 0
-    typed_denials = 0
-
-    threads: List[ServingThread[ANCServer]] = []
-    router_handle: Optional["ServingThread[ReadRouter]"] = None
-    router: Optional["ReadRouter"] = None
-    client: Optional[ServiceClient] = None
-    try:
-        primary = ServerThread(
-            graph,
-            config=_node_config(
-                primary_plan, base / "primary", **dict(scenario.server)
-            ),
-            params=QUICK_PARAMS,
-        ).start()
-        threads.append(primary)
-        assert primary.port is not None
-        f1 = ServerThread(
-            graph,
-            config=_node_config(
-                follower_plan, base / "f1", **_follower_kwargs(primary.port)
-            ),
-            params=QUICK_PARAMS,
-        ).start()
-        threads.append(f1)
-        f2 = ServerThread(
-            graph,
-            config=_node_config(
-                None, base / "f2", **_follower_kwargs(primary.port)
-            ),
-            params=QUICK_PARAMS,
-        ).start()
-        threads.append(f2)
-        assert f1.port is not None and f2.port is not None
-
-        router_handle = ReadRouterThread(
-            ("127.0.0.1", primary.port),
-            followers=[("127.0.0.1", f1.port), ("127.0.0.1", f2.port)],
-            config=ReadRouterConfig(heartbeat_interval=0.05),
-        ).start()
-        assert router_handle.port is not None
-
-        client = ServiceClient(
-            router_handle.host,
-            router_handle.port,
-            timeout=5.0,
-            retry=retry,
-            session_reads=True,
-        )
-
-        def tokened_read() -> bool:
-            """One read-your-writes read; ledgers the outcome."""
-            nonlocal reads_ok, typed_denials
-            token = client.session_token  # type: ignore[union-attr]
-            try:
-                doc = client.clusters_info()  # type: ignore[union-attr]
-            except ServiceError as exc:
-                if exc.code not in _READPATH_TYPED_DENIALS:
-                    raise
-                typed_denials += 1
-                return False
-            applied = int(doc.get("applied", -1))  # type: ignore[arg-type]
-            if applied < token:
-                silent_stale.append((token, applied))
-            reads_ok += 1
-            return True
-
-        detail_extra = ""
-        promoted = False
-        new_primary = primary
-        survivors = [primary, f1, f2]
-
-        if scenario.flow in ("lagged-read", "follower-crash"):
-            for items, key in zip(batches, keys):
-                client.ingest_batch(items, key=key)
-                tokened_read()
-            if scenario.flow == "follower-crash":
-                _await(
-                    lambda: f1.server.crashed,  # type: ignore[union-attr]
-                    timeout=30.0,
-                    what="the injected follower crash",
-                )
-                # The session's reads must survive the dead follower.
-                drained = sum(1 for _ in range(4) if tokened_read())
-                detail_extra = f" reads-after-crash={drained}"
-                survivors = [primary, f2]
-            applied = client.sync()
-            for handle in survivors[1:]:
-                _await(
-                    lambda h=handle: _caught_up(h, len(acts)),
-                    timeout=30.0,
-                    what="follower catch-up",
-                )
-        elif scenario.flow == "promote-under-load":
-            i = 0
-            while i < len(batches):
-                try:
-                    client.ingest_batch(batches[i], key=keys[i])
-                    i += 1
-                    if i == 1 and not promoted:
-                        # First batch must replicate before the crash-prone
-                        # tail so the post-failover replay resumes against
-                        # the dedup map rebuilt from *replicated* records.
-                        _await(
-                            lambda: _caught_up(f1, CLIENT_BATCH),
-                            timeout=30.0,
-                            what="follower replication of the first batch",
-                        )
-                    tokened_read()
-                except ServiceError:
-                    if promoted:
-                        raise
-                    _await(
-                        lambda: primary.server.crashed,  # type: ignore[union-attr]
-                        timeout=10.0,
-                        what="the injected primary crash",
-                    )
-                    # Reads during the outage stay typed or fresh — the
-                    # ledger catches anything silently stale.
-                    tokened_read()
-                    promote(
-                        ("127.0.0.1", f1.port),
-                        old_primary=("127.0.0.1", primary.port),
-                        timeout=2.0,
-                    )
-                    promoted = True
-                    i = 0  # replay the session; dedup absorbs duplicates
-            applied = client.sync()
-            new_primary = f1
-            survivors = [f1]
-        elif scenario.flow == "stale-token":
-            half = max(1, len(batches) // 2)
-            for items, key in zip(batches[:half], keys[:half]):
-                client.ingest_batch(items, key=key)
-                tokened_read()
-            pre_token = client.session_token
-            _await(
-                lambda: _caught_up(f1, pre_token),
-                timeout=30.0,
-                what="follower-1 catch-up before the planned failover",
-            )
-            promote(
-                ("127.0.0.1", f1.port),
-                old_primary=("127.0.0.1", primary.port),
-                timeout=2.0,
-            )
-            promoted = True
-            # The session token predates the failover; each of these must
-            # reflect the session's writes or refuse typed.
-            post = sum(1 for _ in range(4) if tokened_read())
-            for items, key in zip(batches[half:], keys[half:]):
-                client.ingest_batch(items, key=key)
-                tokened_read()
-            applied = client.sync()
-            detail_extra = f" post-failover-reads={post}"
-            new_primary = f1
-            survivors = [f1]
-        else:
-            raise ValueError(f"unknown readpath flow {scenario.flow!r}")
-    finally:
-        if client is not None:
-            client.close()
-        # Router first (its heartbeats hold connections into the fleet),
-        # then followers, then the primary — same reasoning as replica.
-        if router_handle is not None:
-            router = router_handle.router
-            router_handle.stop()
-        for handle in reversed(threads):
-            handle.stop()
-
-    assert router is not None
-    rc = {
-        name: counter.value for name, counter in router.metrics.counters().items()
-    }
-    stale_bounces = rc.get("readpath_stale_bounces", 0.0)
-    follower_reads = rc.get("readpath_follower_reads", 0.0)
-    primary_reads = rc.get("readpath_primary_reads", 0.0)
-    reresolves = rc.get("readpath_reresolves", 0.0)
-    upstream_errors = rc.get("readpath_upstream_errors", 0.0)
-
-    # Scenario-specific evidence that the armed fault actually bit the
-    # routing tier (beyond the fleet merely surviving it).
-    if scenario.flow == "lagged-read":
-        contract_ok = stale_bounces + primary_reads >= 1
-    elif scenario.flow == "follower-crash":
-        assert f1.server is not None
-        contract_ok = f1.server.crashed and upstream_errors >= 1
-    elif scenario.flow == "promote-under-load":
-        assert f1.server is not None
-        contract_ok = (
-            promoted
-            and f1.server.role == "primary"
-            and f1.server.epoch > 1
-            and _counters(f1).get("ingest_dedup_hits", 0) > 0
-            and reresolves >= 1
-        )
-    else:  # stale-token
-        assert f1.server is not None
-        contract_ok = (
-            promoted
-            and f1.server.role == "primary"
-            and f1.server.epoch > 1
-            and reads_ok >= 1
-        )
-
-    sig_mismatches = [
-        f"{handle.host}:{handle.port}"
-        for handle in survivors
-        if engine_signature(handle.server.host.engine) != expected  # type: ignore[union-attr]
-    ]
-    assert new_primary.server is not None
-    diverged = new_primary.server.diverged
-
-    status = (
-        "recovered"
-        if (
-            applied == len(acts)
-            and not silent_stale
-            and not sig_mismatches
-            and diverged is None
-            and contract_ok
-        )
-        else "diverged"
-    )
-    detail = (
-        f"applied={applied}/{len(acts)} reads_ok={reads_ok}"
-        f" typed_denials={typed_denials} silent_stale={len(silent_stale)}"
-        f" follower_reads={follower_reads:g} primary_reads={primary_reads:g}"
-        f" stale_bounces={stale_bounces:g} reresolves={reresolves:g}"
-        f"{detail_extra}"
-    )
-    if sig_mismatches:
-        detail += f" sig_mismatch={sig_mismatches}"
-    if diverged is not None:
-        detail += f" diverged={diverged}"
-
-    fired: List[Dict[str, object]] = []
-    for plan in (primary_plan, follower_plan):
-        if plan is not None:
-            fired.extend(plan.fired)
-    return ChaosResult(
-        scenario.name,
-        seed,
-        status,
-        scenario.expect,
-        detail=detail,
-        injected=fired,
+    # Merged answer versus the whole-graph oracle at the level the
+    # deployment actually answered.
+    level = int(merged["level"])  # type: ignore[arg-type]
+    oracle = _oracle(graph, acts, SHARD_PARAMS)
+    clusters_match = _normalized_clusters(
+        merged["clusters"]  # type: ignore[arg-type]
+    ) == _normalized_clusters(oracle.clusters(level))
+    cell.check(applied == len(acts), "applied")
+    cell.check(clusters_match, "merged clusters")
+    cell.notes.append(
+        f"applied={applied}/{len(acts)} restarts={restarts}"
+        f" forward_retries={cell.counters.get('router_forward_retries', 0):g}"
+        f" scatter_timeouts={cell.counters.get('router_scatter_timeouts', 0):g}"
+        f" clusters_match={clusters_match}"
     )
 
 
@@ -1737,24 +1467,33 @@ def _run_readpath(
 # The matrix
 # ----------------------------------------------------------------------
 
-_RUNNERS: Dict[str, Callable[[Scenario, int, Path], ChaosResult]] = {
+_RUNNERS: Dict[str, Callable[[_Cell], None]] = {
     "pipeline": _run_pipeline,
-    "service": _run_service,
-    "replica": _run_replica,
+    "service": _run_fleet,
+    "replica": _run_fleet,
+    "readpath": _run_fleet,
     "shard": _run_shard,
-    "readpath": _run_readpath,
 }
 
 
 def run_scenario(
     scenario: Union[Scenario, str], seed: int, workdir: Union[str, Path]
 ) -> ChaosResult:
-    """Run one matrix cell; never raises for in-contract failures."""
+    """Run one matrix cell; never raises for in-contract failures.
+
+    The cell's data lives in ``<workdir>/<scenario>-s<seed>``.  A
+    directory left at that exact path by an earlier run is removed
+    first, so a reused workdir cannot hand one run's state to the next.
+    """
     if isinstance(scenario, str):
         scenario = scenario_by_name(scenario)
-    runner = _RUNNERS[scenario.mode]
+    cell = _Cell(scenario, seed, Path(workdir) / f"{scenario.name}-s{seed}")
     try:
-        return runner(scenario, seed, Path(workdir))
+        if cell.path.exists():
+            shutil.rmtree(cell.path)
+        _RUNNERS[scenario.mode](cell)
+    except (ServiceError, WalCorruptError, CheckpointCorruptError) as exc:
+        return _verdict(cell, refused=exc)
     except Exception as exc:
         # Out-of-contract escapes map to the typed "error" status so one
         # broken cell cannot hide the rest of the matrix (ChaosResult).
@@ -1764,7 +1503,9 @@ def run_scenario(
             "error",
             scenario.expect,
             detail=f"{type(exc).__name__}: {exc}",
+            family=scenario.mode,
         )
+    return _verdict(cell)
 
 
 def run_matrix(

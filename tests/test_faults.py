@@ -17,7 +17,8 @@ Covers, bottom-up:
   ``RETRY_AFTER``), slow-reader eviction, the ``degraded`` flag.
 
 The full injector × seed matrix lives in ``tests/chaos/`` behind the
-``chaos`` marker; these tests stay tier-1 fast.
+``chaos`` marker; tier-1 runs one seed-0 cell per family, plus the
+matrix's own plumbing (workdir reuse, the fired-fault rule).
 """
 
 from __future__ import annotations
@@ -32,8 +33,10 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
     InjectedCrash,
+    Scenario,
     ServerThread,
     engine_signature,
+    run_matrix,
     run_scenario,
     scenario_by_name,
 )
@@ -589,7 +592,7 @@ class TestEndToEndResilience:
 
 
 # ----------------------------------------------------------------------
-# Scenario plumbing (the matrix itself runs under -m chaos)
+# Scenario plumbing and the tier-1 slice (the full matrix runs under -m chaos)
 # ----------------------------------------------------------------------
 
 class TestScenarioPlumbing:
@@ -599,8 +602,44 @@ class TestScenarioPlumbing:
         with pytest.raises(KeyError, match="unknown chaos scenario"):
             scenario_by_name("no-such-scenario")
 
-    def test_one_pipeline_cell_inline(self, tmp_path):
-        result = run_scenario("wal-crash-after-append", 0, tmp_path)
-        assert result.status == "recovered"
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "wal-crash-after-append",
+            "service-conn-resets",
+            "replica-failover-mid-batch",
+            "readpath-promote-under-read-load",
+            "shard-worker-crash-mid-batch",
+        ],
+    )
+    def test_one_cell_per_family_inline(self, name, tmp_path):
+        """The deterministic tier-1 slice of the matrix: seed 0, one
+        scenario per family."""
+        scenario = scenario_by_name(name)
+        result = run_scenario(scenario, 0, tmp_path)
+        assert result.status == "recovered", result.detail
         assert result.ok and not result.silent_divergence
-        assert result.injected and result.injected[0]["kind"] == "crash"
+        assert result.family == scenario.mode
+        first = scenario.specs(0, 1000)[0]
+        assert result.injected and result.injected[0]["kind"] == first.kind
+
+    def test_rerun_into_the_same_workdir_starts_clean(self, tmp_path):
+        """A reused workdir must not hand one run's cell state to the next."""
+        only = ["wal-crash-after-append", "readpath-lagged-follower-read"]
+        for _ in range(2):
+            report = run_matrix((0,), only=only, workdir=tmp_path)
+            assert report["ok"] == report["total"] == 2, report["failures"]
+
+    def test_fault_that_never_fires_is_out_of_contract(self, tmp_path):
+        scenario = Scenario(
+            name="wal-crash-never-reached",
+            mode="pipeline",
+            expect="recovered",
+            specs=lambda seed, n: [
+                FaultSpec("wal.append", "crash", at_count=10**6)
+            ],
+        )
+        result = run_scenario(scenario, 0, tmp_path)
+        assert result.status == "error" and not result.ok
+        assert result.injected == []
+        assert "never fired: wal.append/crash" in result.detail
