@@ -23,7 +23,9 @@ from .findings import Finding
 from .pragmas import Pragma
 from .project import ModuleSummary
 
-CACHE_VERSION = 1
+#: Bumped whenever a module summary would extract differently (2: an
+#: annotated ``CATALOG`` is read too).
+CACHE_VERSION = 2
 
 __all__ = ["CACHE_VERSION", "CacheEntry", "LintCache", "rules_digest"]
 

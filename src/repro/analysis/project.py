@@ -974,22 +974,27 @@ class _Summarizer:
         if self.summary.last_segment != "injectors":
             return
         for stmt in self.tree.body:
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                target = stmt.targets[0]
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id == "CATALOG"
-                    and isinstance(stmt.value, ast.Dict)
-                ):
-                    for key in stmt.value.keys:
-                        if key is None:
-                            continue
-                        site = _str_const(key)
-                        if site is not None:
-                            self.summary.catalog_sites[site] = (
-                                key.lineno,
-                                key.col_offset,
-                            )
+            # ``CATALOG = {...}`` or, annotated, ``CATALOG: ... = {...}``.
+            if isinstance(stmt, ast.AnnAssign):
+                target, value = stmt.target, stmt.value
+            elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+                target, value = stmt.targets[0], stmt.value
+            else:
+                continue
+            if (
+                isinstance(target, ast.Name)
+                and target.id == "CATALOG"
+                and isinstance(value, ast.Dict)
+            ):
+                for key in value.keys:
+                    if key is None:
+                        continue
+                    site = _str_const(key)
+                    if site is not None:
+                        self.summary.catalog_sites[site] = (
+                            key.lineno,
+                            key.col_offset,
+                        )
 
     def run(self) -> ModuleSummary:
         self._extract_function(None)
@@ -1033,6 +1038,12 @@ class ProjectModel:
         self.import_graph: Dict[str, Set[str]] = {
             mod: self._project_imports(summ) for mod, summ in self.modules.items()
         }
+        #: (module, class) -> every project class that derives from it.
+        self._descendants: Dict[Tuple[str, str], List[Tuple[str, str]]] = {}
+        for mod, summ in self.modules.items():
+            for cls in summ.classes:
+                for ancestor in self.lineage(mod, cls)[1:]:
+                    self._descendants.setdefault(ancestor, []).append((mod, cls))
         self.call_edges: Dict[str, Set[str]] = {}
         for key, (summ, info) in self.functions.items():
             self.call_edges[key] = set()
@@ -1105,7 +1116,13 @@ class ProjectModel:
             if info.cls is not None:
                 key = f"{summ.module}:{info.cls}.{attr}"
                 if key in self.functions:
-                    return {key}
+                    # Virtual dispatch: a subclass's override runs too.
+                    out.add(key)
+                    for mod, cls in self._descendants.get((summ.module, info.cls), ()):
+                        override = f"{mod}:{cls}.{attr}"
+                        if override in self.functions:
+                            out.add(override)
+                    return out
             out.update(self._name_matches(attr, limit=1))
             return out
         if callee.startswith("@"):

@@ -11,7 +11,7 @@ trace cannot attribute.  A handler counts as covered when any of:
 * the table's class, or a base class the project defines, has a
   **dispatcher** — a method that reads the ``_OPS`` attribute and opens
   a span — which wraps every handler it dispatches (the
-  ``_handle_request`` pattern; a router's shared front end);
+  ``FrontEnd._respond`` pattern every server and router inherits);
 * an ``# anclint: disable=op-span-coverage — reason`` pragma on the
   handler's ``def`` line (counted, like every exemption).
 

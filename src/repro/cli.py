@@ -401,7 +401,6 @@ def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
         max_pending=args.max_pending,
         data_dir=args.data_dir,
         checkpoint_every=args.checkpoint_every,
-        checkpoint_interval=args.checkpoint_interval,
         metrics_interval=args.metrics_interval,
         role=args.role,
         primary_host=primary_host,
@@ -409,7 +408,6 @@ def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
         replica_id=args.replica_id or "",
         audit_interval=args.audit_interval,
         profile=args.profile,
-        profile_hz=args.profile_hz,
     )
     server = ANCServer(graph, names, config=config, params=_params_from(args))
     try:
@@ -418,7 +416,8 @@ def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
         )
     except KeyboardInterrupt:
         return 130
-    return 0
+    # A failed writer hard-stops the server; that is no clean exit.
+    return 1 if server.crashed else 0
 
 
 def cmd_shard_serve(args: argparse.Namespace, out: IO[str]) -> int:
@@ -814,8 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "omit for an in-memory server")
     p_serve.add_argument("--checkpoint-every", type=int, default=2000,
                          help="checkpoint after this many applied activations")
-    p_serve.add_argument("--checkpoint-interval", type=float, default=0.0,
-                         help="also checkpoint every this many seconds (0 = off)")
     p_serve.add_argument("--metrics-interval", type=float, default=30.0,
                          help="metrics log-line period in seconds (0 = off)")
     p_serve.add_argument(
@@ -833,10 +830,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "(seconds; 0 = off)")
     p_serve.add_argument("--profile", action="store_true",
                          help="run the sampling wall-clock profiler from "
-                              "boot (query via the 'profile' op; "
+                              "boot at 97 Hz (query via the 'profile' op; "
                               "docs/observability.md)")
-    p_serve.add_argument("--profile-hz", type=float, default=97.0,
-                         help="profiler sampling frequency (default 97)")
     _add_anc_params(p_serve)
     p_serve.set_defaults(func=cmd_serve)
 

@@ -815,7 +815,7 @@ def _run_pipeline(cell: _Cell) -> None:
 # Thread harnesses: servers and routers on private event loops
 # ----------------------------------------------------------------------
 
-_S = TypeVar("_S", bound=Union[ANCServer, FrontEnd])
+_S = TypeVar("_S", bound=FrontEnd)
 
 
 class ServingThread(Generic[_S]):
@@ -965,7 +965,7 @@ def _await(check: Callable[[], bool], *, timeout: float, what: str) -> None:
         time.sleep(0.01)
 
 
-def _counters(served: Union[ANCServer, FrontEnd]) -> Dict[str, float]:
+def _counters(served: FrontEnd) -> Dict[str, float]:
     return {
         name: float(counter.value)
         for name, counter in served.metrics.counters().items()

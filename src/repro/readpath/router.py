@@ -558,20 +558,6 @@ class ReadRouter(FrontEnd):
     # ------------------------------------------------------------------
     # Router-local ops
     # ------------------------------------------------------------------
-    async def _op_metrics(self, request: Dict) -> Dict[str, object]:
-        rate_key = request.get("rate_key")
-        return {
-            "metrics": self.metrics.snapshot(
-                rate_key=str(rate_key) if rate_key is not None else None
-            )
-        }
-
-    async def _op_metrics_text(self, request: Dict) -> Dict[str, object]:
-        from ..obs.export import render_prometheus
-
-        namespace = str(request.get("namespace", "anc"))
-        return {"text": render_prometheus(self.metrics, namespace=namespace)}
-
     async def _op_route_status(self, request: Dict) -> Dict[str, object]:
         """The router's live view of the fleet (CLI + CI smoke)."""
         primary = self._current_primary()
@@ -590,8 +576,8 @@ class ReadRouter(FrontEnd):
         "clusters": _op_read,
         "local": _op_read,
         "watch": _op_read,
-        "metrics": _op_metrics,
-        "metrics_text": _op_metrics_text,
+        "metrics": FrontEnd._op_metrics,
+        "metrics_text": FrontEnd._op_metrics_text,
         "route_status": _op_route_status,
         "shutdown": FrontEnd._op_shutdown,
     }

@@ -45,12 +45,18 @@ __all__ = ["ReplicationError", "ReplicationLink"]
 #: Seconds a caught-up fetch parks on the primary when auditing is off.
 IDLE_FETCH_WAIT = 1.0
 
+#: Records asked for per ``wal_fetch``.
+FETCH_MAX = 512
+
+#: Seconds between a failed fetch and the next attempt.
+RECONNECT_BACKOFF = 0.2
+
 
 class ReplicationError(RuntimeError):
     """A replication-protocol violation (refused fetch, stale primary...).
 
     Raised inside the link's loop and handled there: the fetch is
-    retried after ``reconnect_backoff``. It never propagates out of
+    retried after :data:`RECONNECT_BACKOFF`. It never propagates out of
     :meth:`ReplicationLink.run`.
     """
 
@@ -93,9 +99,7 @@ class ReplicationLink:
         primary: Tuple[str, int],
         *,
         replica_id: str,
-        fetch_max: int = 512,
         audit_interval: float = 0.25,
-        reconnect_backoff: float = 0.2,
     ) -> None:
         from ..service.server import ANCServer  # deferred: server imports us lazily
 
@@ -107,7 +111,6 @@ class ReplicationLink:
         #: (a caught-up fetch parks there by design).
         self._upstream = Upstream(*self.primary)
         self.replica_id = replica_id
-        self.fetch_max = max(1, int(fetch_max))
         self.audit_interval = float(audit_interval)
         #: How long a caught-up fetch parks on the primary: one audit
         #: interval keeps the audit cadence, and bounds how long stop()
@@ -115,7 +118,6 @@ class ReplicationLink:
         self.fetch_wait = (
             self.audit_interval if self.audit_interval > 0 else IDLE_FETCH_WAIT
         )
-        self.reconnect_backoff = float(reconnect_backoff)
         self._stopped = False
         self._last_audit = 0.0
         self._primary_entries = 0
@@ -163,7 +165,7 @@ class ReplicationLink:
         """Fetch loop: runs until stopped/promoted/crashed.
 
         A failed request aborts its connection; the next one reconnects
-        after ``reconnect_backoff``.
+        after :data:`RECONNECT_BACKOFF`.
         """
         try:
             while self._active():
@@ -189,7 +191,7 @@ class ReplicationLink:
                     self._c_errors.inc()
                     log.warning("replication session error (%s); reconnecting", exc)
                 if self._active():
-                    await asyncio.sleep(self.reconnect_backoff)
+                    await asyncio.sleep(RECONNECT_BACKOFF)
         finally:
             self._upstream.abort_all()
         log.info("replication link to %s:%d stopped", *self.primary)
@@ -220,7 +222,7 @@ class ReplicationLink:
         doc: Dict[str, object] = {
             "op": "wal_fetch",
             "from_seq": start,
-            "max": self.fetch_max,
+            "max": FETCH_MAX,
             "follower": self.replica_id,
             "wait": self.fetch_wait,
         }

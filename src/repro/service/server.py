@@ -17,7 +17,13 @@ Wiring (one of everything):
 On startup with a ``data_dir`` the server first recovers: newest
 complete checkpoint + WAL tail replay (see
 :mod:`~repro.service.snapshots`), so a ``kill -9`` loses nothing that
-was acknowledged.
+was acknowledged.  A writer that fails stops the server the same way
+(fail-stop): nothing more is acknowledged that could not be applied.
+
+The listener, the read–dispatch–write loop, slow-client eviction, the
+error envelope and the stop sequence are :class:`~repro.service.wire.FrontEnd`'s,
+shared with both routers; the server adds its fault sites, crash
+semantics and ``degraded`` accounting through the front end's hooks.
 
 A server runs as the ``primary`` (writable) or as a ``follower`` — a
 warm standby that pulls committed WAL records from its primary (the
@@ -32,7 +38,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import json
 import logging
 import os
 import re
@@ -42,41 +47,30 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Deque,
     Dict,
     Hashable,
     List,
     Optional,
     Sequence,
-    Set,
+    Tuple,
     Union,
 )
 
 from ..core.activation import Activation
 from ..core.anc import ANCParams, make_engine
 from ..graph.graph import Graph, edge_key
-from ..obs.export import render_prometheus, span_dicts, trace_op
+from ..obs.export import span_dicts
 from ..obs.profiler import SamplingProfiler
-from ..obs.propagate import TraceContext
-from ..obs.instruments import MetricsRegistry
-from ..obs.trace import Observability, Tracer
 from .engine_host import EngineHost
-from .errors import (
-    Diverged,
-    Fenced,
-    Overloaded,
-    ReadOnly,
-    Stale,
-    UnknownOp,
-    fault_response,
-)
+from .errors import Diverged, Fenced, Overloaded, ReadOnly, Stale
 from .ingest import MicroBatcher
 from .snapshots import CheckpointStore, WalRecord, WriteAheadLog, recover_to
-from .wire import LINE_LIMIT
+from .wire import FrontEnd, Sever, parse_number
 
 if TYPE_CHECKING:  # hook-only dependency (see repro.faults)
     from ..faults.plan import FaultPlan
+    from ..replica.link import ReplicationLink
 
 __all__ = ["MAX_KEY_LEN", "ANCServer", "ServerConfig"]
 
@@ -89,6 +83,22 @@ MAX_FETCH_WAIT = 5.0
 #: Longest ``ingest_batch`` key: every WAL record of the batch carries
 #: it, so a 4,096-record ``wal_fetch`` chunk stays near 1.3 MB.
 MAX_KEY_LEN = 256
+
+#: Seconds the ``degraded`` flag stays up after a shed or an eviction,
+#: so operators see transients.
+DEGRADED_HOLD = 5.0
+
+#: Remembered ``ingest_batch`` keys for idempotent resend (LRU bound).
+DEDUP_CAPACITY = 1024
+
+#: In-memory WAL tail kept for followers, so ``wal_fetch`` is served
+#: without touching the disk until a follower falls far behind.
+WAL_TAIL_CAPACITY = 4096
+
+#: Sampling cadence of the wall-clock profiler (prime, so it cannot
+#: phase-lock with periodic work); the ``profile`` op's ``hz`` picks
+#: another for one run.
+PROFILE_HZ = 97.0
 
 
 async def _wait_set(event: asyncio.Event, seconds: float) -> None:
@@ -118,22 +128,14 @@ class ServerConfig:
     data_dir: Optional[Union[str, Path]] = None
     #: Checkpoint after this many applied activations (0 = only on shutdown).
     checkpoint_every: int = 2000
-    #: Also checkpoint at least every this many seconds (0 = disabled).
-    checkpoint_interval: float = 0.0
     #: Period of the metrics log line (0 = disabled).
     metrics_interval: float = 30.0
-    #: Span ring-buffer capacity of the engine tracer (``trace`` op).
-    trace_capacity: int = 8192
     #: Queue depth at which ingest *sheds* with a typed ``RETRY_AFTER``
     #: instead of delaying the acknowledgement (0 = never shed).
     shed_watermark: int = 0
     #: Evict a connection whose response write does not drain within this
     #: many seconds — a stalled/slow reader (0 = wait forever).
     write_timeout: float = 30.0
-    #: How long the ``degraded`` flag stays up after a shed or eviction.
-    degraded_hold: float = 5.0
-    #: Remembered ``ingest_batch`` keys for idempotent resend (LRU bound).
-    dedup_capacity: int = 1024
     #: Role of this node: ``primary`` (writable) or ``follower`` (a
     #: read-only replica; pair with ``primary_host``/``primary_port``).
     role: str = "primary"
@@ -142,17 +144,11 @@ class ServerConfig:
     primary_port: int = 0
     #: Identity under which a follower fetches (default ``host:port``).
     replica_id: str = ""
-    #: In-memory WAL tail kept for followers, so ``wal_fetch`` is served
-    #: without touching the disk until a follower falls far behind.
-    wal_tail_capacity: int = 4096
     #: Divergence-audit cadence on a follower (seconds; 0 = disabled).
     audit_interval: float = 0.25
     #: Start the sampling profiler at boot (``serve --profile``); the
     #: ``profile`` op starts/stops it live either way.
     profile: bool = False
-    #: Sampling cadence of the wall-clock profiler (prime by default so
-    #: the cadence cannot phase-lock with periodic work).
-    profile_hz: float = 97.0
     #: Shard id when this server runs as a :mod:`repro.shard` worker;
     #: stamped on every response envelope (and ``stats``) so routers and
     #: operators can attribute answers.  ``None`` = unsharded.
@@ -179,7 +175,7 @@ class _BatchEntry:
         self.future: Optional[asyncio.Future] = None
 
 
-class ANCServer:
+class ANCServer(FrontEnd):
     """A long-lived clustering service over one relation network.
 
     Parameters
@@ -197,6 +193,8 @@ class ANCServer:
         stored parameters win over these).
     """
 
+    _PREFIX = "server"
+
     def __init__(
         self,
         graph: Graph,
@@ -205,8 +203,11 @@ class ANCServer:
         config: Optional[ServerConfig] = None,
         params: Optional[ANCParams] = None,
     ) -> None:
-        self.graph = graph
         self.config = config or ServerConfig()
+        super().__init__(
+            self.config.host, self.config.port, write_timeout=self.config.write_timeout
+        )
+        self.graph = graph
         self.names = list(names) if names is not None else None
         self._label_to_id: Dict[str, int] = (
             {str(name): i for i, name in enumerate(self.names)}
@@ -236,11 +237,11 @@ class ANCServer:
             engine = recovery.engine
             recovered_epoch = recovery.epoch
             # Rebuild the exactly-once dedup map from the keyed WAL
-            # records (capped to the newest ``dedup_capacity`` keys), so
-            # a client resend that straddles the restart resumes instead
+            # records (capped to the newest DEDUP_CAPACITY keys), so a
+            # client resend that straddles the restart resumes instead
             # of double-applying.
             for key, (done, last_seq) in list(recovery.dedup.items())[
-                -max(1, self.config.dedup_capacity):
+                -DEDUP_CAPACITY:
             ]:
                 entry = _BatchEntry()
                 entry.done = done
@@ -259,14 +260,11 @@ class ANCServer:
         else:
             engine = make_engine(self.config.engine.upper(), graph, params)
 
-        self.metrics = MetricsRegistry()
-        # Engine-deep observability: one registry + one tracer shared by
-        # the engine, its index, the query engine and the watcher.  The
-        # tracer starts disabled (the no-op fast path); the ``trace`` op
-        # turns it on live.
-        self.tracer = Tracer(enabled=False, capacity=self.config.trace_capacity)
-        self.profiler = SamplingProfiler(self.config.profile_hz, tracer=self.tracer)
-        self.obs = Observability(registry=self.metrics, tracer=self.tracer)
+        # Engine-deep observability: the front end's registry and tracer
+        # are shared by the engine, its index, the query engine and the
+        # watcher.  The tracer starts disabled (the no-op fast path); the
+        # ``trace`` op turns it on live.
+        self.profiler = SamplingProfiler(PROFILE_HZ, tracer=self.tracer)
         engine.attach_obs(self.obs)
         if self._faults is not None:
             self._faults.attach_obs(self.obs)
@@ -285,13 +283,10 @@ class ANCServer:
             metrics=self.metrics,
             shed_watermark=self.config.shed_watermark,
         )
-        self.port: Optional[int] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._run_task: Optional[asyncio.Task] = None
-        self._background: List[asyncio.Task] = []
-        self._stop = asyncio.Event()
-        # Graceful-degradation state: sticks for ``degraded_hold`` seconds
-        # after the last shed/eviction so operators see transients.
+        self._run_task: Optional["asyncio.Task[None]"] = None
+        self._background: List["asyncio.Task[None]"] = []
+        # Graceful-degradation state: sticks for DEGRADED_HOLD seconds
+        # after the last shed/eviction.
         self._degraded_until = 0.0
         self._dedup: "OrderedDict[str, _BatchEntry]" = recovered_dedup
 
@@ -312,22 +307,19 @@ class ANCServer:
         #: Sticky divergence-audit verdict; ``None`` = consistent.
         self.diverged: Optional[str] = None
         #: The follower's replication link (started by :meth:`start`).
-        self.replication: Optional[object] = None
+        self.replication: Optional["ReplicationLink"] = None
         self.host.epoch = self.epoch
         if wal is not None:
             wal.epoch = self.epoch
             wal.on_append = self._on_wal_append
         #: Recent committed records served to followers without a file scan.
-        self._wal_tail: Deque[WalRecord] = deque(
-            maxlen=max(1, self.config.wal_tail_capacity)
-        )
+        self._wal_tail: Deque[WalRecord] = deque(maxlen=WAL_TAIL_CAPACITY)
         #: Set (and dropped) by the next WAL append; caught-up
         #: ``wal_fetch`` requests park on it.  Created by the first parker.
         self._appended: Optional[asyncio.Event] = None
         #: follower id -> {"applied": int, "last_seen": monotonic seconds}.
         self._replicas: Dict[str, Dict[str, float]] = {}
         self._crashed = False
-        self._conns: Set[asyncio.StreamWriter] = set()
 
         self._c_evictions = self.metrics.counter("slow_reader_evictions")
         self._c_dedup = self.metrics.counter("ingest_dedup_hits")
@@ -339,29 +331,18 @@ class ANCServer:
         )
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Front-end steps
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Bind the socket and start the writer + background tasks."""
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.config.host,
-            self.config.port,
-            limit=LINE_LIMIT,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+    async def _on_start(self) -> None:
+        """Start the writer, the metrics log line and, on a follower, the
+        replication link."""
         if self.config.profile:
             self.profiler.start()
         self._run_task = asyncio.create_task(self.host.run())
+        self._run_task.add_done_callback(self._writer_done)
         if self.config.metrics_interval > 0:
             self._background.append(
                 asyncio.create_task(self._metrics_loop(self.config.metrics_interval))
-            )
-        if self.config.checkpoint_interval > 0 and self.host.checkpoints is not None:
-            self._background.append(
-                asyncio.create_task(
-                    self._checkpoint_loop(self.config.checkpoint_interval)
-                )
             )
         if self.role == "follower" and self.config.primary_host is not None:
             # Deferred import: repro.replica builds on this module.
@@ -370,99 +351,30 @@ class ANCServer:
             link = ReplicationLink(
                 self,
                 (self.config.primary_host, int(self.config.primary_port)),
-                replica_id=self.config.replica_id
-                or f"{self.config.host}:{self.port}",
+                replica_id=self.config.replica_id or f"{self.bind_host}:{self.port}",
                 audit_interval=self.config.audit_interval,
             )
             self.replication = link
             self._background.append(asyncio.create_task(link.run()))
-        log.info(
-            "serving on %s:%d as %s (epoch %d)",
-            self.config.host,
-            self.port,
-            self.role,
-            self.epoch,
-        )
+        log.info("starting as %s at epoch %d", self.role, self.epoch)
 
-    async def serve_forever(self) -> None:
-        """Run until :meth:`stop` (or a client ``shutdown``), then drain."""
-        if self._server is None:
-            await self.start()
-        await self._stop.wait()
-        await self._shutdown()
+    async def _on_stop(self) -> None:
+        """Stop the background tasks and the writer.
 
-    async def run(self, *, announce: Optional[Callable[[str], object]] = None) -> None:
-        """Start, announce ``SERVING <host> <port>``, serve until stopped.
-
-        ``announce`` is a callable receiving the announce line (default:
-        print to stdout, which the benchmark's process harness parses).
+        A clean stop drains the queue and cuts a final checkpoint; a
+        crash does neither (``kill -9`` semantics: recovery must come
+        from the WAL plus the last complete checkpoint alone).
         """
-        await self.start()
-        line = f"SERVING {self.config.host} {self.port}"
-        if announce is None:
-            print(line, flush=True)
-        else:
-            announce(line)
-        await self.serve_forever()
-
-    def request_stop(self) -> None:
-        """Ask the server to shut down (idempotent, safe from handlers)."""
-        self._stop.set()
-
-    async def stop(self) -> None:
-        """Request and await a graceful shutdown."""
-        self.request_stop()
-        if self._server is not None:
-            await self._shutdown()
-
-    def _crash(self) -> None:
-        """Simulated ``kill -9`` (chaos only): die *now*, clean up nothing.
-
-        Every connection is aborted mid-conversation, the queue is
-        dropped on the floor and no final checkpoint is cut — recovery
-        must come from the WAL plus the last complete checkpoint alone,
-        exactly like a real sudden process death.
-        """
-        if self._crashed:
-            return
-        self._crashed = True
-        log.warning("injected crash: hard-stopping the server")
-        for writer in list(self._conns):
-            writer.transport.abort()
-        self.request_stop()
-
-    async def _shutdown(self) -> None:
-        if self._server is None:
-            return
-        server, self._server = self._server, None
-        server.close()
-        # Close the connections too: from 3.12 on ``wait_closed()``
-        # waits for every client to hang up, and a follower's parked
-        # fetch or a router's pooled connection never would.
-        self._release_fetches()
-        await asyncio.sleep(0)  # released fetches answer before the hang-up
-        for writer in list(self._conns):
-            writer.close()
-        await server.wait_closed()
         for task in self._background:
             task.cancel()
-        for task in self._background:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
+        await asyncio.gather(*self._background, return_exceptions=True)
         self._background.clear()
         if self._crashed:
-            # kill -9 semantics: no drain, no final checkpoint.
             if self._run_task is not None:
                 self._run_task.cancel()
-                try:
-                    await self._run_task
-                except asyncio.CancelledError:
-                    pass
+                await asyncio.gather(self._run_task, return_exceptions=True)
             await self.host.abort()
         else:
-            # Drain the queue, cut a final checkpoint, stop the writer.
             await self.host.close(self._run_task)
         if self.host.wal is not None:
             self.host.wal.close()
@@ -472,22 +384,101 @@ class ANCServer:
         else:
             log.info("shut down cleanly at %d activations", self.host.applied)
 
+    def _stamp(self, response: Dict[str, object]) -> None:
+        # Every envelope carries this node's epoch and role, so clients
+        # can reject answers from a deposed primary (the stale-read half
+        # of fencing; docs/replication.md).
+        response["epoch"] = self.epoch
+        response["role"] = self.role
+        if self.config.shard_id is not None:
+            response["shard"] = self.config.shard_id
+
+    def request_stop(self) -> None:
+        # A parked ``wal_fetch`` answers at once: neither a stop nor a
+        # crash waits out a park.
+        super().request_stop()
+        self._release_fetches()
+
+    def _crash(self) -> None:
+        """Simulated ``kill -9``: die *now*, clean up nothing.
+
+        Every connection is aborted mid-conversation, the queue is
+        dropped on the floor and no final checkpoint is cut — recovery
+        must come from the WAL plus the last complete checkpoint alone,
+        exactly like a real sudden process death.  An injected crash and
+        a failed writer both end here.
+        """
+        if self._crashed:
+            return
+        self._crashed = True
+        log.warning("hard-stopping the server")
+        for writer in list(self._clients):
+            writer.transport.abort()
+        self.request_stop()
+
+    def _writer_done(self, task: "asyncio.Task[None]") -> None:
+        """Fail-stop: a writer that raised must not leave the server
+        acknowledging activations it will never apply."""
+        if task.cancelled() or task.exception() is None:
+            return
+        log.error("the writer failed", exc_info=task.exception())
+        self._crash()
+
     async def _metrics_loop(self, interval: float) -> None:
         while True:
             await asyncio.sleep(interval)
             log.info("metrics %s", self.metrics.log_line())
 
-    async def _checkpoint_loop(self, interval: float) -> None:
-        while True:
-            await asyncio.sleep(interval)
-            await self.host.checkpoint()
+    # -- connection hooks: fault sites, crash, degraded accounting -----
+    async def _on_connect(self) -> None:
+        if self._faults is not None:
+            action = self._faults.hit("server.accept")
+            if action is not None and action.kind == "reset":
+                raise Sever("injected reset on accept")
+
+    async def _on_request(self) -> None:
+        if self._faults is not None:
+            action = self._faults.hit("server.request")
+            if action is not None:
+                if action.kind == "reset":
+                    raise Sever("injected reset on request")
+                if action.kind == "delay":
+                    await asyncio.sleep(action.seconds())
+
+    async def _on_send(self) -> None:
+        if self._faults is not None:
+            action = self._faults.hit("server.send")
+            if action is not None and action.kind == "stall":
+                # Deterministic stand-in for "drain never completes":
+                # hold the handler like a full socket buffer would.
+                await asyncio.sleep(action.seconds())
+
+    def _on_evict(self) -> None:
+        self._c_evictions.inc()
+        self._note_degraded()
+
+    def _on_error(self, exc: Exception) -> None:
+        if self._is_injected_crash(exc):
+            # Simulated kill -9 escaping a handler: the process is gone;
+            # nobody is left to send a response.
+            self._crash()
+            raise Sever("injected crash") from exc
+        if isinstance(exc, Overloaded):
+            self._note_degraded()
+
+    def _is_injected_crash(self, exc: BaseException) -> bool:
+        if self._faults is None:
+            return False
+        from ..faults.plan import InjectedCrash
+
+        return isinstance(exc, InjectedCrash)
 
     # ------------------------------------------------------------------
     # Graceful degradation
     # ------------------------------------------------------------------
     @property
     def degraded(self) -> bool:
-        """Overloaded now, or shed/evicted within the last ``degraded_hold`` s.
+        """Overloaded now, or shed/evicted within the last DEGRADED_HOLD s.
 
         Surfaced in the ``stats`` op and as the ``degraded`` Prometheus
         gauge; the contract is in docs/faults.md.
@@ -498,7 +489,7 @@ class ANCServer:
         return time.monotonic() < self._degraded_until
 
     def _note_degraded(self) -> None:
-        self._degraded_until = time.monotonic() + self.config.degraded_hold
+        self._degraded_until = time.monotonic() + DEGRADED_HOLD
 
     # ------------------------------------------------------------------
     # Replication plumbing (docs/replication.md)
@@ -537,9 +528,7 @@ class ANCServer:
     def _replication_lag(self) -> int:
         """Records this node trails its primary by (0 on a primary)."""
         link = self.replication
-        if link is None:
-            return 0
-        return int(link.lag)  # type: ignore[attr-defined]
+        return link.lag if link is not None else 0
 
     def _check_read_bound(self, request: Dict) -> None:
         """Enforce the read-path consistency bounds on a snapshot query.
@@ -554,7 +543,7 @@ class ANCServer:
         applied = self.host.applied
         token = request.get("token")
         if token is not None:
-            required = int(token)  # type: ignore[arg-type]
+            required = parse_number(token, "token", int)
             if required > applied:
                 raise Stale(
                     f"applied watermark {applied} is behind session "
@@ -565,7 +554,7 @@ class ANCServer:
         bound = request.get("max_staleness")
         if bound is not None:
             lag = self._replication_lag()
-            if lag > int(bound):  # type: ignore[arg-type]
+            if lag > parse_number(bound, "max_staleness", int):
                 raise Stale(
                     f"replication lag {lag} exceeds max_staleness {bound}",
                     applied=applied,
@@ -697,8 +686,10 @@ class ANCServer:
                 return v
         raise ValueError(f"unknown node {raw!r}")
 
-    def _resolve_activation(self, item: Sequence[object]) -> Activation:
-        if len(item) != 3:
+    def _resolve_item(self, item: object) -> Tuple[int, int, float]:
+        """Validate one ``[u, v, t]`` activation: a relation edge and a
+        finite time (the clock clamps it later, in :meth:`_activation`)."""
+        if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise ValueError(f"activation must be [u, v, t], got {item!r}")
         u = self._resolve_node(item[0])
         v = self._resolve_node(item[1])
@@ -707,132 +698,19 @@ class ANCServer:
         u, v = edge_key(u, v)
         if not self.graph.has_edge(u, v):
             raise ValueError(f"({item[0]!r}, {item[1]!r}) is not a relation edge")
-        t = self.host.clamp_time(float(item[2]))
-        return Activation(u, v, t)
+        return u, v, parse_number(item[2], "t", float)
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._conns.add(writer)
-        try:
-            if self._faults is not None:
-                action = self._faults.hit("server.accept")
-                if action is not None and action.kind == "reset":
-                    writer.transport.abort()
-                    return
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                if self._faults is not None:
-                    action = self._faults.hit("server.request")
-                    if action is not None:
-                        if action.kind == "reset":
-                            writer.transport.abort()
-                            return
-                        if action.kind == "delay":
-                            await asyncio.sleep(action.seconds())
-                response = await self._handle_request(line)
-                if response is None:
-                    # Injected link drop or crash: sever, never answer.
-                    writer.transport.abort()
-                    return
-                writer.write(json.dumps(response).encode() + b"\n")
-                if not await self._drain(writer):
-                    return
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):  # anclint: disable=service-exception-discipline — peer went away mid-conversation; no one is left to answer, so closing our side (the finally below) is the handling
-            pass
-        finally:
-            self._conns.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # anclint: disable=service-exception-discipline — the close handshake racing the peer's reset is how an already-dead connection finishes; nothing to map
-                pass
+    def _activation(self, item: Tuple[int, int, float]) -> Activation:
+        """A validated item at the stream clock: an earlier timestamp is
+        clamped to the current stream time, not refused."""
+        u, v, t = item
+        return Activation(u, v, self.host.clamp_time(t))
 
-    async def _drain(self, writer: asyncio.StreamWriter) -> bool:
-        """Flush one response, evicting a reader that will not take it.
-
-        A client that stops reading (the stalled-consumer failure mode)
-        would otherwise pin this handler — and its buffered responses —
-        forever.  ``write_timeout`` bounds the wait; on expiry the
-        connection is aborted and counted (``slow_reader_evictions``),
-        and the server flags itself degraded.  Returns False when the
-        connection was evicted.
-        """
-        timeout = self.config.write_timeout
-        stalled = 0.0
-        if self._faults is not None:
-            action = self._faults.hit("server.send")
-            if action is not None and action.kind == "stall":
-                # Deterministic stand-in for "drain never completes":
-                # hold the handler like a full socket buffer would.
-                stalled = action.seconds()
-        try:
-            if stalled > 0.0:
-                await asyncio.wait_for(asyncio.sleep(stalled), timeout or None)
-            await asyncio.wait_for(writer.drain(), timeout or None)
-        except asyncio.TimeoutError:
-            self._c_evictions.inc()
-            self._note_degraded()
-            log.warning("evicting slow reader (write stalled > %.1fs)", timeout)
-            writer.transport.abort()
-            return False
-        return True
-
-    def _is_injected_crash(self, exc: BaseException) -> bool:
-        if self._faults is None:
-            return False
-        from ..faults.plan import InjectedCrash
-
-        return isinstance(exc, InjectedCrash)
-
-    async def _handle_request(self, raw: bytes) -> Optional[Dict[str, object]]:
-        """Answer one request; ``None`` means "sever the connection".
-
-        Every envelope is stamped with this node's ``epoch`` and ``role``
-        so clients can reject answers from a deposed primary (the
-        stale-read half of fencing; docs/replication.md).
-        """
-        request_id: object = None
-        try:
-            request = json.loads(raw)
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-            request_id = request.get("id")
-            op = request.get("op")
-            handler = self._OPS.get(op)
-            if handler is None:
-                raise UnknownOp(f"unknown op {op!r}")
-            # Bind the request's trace context (when the client sent one)
-            # around the whole dispatch: a sampled request records one
-            # ``server.<op>`` span parented to the caller's span, and any
-            # request this handler makes downstream inherits the context.
-            ctx = TraceContext.from_wire(request.get("trace"))
-            with self.tracer.wire_span(f"server.{op}", ctx, op=str(op)):
-                response = await handler(self, request)
-            response.setdefault("ok", True)
-        except ConnectionResetError:  # anclint: disable=service-exception-discipline — the injected replication-link drop: the contract is *no* answer, so the connection is severed instead of mapped
-            return None
-        except Exception as exc:  # protocol boundary: map to a typed envelope
-            if self._is_injected_crash(exc):
-                # Simulated kill -9 escaping a handler: the process is
-                # gone; nobody is left to send a response.
-                self._crash()
-                return None
-            if isinstance(exc, Overloaded):
-                self._note_degraded()
-            response = fault_response(exc)
-        response["epoch"] = self.epoch
-        response["role"] = self.role
-        if self.config.shard_id is not None:
-            response["shard"] = self.config.shard_id
-        if request_id is not None:
-            response["id"] = request_id
-        return response
+    @staticmethod
+    def _level(request: Dict) -> Optional[int]:
+        """The request's granularity ``level``; absent or null = the default."""
+        level = request.get("level")
+        return None if level is None else parse_number(level, "level", int)
 
     # ------------------------------------------------------------------
     # Op handlers
@@ -842,8 +720,10 @@ class ANCServer:
 
     async def _op_ingest(self, request: Dict) -> Dict[str, object]:
         self._require_writable()
-        act = self._resolve_activation(
-            [request.get("u"), request.get("v"), request.get("t", self.host.state.t)]
+        act = self._activation(
+            self._resolve_item(
+                [request.get("u"), request.get("v"), request.get("t", self.host.state.t)]
+            )
         )
         seq = await self.host.ingest(act)
         return {"seq": seq, "t": act.t}
@@ -863,6 +743,9 @@ class ANCServer:
             raise ValueError(
                 f"ingest_batch key is longer than {MAX_KEY_LEN} characters"
             )
+        # Validate every item before logging any: a malformed batch
+        # leaves no trace in the WAL.
+        resolved = [self._resolve_item(item) for item in items]
         if self._faults is not None:
             action = self._faults.hit("server.ingest_batch", key=key)
             if action is not None:
@@ -871,19 +754,18 @@ class ANCServer:
                 elif action.kind == "duplicate" and isinstance(key, str):
                     # Network-level duplication: the same request arrives
                     # twice; the second pass must dedup against the first.
-                    await self._ingest_batch_keyed(key, items)
-                    return await self._ingest_batch_keyed(key, items)
+                    await self._ingest_batch_keyed(key, resolved)
+                    return await self._ingest_batch_keyed(key, resolved)
         if not isinstance(key, str):
             # Legacy un-keyed path: at-most-once, no resend safety.
             seq = -1
-            for item in items:
-                act = self._resolve_activation(item)
-                seq = await self.host.ingest(act)
+            for item in resolved:
+                seq = await self.host.ingest(self._activation(item))
             return {"accepted": len(items), "seq": seq}
-        return await self._ingest_batch_keyed(key, items)
+        return await self._ingest_batch_keyed(key, resolved)
 
     async def _ingest_batch_keyed(
-        self, key: str, items: List[object]
+        self, key: str, items: List[Tuple[int, int, float]]
     ) -> Dict[str, object]:
         """Idempotent ingest: at-least-once delivery, exactly-once apply.
 
@@ -918,7 +800,7 @@ class ANCServer:
         entry.future = asyncio.get_running_loop().create_future()
         try:
             while entry.done < len(items):
-                act = self._resolve_activation(items[entry.done])  # type: ignore[arg-type]
+                act = self._activation(items[entry.done])
                 entry.last_seq = await self.host.ingest(act, key=key)
                 entry.done += 1
             response: Dict[str, object] = {
@@ -935,9 +817,8 @@ class ANCServer:
 
     def _trim_dedup(self) -> None:
         """Drop the oldest *settled* dedup keys past the capacity bound."""
-        capacity = max(1, self.config.dedup_capacity)
         for key in list(self._dedup):
-            if len(self._dedup) <= capacity:
+            if len(self._dedup) <= DEDUP_CAPACITY:
                 break
             entry = self._dedup[key]
             if entry.future is None or entry.future.done():
@@ -946,8 +827,8 @@ class ANCServer:
     async def _op_clusters(self, request: Dict) -> Dict[str, object]:
         self._require_queryable()
         self._check_read_bound(request)
-        level, clusters = await self.host.clusters(request.get("level"))
-        min_size = int(request.get("min_size", 1))
+        min_size = parse_number(request.get("min_size", 1), "min_size", int)
+        level, clusters = await self.host.clusters(self._level(request))
         state = self.host.state
         return {
             "level": level,
@@ -963,7 +844,7 @@ class ANCServer:
         self._require_queryable()
         self._check_read_bound(request)
         node = self._resolve_node(request.get("node"))
-        level, cluster = await self.host.cluster_of(node, request.get("level"))
+        level, cluster = await self.host.cluster_of(node, self._level(request))
         state = self.host.state
         return {
             "level": level,
@@ -973,21 +854,23 @@ class ANCServer:
         }
 
     async def _op_zoom_in(self, request: Dict) -> Dict[str, object]:
-        return {"level": self.host.zoom_in(int(request.get("level", 0)))}
+        level = parse_number(request.get("level", 0), "level", int)
+        return {"level": self.host.zoom_in(level)}
 
     async def _op_zoom_out(self, request: Dict) -> Dict[str, object]:
-        return {"level": self.host.zoom_out(int(request.get("level", 0)))}
+        level = parse_number(request.get("level", 0), "level", int)
+        return {"level": self.host.zoom_out(level)}
 
     async def _op_watch(self, request: Dict) -> Dict[str, object]:
         self._require_queryable()
         self._check_read_bound(request)
         node = self._resolve_node(request.get("node"))
-        cluster = await self.host.watch(node, request.get("level"))
+        cluster = await self.host.watch(node, self._level(request))
         return {"cluster": self._labels(cluster)}
 
     async def _op_unwatch(self, request: Dict) -> Dict[str, object]:
         node = self._resolve_node(request.get("node"))
-        await self.host.unwatch(node, request.get("level"))
+        await self.host.unwatch(node, self._level(request))
         return {}
 
     async def _op_changes(self, request: Dict) -> Dict[str, object]:
@@ -1021,24 +904,6 @@ class ANCServer:
         if self.config.shard_id is not None:
             stats["shard"] = self.config.shard_id
         return {"stats": stats}
-
-    async def _op_metrics(self, request: Dict) -> Dict[str, object]:
-        # Read-only by default: a polling client must not reset anyone
-        # else's rate window (notably the operator log line's).  Clients
-        # that want delta rates pass their own ``rate_key``.
-        rate_key = request.get("rate_key")
-        return {
-            "metrics": self.metrics.snapshot(
-                rate_key=str(rate_key) if rate_key is not None else None
-            )
-        }
-
-    async def _op_metrics_text(self, request: Dict) -> Dict[str, object]:
-        namespace = str(request.get("namespace", "anc"))
-        return {"text": render_prometheus(self.metrics, namespace=namespace)}
-
-    async def _op_trace(self, request: Dict) -> Dict[str, object]:
-        return trace_op(self.tracer, request)
 
     async def _op_trace_fetch(self, request: Dict) -> Dict[str, object]:
         """This process's span buffer in wire form (fleet trace assembly).
@@ -1096,10 +961,6 @@ class ANCServer:
             raise ValueError("server has no data_dir; checkpoints are disabled")
         return {"path": path, "applied": self.host.applied}
 
-    async def _op_shutdown(self, request: Dict) -> Dict[str, object]:
-        self.request_stop()
-        return {"stopping": True}
-
     # -- replication ops (docs/replication.md) -------------------------
     async def _op_wal_fetch(self, request: Dict) -> Dict[str, object]:
         """Serve committed WAL records to a follower (pull replication).
@@ -1112,12 +973,12 @@ class ANCServer:
         follower may legally finish catching up from a deposed
         primary's committed prefix.
         """
-        from_seq = int(request.get("from_seq", 0))
+        from_seq = parse_number(request.get("from_seq", 0), "from_seq", int)
         if from_seq < 0:
             raise ValueError(f"from_seq must be >= 0, got {from_seq}")
-        limit = max(1, min(int(request.get("max", 512)), 4096))
-        wait = request.get("wait", 0.0)
-        if isinstance(wait, bool) or not isinstance(wait, (int, float)) or not wait >= 0:
+        limit = max(1, min(parse_number(request.get("max", 512), "max", int), 4096))
+        wait = parse_number(request.get("wait", 0.0), "wait", float)
+        if wait < 0:
             raise ValueError(f"wait must be a number of seconds >= 0, got {wait!r}")
         follower = request.get("follower")
         if isinstance(follower, str) and follower:
@@ -1125,7 +986,7 @@ class ANCServer:
         if wait > 0 and from_seq >= self._wal_entries() and not self._stop.is_set():
             if self._appended is None:
                 self._appended = asyncio.Event()
-            await _wait_set(self._appended, min(float(wait), MAX_FETCH_WAIT))
+            await _wait_set(self._appended, min(wait, MAX_FETCH_WAIT))
         records = self._wal_slice(from_seq, limit)
         if self._faults is not None:
             action = self._faults.hit("replica.fetch", from_seq=from_seq)
@@ -1134,7 +995,7 @@ class ANCServer:
                     # A slow primary; a stop ends the stall as it ends a park.
                     await _wait_set(self._stop, action.seconds())
                 elif action.kind == "drop":
-                    raise ConnectionResetError("injected replication-link drop")
+                    raise Sever("injected replication-link drop")
                 elif action.kind == "reorder" and len(records) > 1:
                     records = records[::-1]
         self._c_fetch.inc(len(records))
@@ -1175,7 +1036,7 @@ class ANCServer:
         the role check cannot complete a write (the last-moment refusal
         the split-brain chaos scenario exercises).
         """
-        epoch = int(request.get("epoch", self.epoch + 1))
+        epoch = parse_number(request.get("epoch", self.epoch + 1), "epoch", int)
         if epoch <= self.epoch:
             raise ValueError(
                 f"fence epoch {epoch} must exceed this node's epoch "
@@ -1197,12 +1058,12 @@ class ANCServer:
         requested = request.get("epoch")
         new_epoch = max(
             self.epoch + 1,
-            int(requested) if requested is not None else 0,
+            parse_number(requested, "epoch", int) if requested is not None else 0,
             self.fenced_by + 1 if self.fenced_by > self.epoch else 0,
         )
         link = self.replication
         if link is not None:
-            link.stop()  # type: ignore[attr-defined]
+            link.stop()
             self.replication = None
         self.role = "primary"
         self.epoch = new_epoch
@@ -1226,13 +1087,13 @@ class ANCServer:
         "changes": _op_changes,
         "sync": _op_sync,
         "stats": _op_stats,
-        "metrics": _op_metrics,
-        "metrics_text": _op_metrics_text,
-        "trace": _op_trace,
+        "metrics": FrontEnd._op_metrics,
+        "metrics_text": FrontEnd._op_metrics_text,
+        "trace": FrontEnd._op_trace,
         "trace_fetch": _op_trace_fetch,
         "profile": _op_profile,
         "snapshot": _op_snapshot,
-        "shutdown": _op_shutdown,
+        "shutdown": FrontEnd._op_shutdown,
         "wal_fetch": _op_wal_fetch,
         "replicas": _op_replicas,
         "signature": _op_signature,

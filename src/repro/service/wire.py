@@ -7,13 +7,14 @@ on one line (docs/service.md).  Two pieces carry it:
   endpoint, one request/answer round trip per call.  The shard router's
   worker links, the read router's fleet nodes and the follower's
   replication link are all upstreams.
-* :class:`FrontEnd` — the serving side of a router: bind, announce,
+* :class:`FrontEnd` — the serving side of every node: bind, announce,
   read → dispatch → write with slow-client eviction, the typed-fault
   envelope, and a stop that fails in-flight work before it waits.
+  :class:`~repro.service.server.ANCServer`, the shard router and the
+  read router are front ends; the server's fault sites, injected-crash
+  semantics and ``degraded`` accounting ride the connection hooks.
 
-:class:`~repro.service.server.ANCServer` keeps its own serving loop (its
-``server.*`` fault hooks and crash semantics belong to it alone) and
-shares only :data:`LINE_LIMIT`.
+:func:`parse_number` is the one reader of numeric request fields.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import math
+import sys
 import time
 from typing import (
     Awaitable,
@@ -32,14 +35,24 @@ from typing import (
     Optional,
     Set,
     Tuple,
+    Type,
+    TypeVar,
 )
 
+from ..obs.export import render_prometheus, trace_op
 from ..obs.instruments import MetricsRegistry
 from ..obs.propagate import TraceContext, current_context
 from ..obs.trace import Observability, Tracer
-from .errors import UnknownOp, fault_response
+from .errors import BadRequest, UnknownOp, fault_response
 
-__all__ = ["LINE_LIMIT", "TRANSPORT_ERRORS", "FrontEnd", "Upstream"]
+__all__ = [
+    "LINE_LIMIT",
+    "TRANSPORT_ERRORS",
+    "FrontEnd",
+    "Sever",
+    "Upstream",
+    "parse_number",
+]
 
 log = logging.getLogger("repro.service.wire")
 
@@ -66,6 +79,30 @@ TRACE_CAPACITY = 8192
 
 _Conn = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
 Handler = Callable[..., Awaitable[Dict[str, object]]]
+_N = TypeVar("_N", int, float)
+
+
+class Sever(Exception):
+    """Raised by a handler or a connection hook: drop the client's
+    connection and send no answer (an injected reset or crash)."""
+
+
+def parse_number(value: object, name: str, kind: Type[_N]) -> _N:
+    """Request field ``name`` as an ``int`` or as a finite ``float``.
+
+    Only JSON numbers qualify: null, booleans, strings and lists are
+    refused, and so are NaN and the infinities (``1e999`` decodes to
+    one) and, where an ``int`` is due, a number with a fraction.  The
+    refusal is a :class:`BadRequest`, so it answers ``BAD_REQUEST``.
+    """
+    if isinstance(value, float):
+        if value.is_integer() or (kind is float and math.isfinite(value)):
+            return kind(value)
+    elif isinstance(value, int) and not isinstance(value, bool):
+        if kind is int or abs(value) <= sys.float_info.max:
+            return kind(value)
+    what = "an integer" if kind is int else "a finite number"
+    raise BadRequest(f"{name} must be {what}, got {value!r}")
 
 
 class Upstream:
@@ -188,24 +225,33 @@ class Upstream:
 
 
 class FrontEnd:
-    """The serving side of a router: one JSON-lines listener.
+    """The serving side of a node: one JSON-lines listener.
 
     Subclasses supply the op table (``_OPS``), the span and metric
     prefix (``_PREFIX``: each request opens a ``<prefix>.<op>`` wire
     span and counts into ``<prefix>_requests``), the envelope stamp
     (:meth:`_stamp`), the upstreams a stop must fail (:meth:`upstreams`)
     and the start and stop steps (:meth:`_on_start`, :meth:`_on_stop`).
+    The connection hooks (:meth:`_on_connect`, :meth:`_on_request`,
+    :meth:`_on_send`, :meth:`_on_evict`, :meth:`_on_error`) do nothing
+    here; a hook or handler that raises :class:`Sever` drops the
+    connection without an answer.
     """
 
     #: op name -> ``async handler(self, request)``.
     _OPS: Dict[str, Handler] = {}
     _PREFIX = "frontend"
 
-    def __init__(self, host: str, port: int) -> None:
-        self.host = host
+    def __init__(
+        self, bind_host: str, port: int, *, write_timeout: float = WRITE_TIMEOUT
+    ) -> None:
+        self.bind_host = bind_host
         #: Bound port, set by :meth:`start` (``port=0`` picks a free one).
         self.port: Optional[int] = None
         self._bind_port = port
+        #: Seconds an answer may take to drain before its client is
+        #: evicted (0 = wait forever).
+        self.write_timeout = write_timeout
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(enabled=False, capacity=TRACE_CAPACITY)
         self.obs = Observability(registry=self.metrics, tracer=self.tracer)
@@ -217,10 +263,11 @@ class FrontEnd:
     # -- subclass steps ---------------------------------------------------
 
     async def _on_start(self) -> None:
-        """Runs before the listener binds."""
+        """Runs once the listener is bound (:attr:`port` is known), before
+        it accepts a connection."""
 
     async def _on_stop(self) -> None:
-        """Runs after the listener closed."""
+        """Runs after the listener closed and every client was dropped."""
 
     def upstreams(self) -> Iterable[Upstream]:
         """Every upstream a stop must fail."""
@@ -237,40 +284,96 @@ class FrontEnd:
         """The handler for an op missing from ``_OPS`` (default: refuse)."""
         raise UnknownOp(f"unknown op {op!r}")
 
+    # -- connection hooks -------------------------------------------------
+
+    async def _on_connect(self) -> None:
+        """A client connected; runs before its first request is read."""
+
+    async def _on_request(self) -> None:
+        """A request line arrived; runs before it is dispatched."""
+
+    async def _on_send(self) -> None:
+        """An answer was written; runs before the drain, under the
+        :attr:`write_timeout` deadline."""
+
+    def _on_evict(self) -> None:
+        """A client was evicted: its answer missed the write deadline."""
+
+    def _on_error(self, exc: Exception) -> None:
+        """A handler raised ``exc``, which is about to become an error
+        envelope; raise :class:`Sever` to hang up instead."""
+
+    # -- ops every front end may list -------------------------------------
+
     async def _op_shutdown(self, request: Dict[str, object]) -> Dict[str, object]:
-        """The ``shutdown`` op both routers share."""
         self.request_stop()
         return {"stopping": True}
+
+    async def _op_metrics(self, request: Dict[str, object]) -> Dict[str, object]:
+        # Read-only by default: a polling client must not reset anyone
+        # else's rate window (notably the operator log line's).  Clients
+        # that want delta rates pass their own ``rate_key``.
+        rate_key = request.get("rate_key")
+        return {
+            "metrics": self.metrics.snapshot(
+                rate_key=str(rate_key) if rate_key is not None else None
+            )
+        }
+
+    async def _op_metrics_text(self, request: Dict[str, object]) -> Dict[str, object]:
+        namespace = str(request.get("namespace", "anc"))
+        return {"text": render_prometheus(self.metrics, namespace=namespace)}
+
+    async def _op_trace(self, request: Dict[str, object]) -> Dict[str, object]:
+        return trace_op(self.tracer, request)
 
     # -- lifecycle --------------------------------------------------------
 
     async def start(self) -> None:
-        await self._on_start()
-        self._server = await asyncio.start_server(
-            self._serve, self.host, self._bind_port, limit=LINE_LIMIT
+        """Bind, run :meth:`_on_start`, then accept connections."""
+        server = await asyncio.start_server(
+            self._serve,
+            self.bind_host,
+            self._bind_port,
+            limit=LINE_LIMIT,
+            start_serving=False,
         )
-        self.port = self._server.sockets[0].getsockname()[1]
-        log.info("%s serving on %s:%d", type(self).__name__, self.host, self.port)
+        self.port = server.sockets[0].getsockname()[1]
+        try:
+            await self._on_start()
+        except BaseException:
+            server.close()
+            raise
+        self._server = server
+        await server.start_serving()
+        log.info("%s serving on %s:%d", type(self).__name__, self.bind_host, self.port)
 
     async def serve_forever(self) -> None:
+        """Run until :meth:`stop` (or a client ``shutdown``), then stop."""
         if self._server is None:
             await self.start()
         await self._stop.wait()
         await self._shutdown()
 
     async def run(self, *, announce: Optional[Callable[[str], object]] = None) -> None:
-        """Start, announce ``SERVING <host> <port>``, serve until stopped."""
+        """Start, announce ``SERVING <host> <port>``, serve until stopped.
+
+        ``announce`` receives each announce line (default: print to
+        stdout, which process harnesses parse).
+        """
         await self.start()
         emit = announce if announce is not None else lambda line: print(line, flush=True)
         for line in self._announce_lines():
             emit(line)
-        emit(f"SERVING {self.host} {self.port}")
+        emit(f"SERVING {self.bind_host} {self.port}")
         await self.serve_forever()
 
     def request_stop(self) -> None:
+        """Ask the front end to stop (idempotent, safe from handlers)."""
         self._stop.set()
 
     async def stop(self) -> None:
+        """Request and await the stop."""
         self.request_stop()
         if self._server is not None:
             await self._shutdown()
@@ -283,9 +386,11 @@ class FrontEnd:
         # Fail in-flight work before waiting: a handler parked in a
         # forward to a dead upstream, or a client idling on its
         # connection, would hold wait_closed() (3.12 waits for every
-        # client to go).
+        # client to go).  One loop turn between the two lets an answer
+        # the stop released (a parked ``wal_fetch``) leave first.
         for upstream in self.upstreams():
             upstream.abort_all()
+        await asyncio.sleep(0)
         for writer in list(self._clients):
             writer.transport.abort()
         try:
@@ -306,6 +411,7 @@ class FrontEnd:
     ) -> None:
         self._clients.add(writer)
         try:
+            await self._on_connect()
             while True:
                 line = await reader.readline()
                 if not line:
@@ -313,17 +419,26 @@ class FrontEnd:
                 line = line.strip()
                 if not line:
                     continue
+                await self._on_request()
                 response = await self._respond(line)
                 writer.write(json.dumps(response).encode() + b"\n")
+                # A client that stops reading would otherwise pin this
+                # handler, and every answer it buffers, forever.
                 try:
-                    async with asyncio.timeout(WRITE_TIMEOUT):
+                    async with asyncio.timeout(self.write_timeout or None):
+                        await self._on_send()
                         await writer.drain()
                 except TimeoutError:
-                    log.warning("evicting slow %s client", self._PREFIX)
+                    log.warning(
+                        "evicting slow %s client (write stalled > %.1fs)",
+                        self._PREFIX,
+                        self.write_timeout,
+                    )
+                    self._on_evict()
                     writer.transport.abort()
                     return
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):  # anclint: disable=service-exception-discipline — peer went away mid-conversation; closing our side below is the handling
-            pass
+        except (Sever, ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):  # anclint: disable=service-exception-discipline — the peer went away mid-conversation, or a hook severed the link on purpose; aborting our side is the handling
+            writer.transport.abort()
         finally:
             self._clients.discard(writer)
             writer.close()
@@ -333,7 +448,7 @@ class FrontEnd:
                 pass
 
     async def _respond(self, raw: bytes) -> Dict[str, object]:
-        """Answer one request line with an envelope (never raises)."""
+        """Answer one request line with an envelope; raises only :class:`Sever`."""
         request_id: object = None
         self._c_requests.inc()
         try:
@@ -347,12 +462,15 @@ class FrontEnd:
                 handler = self._unrouted(op)
             # Bind the client's trace context around the whole dispatch:
             # a sampled request records one ``<prefix>.<op>`` span, and
-            # the forwards it triggers stamp child contexts upstream.
+            # the requests it triggers downstream stamp child contexts.
             ctx = TraceContext.from_wire(request.get("trace"))
             with self.tracer.wire_span(f"{self._PREFIX}.{op}", ctx, op=str(op)):
                 response = await handler(self, request)
             response.setdefault("ok", True)
+        except Sever:
+            raise
         except Exception as exc:  # protocol boundary: map to a typed envelope
+            self._on_error(exc)
             response = fault_response(exc)
         self._stamp(response)
         if request_id is not None:

@@ -65,7 +65,7 @@ from ..service.errors import (
     Unavailable,
 )
 from ..service.server import MAX_KEY_LEN
-from ..service.wire import TRANSPORT_ERRORS, FrontEnd, Upstream
+from ..service.wire import TRANSPORT_ERRORS, FrontEnd, Upstream, parse_number
 from .merge import merge_clusters, merge_stats
 from .worker import ShardDeployment
 
@@ -370,7 +370,7 @@ class ShardRouter(FrontEnd):
         if u == v:
             raise ValueError(f"self-activation on node {item[0]!r}")
         u, v = edge_key(u, v)
-        return u, v, float(item[2])  # type: ignore[arg-type]
+        return u, v, parse_number(item[2], "t", float)
 
     def _ingest_action(self, shard: int) -> Optional["FaultAction"]:
         if self._faults is None:
@@ -457,10 +457,10 @@ class ShardRouter(FrontEnd):
         return {"accepted": accepted, "seq": seq, "per_shard": per_shard}
 
     async def _op_clusters(self, request: Dict) -> Dict[str, object]:
-        min_size = int(request.get("min_size", 1))
+        min_size = parse_number(request.get("min_size", 1), "min_size", int)
         payload: Dict[str, object] = {"op": "clusters", "min_size": 1}
         if request.get("level") is not None:
-            payload["level"] = request.get("level")
+            payload["level"] = parse_number(request.get("level"), "level", int)
         answers = await self._scatter("clusters", payload)
         return merge_clusters(
             answers,
@@ -485,7 +485,7 @@ class ShardRouter(FrontEnd):
         return out
 
     async def _op_zoom_in(self, request: Dict) -> Dict[str, object]:
-        level = int(request.get("level", 0))
+        level = parse_number(request.get("level", 0), "level", int)
         answers = await self._scatter("zoom_in", {"op": "zoom_in", "level": level})
         # Every worker starts tracking its own clamped level; answer with
         # the shallowest of them — the deepest level *all* shards serve.
@@ -494,7 +494,7 @@ class ShardRouter(FrontEnd):
         }
 
     async def _op_zoom_out(self, request: Dict) -> Dict[str, object]:
-        level = int(request.get("level", 0))
+        level = parse_number(request.get("level", 0), "level", int)
         answers = await self._scatter("zoom_out", {"op": "zoom_out", "level": level})
         return {
             "level": min(int(a.get("level", level)) for a in answers.values())  # type: ignore[arg-type]

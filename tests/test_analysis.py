@@ -1164,6 +1164,53 @@ def test_fault_hook_without_catalog_entry(tmp_path):
     assert "server.request" in messages.replace("server.requets", "")
 
 
+@pytest.mark.parametrize("base_calls_hook", [True, False])
+def test_fault_hook_in_an_override_is_reached_through_the_base(
+    tmp_path, base_calls_hook
+):
+    """A hook in a subclass's override is live when the base class
+    calls the hook method on ``self``; the catalog may be annotated."""
+    pkg = tmp_path / "pkg"
+    (pkg / "service").mkdir(parents=True)
+    (pkg / "faults").mkdir()
+    (pkg / "faults" / "injectors.py").write_text(
+        "from typing import Dict\n"
+        "CATALOG: Dict[str, Dict[str, str]] = {\n"
+        '    "server.accept": {"reset": "drop the connection"},\n'
+        "}\n"
+        "class Hooks:\n"
+        "    def hit(self, site):\n"
+        "        return None\n"
+        "HOOKS = Hooks()\n"
+    )
+    call = "        await self._on_connect()\n" if base_calls_hook else ""
+    (pkg / "service" / "wire.py").write_text(
+        "class FrontEnd:\n"
+        "    def start(self, listen):\n"
+        "        listen(self._serve)\n"
+        "\n"
+        "    async def _serve(self):\n"
+        + call
+        + "        return None\n"
+        "\n"
+        "    async def _on_connect(self):\n"
+        "        return None\n"
+    )
+    (pkg / "service" / "server.py").write_text(
+        "from ..faults.injectors import HOOKS\n"
+        "from .wire import FrontEnd\n"
+        "\n"
+        "class Server(FrontEnd):\n"
+        "    async def _on_connect(self):\n"
+        '        HOOKS.hit("server.accept")\n'
+    )
+    findings = wp_lint(tmp_path, select=["fault-hook-coverage"]).findings
+    if base_calls_hook:
+        assert findings == []
+    else:
+        assert len(findings) == 1 and "unreachable" in findings[0].message
+
+
 def write_span_fixture(tmp_path, *, dispatcher_span=True, handler_span=False):
     """A server package that traces: handlers + an _OPS dispatcher."""
     pkg = tmp_path / "pkg" / "service"

@@ -24,6 +24,7 @@ matrix's own plumbing (workdir reuse, the fired-fault rule).
 from __future__ import annotations
 
 import socket
+import time
 
 import pytest
 
@@ -51,6 +52,7 @@ from repro.service.client import (
     ServiceRetryAfter,
     ServiceTimeout,
 )
+from repro.service import server as server_module
 from repro.service.server import ServerConfig
 from repro.service.snapshots import (
     CheckpointCorruptError,
@@ -581,12 +583,35 @@ class TestEndToEndResilience:
             counters = handle.server.metrics.snapshot(rate_key=None)["counters"]
             assert counters["ingest_dedup_hits"] == 1
 
-    def test_degraded_flag_clears(self):
-        graph, _ = make_workload(10)
-        with serve(graph, degraded_hold=0.0) as handle:
-            client = ServiceClient(handle.host, handle.port, timeout=5.0)
+    def test_degraded_flag_clears(self, monkeypatch):
+        """A shed raises the ``degraded`` flag; it stays up for the hold
+        after the queue drained, then clears."""
+        monkeypatch.setattr(server_module, "DEGRADED_HOLD", 2.0)
+        graph, stream = make_workload(6)
+        plan = FaultPlan(
+            [FaultSpec("ingest.flush", "delay", at_count=1, args={"seconds": 0.3})]
+        )
+        with serve(
+            graph, plan, batch_size=4, max_latency=0.005, shed_watermark=8
+        ) as handle:
+            client = ServiceClient(
+                handle.host, handle.port, timeout=5.0,
+                retry=RetryPolicy(attempts=1),  # surface the shed, don't retry
+            )
             try:
                 assert client.stats()["degraded"] is False
+                sent = time.monotonic()  # no later than the shed
+                with pytest.raises(ServiceRetryAfter):
+                    client.ingest_batch([(a.u, a.v, a.t) for a in stream[:60]])
+                client.sync()
+                stats = client.stats()
+                # The queue drained, so only the hold keeps the flag up.
+                assert stats["queue_depth"] == 0
+                assert stats["degraded"] is True
+                while client.stats()["degraded"]:
+                    assert time.monotonic() - sent < 10.0, "degraded never cleared"
+                    time.sleep(0.05)
+                assert time.monotonic() - sent >= 2.0
             finally:
                 client.close()
 

@@ -47,7 +47,6 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.obs.instruments import BUCKET_BOUNDS, Histogram
-from repro.service import ServerConfig
 from test_service import make_stream, rpc, run_server_scenario
 
 # ----------------------------------------------------------------------
@@ -508,13 +507,8 @@ class TestServiceObservability:
             bad = await rpc(reader, writer, op="trace", action="bogus")
             return off, started, dump, drained, stopped, bad
 
-        # Small ring: the in-process harness reads replies through an
-        # asyncio stream with the default 64 KiB line limit (the real
-        # ServiceClient has none), so keep the dump compact.
-        config = ServerConfig(metrics_interval=0.0, trace_capacity=200)
         off, started, dump, drained, stopped, bad = run_server_scenario(
-            scenario, graph_and_labels=small_planted, params=quick_params,
-            config=config,
+            scenario, graph_and_labels=small_planted, params=quick_params
         )
         assert off["enabled"] is False
         assert started["enabled"] is True

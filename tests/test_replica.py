@@ -42,6 +42,7 @@ from repro.faults.chaos import QUICK_PARAMS
 from repro.graph.generators import planted_partition
 from repro.replica import ReplicationError, promote, replication_status
 from repro.replica.link import _decode_record
+from repro.service import server as server_module
 from repro.service.client import RetryPolicy, ServiceClient, ServiceError
 from repro.service.server import ANCServer, ServerConfig
 from repro.service.snapshots import WriteAheadLog, apply_activations
@@ -556,14 +557,13 @@ class TestLongPoll:
 
 
 class TestWalSlice:
-    def test_offset_slice_matches_the_log(self, tmp_path):
+    def test_offset_slice_matches_the_log(self, tmp_path, monkeypatch):
         """``wal_fetch`` indexes the in-memory tail by offset; every
         boundary — before the tail (file-scan fallback), inside it, at
         its end and past it — matches a scan of the log file."""
         graph, stream = make_workload(18)
-        primary = ingested_primary(
-            tmp_path, graph, stream[:40], wal_tail_capacity=16
-        )
+        monkeypatch.setattr(server_module, "WAL_TAIL_CAPACITY", 16)
+        primary = ingested_primary(tmp_path, graph, stream[:40])
         try:
             server = primary.server
             tail_start = server._wal_tail[0].seq

@@ -22,14 +22,17 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import queue
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.core.activation import Activation
 from repro.core.anc import ANCO, ANCOR, ANCParams, make_engine
 from repro.graph.generators import planted_partition
@@ -46,7 +49,9 @@ from repro.service import (
     recover_engine,
 )
 from repro.obs.instruments import Counter, Gauge, Histogram
+from repro.service.client import RetryPolicy
 from repro.service.snapshots import apply_activations, restore_engine
+from repro.service.wire import LINE_LIMIT
 from repro.workloads.streams import community_biased_stream
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -665,7 +670,9 @@ def run_server_scenario(scenario, *, names=None, config=None, params=None,
         )
         await server.start()
         serve_task = asyncio.create_task(server.serve_forever())
-        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port, limit=LINE_LIMIT
+        )
         try:
             return await scenario(reader, writer, server)
         finally:
@@ -785,6 +792,97 @@ class TestServerProtocol:
         assert "256" in too_long["error"]
         assert longest["ok"] is True and longest["accepted"] == 1
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param(
+                '{"op": "clusters", "min_size": null}',
+                id="clusters-min_size-null",
+            ),
+            pytest.param(
+                '{"op": "clusters", "level": "2"}',
+                id="clusters-level-string",
+            ),
+            pytest.param(
+                '{"op": "local", "node": 0, "token": [1]}',
+                id="local-token-list",
+            ),
+            pytest.param(
+                '{"op": "local", "node": 0, "max_staleness": 1.5}',
+                id="local-max_staleness-fraction",
+            ),
+            pytest.param(
+                '{"op": "zoom_in", "level": null}',
+                id="zoom_in-level-null",
+            ),
+            pytest.param(
+                '{"op": "zoom_out", "level": true}',
+                id="zoom_out-level-bool",
+            ),
+            pytest.param(
+                '{"op": "wal_fetch", "from_seq": null}',
+                id="wal_fetch-from_seq-null",
+            ),
+            pytest.param(
+                '{"op": "wal_fetch", "max": "512"}',
+                id="wal_fetch-max-string",
+            ),
+            pytest.param(
+                '{"op": "fence", "epoch": null}',
+                id="fence-epoch-null",
+            ),
+            pytest.param(
+                '{"op": "promote", "epoch": [2]}',
+                id="promote-epoch-list",
+            ),
+            pytest.param(
+                '{"op": "ingest", "u": $U, "v": $V, "t": null}',
+                id="ingest-t-null",
+            ),
+            pytest.param(
+                '{"op": "ingest", "u": $U, "v": $V, "t": "inf"}',
+                id="ingest-t-string-inf",
+            ),
+            pytest.param(
+                '{"op": "ingest", "u": $U, "v": $V, "t": NaN}',
+                id="ingest-t-nan",
+            ),
+            pytest.param(
+                '{"op": "ingest", "u": $U, "v": $V, "t": 1e999}',
+                id="ingest-t-1e999",
+            ),
+            pytest.param(
+                '{"op": "ingest_batch", "items": [null]}',
+                id="ingest_batch-item-null",
+            ),
+            pytest.param(
+                '{"op": "ingest_batch", "key": "k", "items": [[$U, $V, 1.0], [$U, $V, 1e999]]}',
+                id="ingest_batch-second-item-1e999",
+            ),
+        ],
+    )
+    def test_malformed_numeric_field_is_bad_request(self, small_planted, line):
+        """A malformed number is the client's error: ``BAD_REQUEST``,
+        nothing logged, and the server keeps serving."""
+        graph, _ = small_planted
+        (u, v) = graph.edges()[0]
+
+        async def scenario(reader, writer, server):
+            raw = line.replace("$U", str(u)).replace("$V", str(v))
+            writer.write(raw.encode() + b"\n")
+            await writer.drain()
+            answer = json.loads(await asyncio.wait_for(reader.readline(), 30.0))
+            stats = await rpc(reader, writer, op="stats")
+            synced = await rpc(reader, writer, op="sync")
+            return answer, stats["stats"], synced
+
+        answer, stats, synced = run_server_scenario(
+            scenario, graph_and_labels=small_planted
+        )
+        assert answer["ok"] is False and answer["error_type"] == "BAD_REQUEST", answer
+        assert stats["wal_entries"] == 0 and stats["role"] == "primary"
+        assert synced["ok"] is True and synced["applied"] == 0
+
     def test_zoom_and_watch_ops(self, small_planted, quick_params):
         graph, labels = small_planted
         acts = make_stream(graph, labels, timestamps=15, seed=9)
@@ -881,6 +979,70 @@ def start_server_subprocess(edgelist, data_dir):
     assert line.startswith("SERVING "), f"unexpected announce line: {line!r}"
     _, host, port = line.split()
     return proc, host, int(port)
+
+
+class TestWriterFailure:
+    def test_failed_writer_stops_serve_nonzero(
+        self, small_planted, tmp_path, monkeypatch
+    ):
+        """An engine that raises on the writer thread hard-stops
+        ``repro-anc serve``: a ``sync`` waiting on the lost batch gets a
+        transport error within seconds, nothing is checkpointed, every
+        acknowledged activation is in the WAL, and the command exits 1."""
+        graph, labels = small_planted
+        edgelist = tmp_path / "graph.txt"
+        edgelist.write_text("".join(f"{u} {v}\n" for u, v in graph.edges()))
+        data_dir = tmp_path / "data"
+        items = [[str(a.u), str(a.v), a.t] for a in make_stream(graph, labels)[:10]]
+
+        def boom(engine, act):
+            raise RuntimeError("injected engine failure")
+
+        engine = make_engine("ANCO", graph, ANCParams(rep=1, k=2, seed=0))
+        monkeypatch.setattr(type(engine), "process", boom)
+
+        lines: "queue.Queue[str]" = queue.Queue()
+
+        class Announce:
+            def write(self, text):
+                if text.strip():
+                    lines.put(text.strip())
+
+            def flush(self):
+                pass
+
+        argv = [
+            "serve", str(edgelist), "--port", "0", "--data-dir", str(data_dir),
+            "--rep", "1", "--pyramids", "2", "--metrics-interval", "0",
+        ]
+        result = {}
+        thread = threading.Thread(
+            target=lambda: result.update(code=cli_main(argv, Announce())),
+            daemon=True,
+        )
+        thread.start()
+        try:
+            port = int(lines.get(timeout=30.0).split()[2])
+            client = ServiceClient(
+                "127.0.0.1", port, timeout=30.0, retry=RetryPolicy(attempts=1)
+            )
+            try:
+                acked = client.ingest_batch(items, key="doomed")
+                started = time.monotonic()
+                with pytest.raises(ServiceError) as excinfo:
+                    client.sync()
+                waited = time.monotonic() - started
+            finally:
+                client.close()
+        finally:
+            thread.join(timeout=30.0)
+        assert excinfo.value.code == "CONNECT", excinfo.value
+        assert waited < 5.0
+        assert not thread.is_alive() and result["code"] == 1
+        store = CheckpointStore(data_dir)
+        assert store.latest_checkpoint() is None
+        logged = list(WriteAheadLog.replay_records(store.wal_path))
+        assert acked == len(items) - 1 and len(logged) == len(items)
 
 
 class TestServerSubprocess:

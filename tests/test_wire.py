@@ -3,20 +3,24 @@
 Every test runs against an in-process asyncio peer whose answers are
 scripted per request (``op``), so the transport's failure paths —
 cancellation mid-flight, a peer that never answers, EOF, a malformed
-line — are driven deterministically.  The router tests put a real
-:class:`ShardRouter` / :class:`ReadRouter` in front of the same peer.
+line — are driven deterministically.  The front-end tests put a real
+:class:`ShardRouter` / :class:`ReadRouter` in front of the same peer and
+stop an :class:`ANCServer` the same way.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import time
 
 import pytest
 
+from repro.core.anc import ANCParams
 from repro.graph.generators import planted_partition
 from repro.readpath.router import ReadRouter, ReadRouterConfig
+from repro.service.server import ANCServer, ServerConfig
 from repro.service.wire import LINE_LIMIT, TRANSPORT_ERRORS, Upstream
 from repro.shard.router import RouterConfig, ShardRouter
 from repro.shard.worker import ShardDeployment
@@ -165,22 +169,8 @@ def test_timeout_bounds_the_whole_attempt():
 
 
 # ----------------------------------------------------------------------
-# FrontEnd: both routers stop promptly with a client still connected
+# FrontEnd: every front end stops promptly with a client still connected
 # ----------------------------------------------------------------------
-
-async def _stop_with_idle_client(router) -> float:
-    await router.start()
-    reader, writer = await asyncio.open_connection("127.0.0.1", router.port)
-    writer.write(b'{"op": "ping", "id": 1}\n')
-    await writer.drain()
-    answer = json.loads(await reader.readline())
-    assert answer["ok"] and answer["id"] == 1, answer
-    started = time.monotonic()  # the client now idles on its connection
-    await router.stop()
-    elapsed = time.monotonic() - started
-    writer.close()
-    return elapsed
-
 
 def _peer_router(peer):
     """A 1-shard router whose worker endpoint is the peer (no process)."""
@@ -191,11 +181,66 @@ def _peer_router(peer):
     return ShardRouter(deployment, config=RouterConfig()), graph
 
 
-def test_shard_router_stops_with_an_idle_client():
+def _front_end(kind, peer):
+    """A shard router or read router in front of the peer, or a server."""
+    if kind == "shard-router":
+        return _peer_router(peer)[0]
+    if kind == "read-router":
+        return ReadRouter(
+            ("127.0.0.1", peer.port),
+            config=ReadRouterConfig(heartbeat_interval=0.05),
+        )
+    graph, _ = planted_partition(12, 2, p_in=0.6, p_out=0.0, seed=3)
+    return ANCServer(
+        graph,
+        config=ServerConfig(metrics_interval=0.0),
+        params=ANCParams(rep=1, k=2, seed=0),
+    )
+
+
+async def _idle_client(front):
+    """A client that got its answer and now idles on its connection."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", front.port)
+    writer.write(b'{"op": "ping", "id": 1}\n')
+    await writer.drain()
+    answer = json.loads(await reader.readline())
+    assert answer["ok"] and answer["id"] == 1, answer
+    return writer
+
+
+async def _stuck_client(front):
+    """A client that stopped reading: the answers to its pings (each
+    echoes a 512 KiB id) back up until the front end's send buffer holds
+    what the socket will not take."""
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.setblocking(False)
+    await asyncio.get_running_loop().sock_connect(sock, ("127.0.0.1", front.port))
+    _reader, writer = await asyncio.open_connection(sock=sock)
+    line = json.dumps({"op": "ping", "id": "x" * (1 << 19)}).encode() + b"\n"
+    for _ in range(8):
+        writer.write(line)
+    while not any(w.transport.get_write_buffer_size() for w in front._clients):
+        await asyncio.sleep(0.01)
+    return writer
+
+
+@pytest.mark.parametrize("client", [_idle_client, _stuck_client], ids=["idle", "stuck"])
+@pytest.mark.parametrize("kind", ["shard-router", "read-router", "server"])
+def test_front_end_stops_promptly(kind, client):
+    """The stop aborts every client before its bounded wait, so neither
+    an idle client nor one that stopped reading holds it."""
+
     async def main():
         async with Peer() as peer:
-            router, _ = _peer_router(peer)
-            return await _stop_with_idle_client(router)
+            front = _front_end(kind, peer)
+            await front.start()
+            writer = await client(front)
+            started = time.monotonic()
+            await front.stop()
+            elapsed = time.monotonic() - started
+            writer.transport.abort()
+            return elapsed
 
     assert run(main()) < 2.0
 
@@ -220,13 +265,29 @@ def test_shard_router_refuses_keys_the_suffix_would_push_past_the_bound():
     assert too_long["ok"] is False and too_long["error_type"] == "BAD_REQUEST"
 
 
-def test_read_router_stops_with_an_idle_client():
+@pytest.mark.parametrize(
+    "line",
+    [
+        b'{"op": "clusters", "min_size": null}',
+        b'{"op": "clusters", "level": "2"}',
+        b'{"op": "zoom_in", "level": null}',
+        b'{"op": "ingest", "u": $U, "v": $V, "t": 1e999}',
+    ],
+    ids=["min_size-null", "level-string", "zoom-level-null", "t-1e999"],
+)
+def test_shard_router_refuses_malformed_numbers(line):
+    """The router parses the numbers it reads itself: a malformed one is
+    ``BAD_REQUEST`` before anything is forwarded."""
+
     async def main():
         async with Peer() as peer:
-            router = ReadRouter(
-                ("127.0.0.1", peer.port),
-                config=ReadRouterConfig(heartbeat_interval=0.05),
-            )
-            return await _stop_with_idle_client(router)
+            router, graph = _peer_router(peer)
+            u, v = graph.edges()[0]
+            raw = line.replace(b"$U", str(u).encode()).replace(b"$V", str(v).encode())
+            answer = await router._respond(raw)
+            await router.stop()
+            return answer, peer.connections
 
-    assert run(main()) < 2.0
+    answer, connections = run(main())
+    assert answer["ok"] is False and answer["error_type"] == "BAD_REQUEST", answer
+    assert connections == 0
