@@ -39,6 +39,7 @@ from repro.bench.reporting import format_table, save_result
 from repro.core.activation import Activation
 from repro.faults.chaos import SHARD_PARAMS, build_shard_workload
 from repro.service.client import ServiceClient
+from repro.service.server import ServerConfig
 from repro.shard import ShardDeployment, ShardMap
 
 SHARD_COUNTS = (1, 2, 4)
@@ -97,10 +98,10 @@ def test_shard_scaling(tmp_path):
             graph,
             shards=shards,
             seed=0,
-            engine="anco",
             params=SHARD_PARAMS,
-            data_dir=str(tmp_path / f"{shards}shard"),
-            max_latency=MAX_LATENCY,
+            config=ServerConfig(
+                data_dir=str(tmp_path / f"{shards}shard"), max_latency=MAX_LATENCY
+            ),
         )
         with deployment:
             endpoints = deployment.endpoints()
@@ -205,10 +206,8 @@ def test_router_overhead(tmp_path):
         graph,
         shards=2,
         seed=0,
-        engine="anco",
         params=SHARD_PARAMS,
-        data_dir=str(tmp_path / "routed"),
-        max_latency=MAX_LATENCY,
+        config=ServerConfig(data_dir=str(tmp_path / "routed"), max_latency=MAX_LATENCY),
     )
     with RouterThread(deployment) as router:
         assert router.port is not None
@@ -230,10 +229,8 @@ def test_router_overhead(tmp_path):
         graph,
         shards=2,
         seed=0,
-        engine="anco",
         params=SHARD_PARAMS,
-        data_dir=str(tmp_path / "direct"),
-        max_latency=MAX_LATENCY,
+        config=ServerConfig(data_dir=str(tmp_path / "direct"), max_latency=MAX_LATENCY),
     )
     with deployment:
         endpoints = deployment.endpoints()

@@ -46,11 +46,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import IO, List, Optional, Sequence, Tuple
+from typing import IO, TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from .core.anc import ANCF, ANCParams, make_engine
 from .graph.io import read_edge_list, read_temporal_edge_list
 from .graph.traversal import connected_components
+
+if TYPE_CHECKING:
+    from .service.server import ServerConfig
 
 __all__ = [
     "cmd_info",
@@ -80,13 +83,6 @@ def _add_anc_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pyramids", type=int, default=4, help="number of pyramids k")
     parser.add_argument("--support", type=float, default=0.7, help="voting threshold θ")
     parser.add_argument("--seed", type=int, default=0, help="index RNG seed")
-    parser.add_argument(
-        "--update-workers", type=int, default=0,
-        help="threads for parallel index maintenance inside this process "
-             "(Lemma 13); 0 = sequential. Thread-level parallelism is "
-             "GIL-bound (docs/usage.md); for process-level scale-out run "
-             "'repro-anc shard-serve --shards N' instead (docs/sharding.md)",
-    )
 
 
 def _params_from(args: argparse.Namespace) -> ANCParams:
@@ -98,7 +94,22 @@ def _params_from(args: argparse.Namespace) -> ANCParams:
         k=args.pyramids,
         support=args.support,
         seed=args.seed,
-        update_workers=args.update_workers,
+    )
+
+
+def _server_config(args: argparse.Namespace, **fields: Any) -> ServerConfig:
+    """The :class:`ServerConfig` of the flags ``serve`` and
+    ``shard-serve`` share, plus command-specific ``fields``."""
+    from .service.server import ServerConfig
+
+    return ServerConfig(
+        engine=args.engine,
+        batch_size=args.batch_size,
+        max_latency=args.max_latency,
+        max_pending=args.max_pending,
+        data_dir=args.data_dir,
+        checkpoint_every=args.checkpoint_every,
+        **fields,
     )
 
 
@@ -378,7 +389,7 @@ def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
     import asyncio
     import logging
 
-    from .service.server import ANCServer, ServerConfig
+    from .service.server import ANCServer
 
     logging.basicConfig(
         stream=sys.stderr,
@@ -392,15 +403,10 @@ def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
             return 2
         primary_host, primary_port = _parse_endpoint(args.primary)
     graph, names = read_edge_list(args.edgelist)
-    config = ServerConfig(
+    config = _server_config(
+        args,
         host=args.host,
         port=args.port,
-        engine=args.engine,
-        batch_size=args.batch_size,
-        max_latency=args.max_latency,
-        max_pending=args.max_pending,
-        data_dir=args.data_dir,
-        checkpoint_every=args.checkpoint_every,
         metrics_interval=args.metrics_interval,
         role=args.role,
         primary_host=primary_host,
@@ -440,13 +446,8 @@ def cmd_shard_serve(args: argparse.Namespace, out: IO[str]) -> int:
         names,
         shards=args.shards,
         seed=args.map_seed,
-        engine=args.engine,
         params=_params_from(args),
-        data_dir=args.data_dir,
-        batch_size=args.batch_size,
-        max_latency=args.max_latency,
-        max_pending=args.max_pending,
-        checkpoint_every=args.checkpoint_every,
+        config=_server_config(args),
     )
     config = RouterConfig(
         host=args.host,

@@ -76,18 +76,6 @@ class ANCParams:
         Batched-rescale period of the decay clock.
     method:
         'power' (the paper's DirectedCluster) or 'even' clustering.
-    update_workers:
-        Thread count for the Lemma 13 parallel index maintenance: > 0
-        routes every online edge-weight update through a
-        :class:`~repro.index.parallel.ParallelUpdater` with that many
-        workers; 0 (default) repairs partitions sequentially.  Results
-        are identical either way; see the GIL caveat in
-        ``docs/usage.md`` before expecting wall-clock speedups.  This
-        knob parallelises *within* one engine process; the scale-out
-        path that sidesteps the GIL entirely is :mod:`repro.shard`,
-        which partitions the relation graph across engine worker
-        *processes* (``repro-anc shard-serve --shards N``; see
-        ``docs/sharding.md``).
     """
 
     lam: float = 0.1
@@ -99,7 +87,6 @@ class ANCParams:
     seed: int = 0
     rescale_every: int = 1024
     method: str = "power"
-    update_workers: int = 0
 
 
 class ANCEngineBase:
@@ -252,9 +239,6 @@ class ANCEngineBase:
         """Current stream time."""
         return self.metric.clock.now
 
-    def close(self) -> None:
-        """Release auxiliary resources (worker pools); engines stay queryable."""
-
     def stats(self) -> dict:
         """Operational snapshot for observability dashboards and tests.
 
@@ -318,34 +302,13 @@ class ANCO(ANCEngineBase):
         self._wire_updates()
 
     def _wire_updates(self) -> None:
-        """Create the index-update path and subscribe to weight changes.
+        """Subscribe the index's repair to weight changes.
 
         Split out of ``__init__`` because engine restoration
         (:func:`repro.service.snapshots.restore_engine`) rebuilds the
-        index from disk and must re-wire exactly this.  With
-        ``params.update_workers > 0`` the repairs fan out over a
-        :class:`~repro.index.parallel.ParallelUpdater` (Lemma 13);
-        results are identical to the sequential path.
+        index from disk and must re-wire exactly this.
         """
-        from ..index.parallel import ParallelUpdater
-
-        workers = self.params.update_workers
-        if workers < 0:
-            raise ValueError(f"update_workers must be >= 0, got {workers}")
-        self._updater = (
-            ParallelUpdater(self.index, workers=workers) if workers > 0 else None
-        )
-        self.metric.add_weight_listener(self._on_weight_change)
-
-    def _on_weight_change(self, u: int, v: int, new_weight: float) -> None:
-        if self._updater is not None:
-            self._updater.update_edge_weight(u, v, new_weight)
-        else:
-            self.index.update_edge_weight(u, v, new_weight)
-
-    def close(self) -> None:
-        if self._updater is not None:
-            self._updater.close()
+        self.metric.add_weight_listener(self.index.update_edge_weight)
 
     def process(self, act: Activation) -> None:
         self.metric.on_activation(act)

@@ -1376,8 +1376,7 @@ def _run_shard(cell: _Cell) -> None:
         shards=SHARD_COUNT,
         seed=0,
         params=SHARD_PARAMS,
-        data_dir=cell.path,
-        checkpoint_every=CHECKPOINT_EVERY,
+        config=ServerConfig(data_dir=cell.path, checkpoint_every=CHECKPOINT_EVERY),
         fault_specs={0: worker_specs} if worker_specs else None,
         fault_seed=seed,
     )

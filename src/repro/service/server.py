@@ -72,7 +72,7 @@ if TYPE_CHECKING:  # hook-only dependency (see repro.faults)
     from ..faults.plan import FaultPlan
     from ..replica.link import ReplicationLink
 
-__all__ = ["MAX_KEY_LEN", "ANCServer", "ServerConfig"]
+__all__ = ["MAX_KEY_LEN", "ANCServer", "RequestRules", "ServerConfig"]
 
 log = logging.getLogger("repro.service")
 
@@ -99,6 +99,82 @@ WAL_TAIL_CAPACITY = 4096
 #: phase-lock with periodic work); the ``profile`` op's ``hz`` picks
 #: another for one run.
 PROFILE_HZ = 97.0
+
+
+class RequestRules:
+    """How a request names nodes, activations and batch keys, for one
+    relation network.
+
+    ``names[i]`` is dense id ``i``'s protocol label (``None`` serves the
+    dense ids themselves).  The server and the shard router both read
+    requests through this one class, so a client's references resolve
+    the same way at every hop.
+    """
+
+    def __init__(self, graph: Graph, names: Optional[Sequence[Hashable]]) -> None:
+        self.graph = graph
+        self.names = list(names) if names is not None else None
+        self._ids: Dict[str, int] = (
+            {str(name): i for i, name in enumerate(self.names)}
+            if self.names is not None
+            else {}
+        )
+
+    def label(self, v: int) -> Union[str, int]:
+        return str(self.names[v]) if self.names is not None else v
+
+    def labels(self, nodes: Sequence[int]) -> List[Union[str, int]]:
+        return [self.label(v) for v in nodes]
+
+    def node(self, raw: object) -> int:
+        """Map a protocol node reference (label or dense id) to a node id."""
+        v = self._ids.get(str(raw))
+        if v is not None:
+            return v
+        if isinstance(raw, int) or (isinstance(raw, str) and raw.lstrip("-").isdigit()):
+            v = int(raw)
+            if self.graph.has_node(v):
+                return v
+        raise ValueError(f"unknown node {raw!r}")
+
+    def item(self, item: object) -> Tuple[int, int, float]:
+        """Validate one ``[u, v, t]`` activation: a relation edge and a
+        finite time (the server's clock clamps it later)."""
+        if not isinstance(item, (list, tuple)) or len(item) != 3:
+            raise ValueError(f"activation must be [u, v, t], got {item!r}")
+        u = self.node(item[0])
+        v = self.node(item[1])
+        if u == v:
+            raise ValueError(f"self-activation on node {item[0]!r}")
+        u, v = edge_key(u, v)
+        if not self.graph.has_edge(u, v):
+            raise ValueError(f"({item[0]!r}, {item[1]!r}) is not a relation edge")
+        return u, v, parse_number(item[2], "t", float)
+
+    @staticmethod
+    def batch(
+        request: Dict, max_key_len: int = MAX_KEY_LEN
+    ) -> Tuple[List[object], Optional[str]]:
+        """An ``ingest_batch``'s ``items`` list and idempotency ``key``.
+
+        The key is optional (``None`` = unkeyed); when present it is a
+        non-empty, whitespace-free string (it is persisted inside
+        space-delimited WAL records) of at most ``max_key_len`` characters.
+        """
+        items = request.get("items")
+        if not isinstance(items, list):
+            raise ValueError("ingest_batch needs a list 'items' of [u, v, t]")
+        key = request.get("key")
+        if key is not None:
+            if not isinstance(key, str) or not key or any(ch.isspace() for ch in key):
+                raise ValueError(
+                    "ingest_batch key must be a non-empty, whitespace-free string"
+                )
+            if len(key) > max_key_len:
+                raise ValueError(
+                    f"ingest_batch key is longer than {max_key_len} characters"
+                )
+        return items, key
 
 
 async def _wait_set(event: asyncio.Event, seconds: float) -> None:
@@ -208,12 +284,7 @@ class ANCServer(FrontEnd):
             self.config.host, self.config.port, write_timeout=self.config.write_timeout
         )
         self.graph = graph
-        self.names = list(names) if names is not None else None
-        self._label_to_id: Dict[str, int] = (
-            {str(name): i for i, name in enumerate(self.names)}
-            if self.names is not None
-            else {}
-        )
+        self.rules = RequestRules(graph, names)
 
         if self.config.role not in ("primary", "follower"):
             raise ValueError(
@@ -668,38 +739,6 @@ class ANCServer(FrontEnd):
     # ------------------------------------------------------------------
     # Protocol plumbing
     # ------------------------------------------------------------------
-    def _label(self, v: int) -> Union[str, int]:
-        return str(self.names[v]) if self.names is not None else v
-
-    def _labels(self, nodes: Sequence[int]) -> List[Union[str, int]]:
-        return [self._label(v) for v in nodes]
-
-    def _resolve_node(self, raw: object) -> int:
-        """Map a protocol node reference (label or dense id) to a node id."""
-        if self.names is not None:
-            v = self._label_to_id.get(str(raw))
-            if v is not None:
-                return v
-        if isinstance(raw, int) or (isinstance(raw, str) and raw.lstrip("-").isdigit()):
-            v = int(raw)
-            if self.graph.has_node(v):
-                return v
-        raise ValueError(f"unknown node {raw!r}")
-
-    def _resolve_item(self, item: object) -> Tuple[int, int, float]:
-        """Validate one ``[u, v, t]`` activation: a relation edge and a
-        finite time (the clock clamps it later, in :meth:`_activation`)."""
-        if not isinstance(item, (list, tuple)) or len(item) != 3:
-            raise ValueError(f"activation must be [u, v, t], got {item!r}")
-        u = self._resolve_node(item[0])
-        v = self._resolve_node(item[1])
-        if u == v:
-            raise ValueError(f"self-activation on node {item[0]!r}")
-        u, v = edge_key(u, v)
-        if not self.graph.has_edge(u, v):
-            raise ValueError(f"({item[0]!r}, {item[1]!r}) is not a relation edge")
-        return u, v, parse_number(item[2], "t", float)
-
     def _activation(self, item: Tuple[int, int, float]) -> Activation:
         """A validated item at the stream clock: an earlier timestamp is
         clamped to the current stream time, not refused."""
@@ -721,7 +760,7 @@ class ANCServer(FrontEnd):
     async def _op_ingest(self, request: Dict) -> Dict[str, object]:
         self._require_writable()
         act = self._activation(
-            self._resolve_item(
+            self.rules.item(
                 [request.get("u"), request.get("v"), request.get("t", self.host.state.t)]
             )
         )
@@ -730,33 +769,21 @@ class ANCServer(FrontEnd):
 
     async def _op_ingest_batch(self, request: Dict) -> Dict[str, object]:
         self._require_writable()
-        items = request.get("items")
-        if not isinstance(items, list):
-            raise ValueError("ingest_batch needs a list 'items' of [u, v, t]")
-        key = request.get("key")
-        if isinstance(key, str) and (not key or any(ch.isspace() for ch in key)):
-            # Keys are persisted inside space-delimited WAL records.
-            raise ValueError(
-                "ingest_batch key must be non-empty and whitespace-free"
-            )
-        if isinstance(key, str) and len(key) > MAX_KEY_LEN:
-            raise ValueError(
-                f"ingest_batch key is longer than {MAX_KEY_LEN} characters"
-            )
+        items, key = self.rules.batch(request)
         # Validate every item before logging any: a malformed batch
         # leaves no trace in the WAL.
-        resolved = [self._resolve_item(item) for item in items]
+        resolved = [self.rules.item(item) for item in items]
         if self._faults is not None:
             action = self._faults.hit("server.ingest_batch", key=key)
             if action is not None:
                 if action.kind == "delay":
                     await asyncio.sleep(action.seconds())
-                elif action.kind == "duplicate" and isinstance(key, str):
+                elif action.kind == "duplicate" and key is not None:
                     # Network-level duplication: the same request arrives
                     # twice; the second pass must dedup against the first.
                     await self._ingest_batch_keyed(key, resolved)
                     return await self._ingest_batch_keyed(key, resolved)
-        if not isinstance(key, str):
+        if key is None:
             # Legacy un-keyed path: at-most-once, no resend safety.
             seq = -1
             for item in resolved:
@@ -836,21 +863,21 @@ class ANCServer(FrontEnd):
             "t": state.t,
             "applied": state.activations,
             "clusters": [
-                self._labels(c) for c in clusters if len(c) >= min_size
+                self.rules.labels(c) for c in clusters if len(c) >= min_size
             ],
         }
 
     async def _op_local(self, request: Dict) -> Dict[str, object]:
         self._require_queryable()
         self._check_read_bound(request)
-        node = self._resolve_node(request.get("node"))
+        node = self.rules.node(request.get("node"))
         level, cluster = await self.host.cluster_of(node, self._level(request))
         state = self.host.state
         return {
             "level": level,
             "t": state.t,
             "applied": state.activations,
-            "cluster": self._labels(cluster),
+            "cluster": self.rules.labels(cluster),
         }
 
     async def _op_zoom_in(self, request: Dict) -> Dict[str, object]:
@@ -864,12 +891,12 @@ class ANCServer(FrontEnd):
     async def _op_watch(self, request: Dict) -> Dict[str, object]:
         self._require_queryable()
         self._check_read_bound(request)
-        node = self._resolve_node(request.get("node"))
+        node = self.rules.node(request.get("node"))
         cluster = await self.host.watch(node, self._level(request))
-        return {"cluster": self._labels(cluster)}
+        return {"cluster": self.rules.labels(cluster)}
 
     async def _op_unwatch(self, request: Dict) -> Dict[str, object]:
-        node = self._resolve_node(request.get("node"))
+        node = self.rules.node(request.get("node"))
         await self.host.unwatch(node, self._level(request))
         return {}
 
@@ -878,11 +905,11 @@ class ANCServer(FrontEnd):
         return {
             "changes": [
                 {
-                    "node": self._label(e.node),
+                    "node": self.rules.label(e.node),
                     "level": e.level,
                     "t": e.t,
-                    "joined": self._labels(sorted(e.joined)),
-                    "left": self._labels(sorted(e.left)),
+                    "joined": self.rules.labels(sorted(e.joined)),
+                    "left": self.rules.labels(sorted(e.left)),
                 }
                 for e in events
             ]

@@ -489,7 +489,10 @@ def restore_engine(
     name = doc["engine"]
     if name not in engines:
         raise ValueError(f"unknown engine {name!r} in checkpoint")
-    params = ANCParams(**doc["params"])  # type: ignore[arg-type]
+    # Checkpoints from before the thread-pool index updater was removed
+    # still carry its ``update_workers`` count; it changed no result.
+    fields = {k: v for k, v in doc["params"].items() if k != "update_workers"}  # type: ignore[union-attr]
+    params = ANCParams(**fields)  # type: ignore[arg-type]
 
     engine = engines[name].__new__(engines[name])  # type: ignore[assignment]
     engine.graph = graph

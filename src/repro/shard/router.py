@@ -40,18 +40,8 @@ import itertools
 import os
 import time
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
-from ..graph.graph import edge_key
 from ..obs.export import span_dicts, trace_op
 from ..obs.federate import (
     Source,
@@ -64,7 +54,7 @@ from ..service.errors import (
     ServiceFault,
     Unavailable,
 )
-from ..service.server import MAX_KEY_LEN
+from ..service.server import MAX_KEY_LEN, RequestRules
 from ..service.wire import TRANSPORT_ERRORS, FrontEnd, Upstream, parse_number
 from .merge import merge_clusters, merge_stats
 from .worker import ShardDeployment
@@ -128,16 +118,13 @@ class ShardRouter(FrontEnd):
         self._h_fanout = self.metrics.histogram("router_fanout_seconds")
         self._h_forward = self.metrics.histogram("router_forward_seconds")
 
-        names = deployment.names
-        self.names = list(names) if names is not None else None
-        self._label_to_id: Dict[str, int] = (
-            {str(name): i for i, name in enumerate(self.names)}
-            if self.names is not None
-            else {}
-        )
+        #: The workers' request rules over the whole graph: the router
+        #: resolves a reference only to pick its shard, and forwards the
+        #: client's own reference for the worker to resolve alike.
+        self.rules = RequestRules(deployment.graph, deployment.names)
         #: Protocol label → home shard, for the cluster merge.
         self._label_home: Dict[object, int] = {
-            self._label(v): self.shard_map.shard_of(v)
+            self.rules.label(v): self.shard_map.shard_of(v)
             for v in range(self.shard_map.n)
         }
 
@@ -294,7 +281,7 @@ class ShardRouter(FrontEnd):
         if link is None or link.port != worker.port:
             if link is not None:
                 link.abort_all()
-            link = self._links[shard] = Upstream(worker.spec.host, worker.port)
+            link = self._links[shard] = Upstream(worker.spec.config.host, worker.port)
         return link
 
     async def _respawn_if_dead(self, shard: int) -> None:
@@ -346,36 +333,53 @@ class ShardRouter(FrontEnd):
         return {shard: answer for shard, answer in enumerate(answers)}
 
     # ------------------------------------------------------------------
-    # Node/edge resolution (router-side copy of the server's rules)
+    # Routing
     # ------------------------------------------------------------------
-    def _label(self, v: int) -> Union[str, int]:
-        return str(self.names[v]) if self.names is not None else v
-
-    def _resolve_node(self, raw: object) -> int:
-        if self.names is not None:
-            v = self._label_to_id.get(str(raw))
-            if v is not None:
-                return v
-        if isinstance(raw, int) or (isinstance(raw, str) and raw.lstrip("-").isdigit()):
-            v = int(raw)
-            if 0 <= v < self.shard_map.n:
-                return v
-        raise ValueError(f"unknown node {raw!r}")
-
-    def _resolve_item(self, item: object) -> Tuple[int, int, float]:
-        if not isinstance(item, Sequence) or len(item) != 3:
-            raise ValueError(f"activation must be [u, v, t], got {item!r}")
-        u = self._resolve_node(item[0])
-        v = self._resolve_node(item[1])
-        if u == v:
-            raise ValueError(f"self-activation on node {item[0]!r}")
-        u, v = edge_key(u, v)
-        return u, v, parse_number(item[2], "t", float)
+    def _home(self, request: Dict) -> int:
+        """The home shard of the request's ``node``."""
+        return self.shard_map.shard_of(self.rules.node(request.get("node")))
 
     def _ingest_action(self, shard: int) -> Optional["FaultAction"]:
         if self._faults is None:
             return None
         return self._faults.hit("router.forward", shard=shard)
+
+    async def _ingest(
+        self, items: List[object], key: Optional[str]
+    ) -> Dict[int, Dict[str, object]]:
+        """Route each activation to its edge's owner; shard → its answer.
+
+        Every item is validated and routed before any is forwarded: a
+        bad activation rejects the whole batch, same as a single server.
+        Each shard gets the client's own items under a derived key
+        (``<key>@s<shard>``; an unkeyed batch gets a router-generated
+        key), so a retry re-derives the same sub-keys and each worker
+        dedups its own slice: exactly-once across router retries.
+        """
+        by_shard: Dict[int, List[object]] = {}
+        for item in items:
+            u, v, _ = self.rules.item(item)
+            by_shard.setdefault(self.shard_map.shard_of_edge(u, v), []).append(item)
+        if key is None:
+            key = f"{self._key_prefix}:{next(self._key_counter)}"
+
+        async def send(shard: int) -> Dict[str, object]:
+            payload = {
+                "op": "ingest_batch",
+                "items": by_shard[shard],
+                "key": f"{key}@s{shard}",
+            }
+            return await self._forward(
+                shard, payload, action=self._ingest_action(shard)
+            )
+
+        shards = sorted(by_shard)
+        answers = dict(zip(shards, await asyncio.gather(*map(send, shards))))
+        for shard, answer in answers.items():
+            count = len(by_shard[shard])
+            self._routed[shard] += count
+            self._c_ingested.inc(int(answer.get("accepted", count)))  # type: ignore[arg-type]
+        return answers
 
     # ------------------------------------------------------------------
     # Op handlers
@@ -388,73 +392,29 @@ class ShardRouter(FrontEnd):
         }
 
     async def _op_ingest(self, request: Dict) -> Dict[str, object]:
-        u, v, t = self._resolve_item(
-            [request.get("u"), request.get("v"), request.get("t", 0.0)]
-        )
-        shard = self.shard_map.shard_of_edge(u, v)  # ValueError if not an edge
-        payload = {"op": "ingest", "u": u, "v": v, "t": t}
-        response = await self._forward(
-            shard, payload, action=self._ingest_action(shard)
-        )
-        self._c_ingested.inc()
-        self._routed[shard] += 1
-        out = {k: response[k] for k in ("seq", "t", "applied") if k in response}
-        out["shard"] = shard
-        return out
+        # One activation rides the unkeyed-batch path, router key and all.
+        t = request.get("t", 0.0)
+        answers = await self._ingest([[request.get("u"), request.get("v"), t]], None)
+        [(shard, answer)] = answers.items()
+        return {
+            "seq": answer.get("seq"),
+            "t": parse_number(t, "t", float),
+            "shard": shard,
+        }
 
     async def _op_ingest_batch(self, request: Dict) -> Dict[str, object]:
-        items = request.get("items")
-        if not isinstance(items, list):
-            raise ValueError("ingest_batch needs an 'items' list")
-        key = request.get("key")
-        if key is not None and not isinstance(key, str):
-            raise ValueError("ingest_batch 'key' must be a string")
         # Workers see ``<key>@s<shard>``, which must fit their key bound.
         room = MAX_KEY_LEN - len(f"@s{self.shards - 1}")
-        if key is not None and len(key) > room:
-            raise ValueError(f"ingest_batch key is longer than {room} characters")
-        # Validate and route *every* item before forwarding *any*: a bad
-        # activation rejects the whole batch, same as a single server.
-        by_shard: Dict[int, List[List[object]]] = {}
-        for item in items:
-            u, v, t = self._resolve_item(item)
-            shard = self.shard_map.shard_of_edge(u, v)
-            by_shard.setdefault(shard, []).append([u, v, t])
-        if not by_shard:
-            return {"accepted": 0, "seq": -1, "per_shard": {}}
-        base_key = key if key is not None else (
-            f"{self._key_prefix}:{next(self._key_counter)}"
-        )
-
-        async def send(shard: int, sub: List[List[object]]) -> Dict[str, object]:
-            # Derived per-shard keys keep the client's exactly-once
-            # guarantee: a retry of the same batch re-derives the same
-            # sub-keys, and each worker dedups its own slice.
-            payload = {
-                "op": "ingest_batch",
-                "items": sub,
-                "key": f"{base_key}@s{shard}",
-            }
-            return await self._forward(
-                shard, payload, action=self._ingest_action(shard)
-            )
-
-        shards = sorted(by_shard)
-        results = await asyncio.gather(*(send(s, by_shard[s]) for s in shards))
-        per_shard: Dict[str, object] = {}
-        accepted = 0
-        seq = -1
-        for shard, response in zip(shards, results):
-            count = len(by_shard[shard])
-            self._routed[shard] += count
-            accepted += int(response.get("accepted", count))  # type: ignore[arg-type]
-            seq = max(seq, int(response.get("seq", -1)))  # type: ignore[arg-type]
-            per_shard[str(shard)] = {
-                "accepted": response.get("accepted", count),
-                "seq": response.get("seq"),
-            }
-        self._c_ingested.inc(accepted)
-        return {"accepted": accepted, "seq": seq, "per_shard": per_shard}
+        items, key = self.rules.batch(request, room)
+        answers = await self._ingest(items, key)
+        return {
+            "accepted": sum(int(a.get("accepted", 0)) for a in answers.values()),  # type: ignore[arg-type]
+            "seq": max((int(a.get("seq", -1)) for a in answers.values()), default=-1),  # type: ignore[arg-type]
+            "per_shard": {
+                str(shard): {"accepted": a.get("accepted"), "seq": a.get("seq")}
+                for shard, a in answers.items()
+            },
+        }
 
     async def _op_clusters(self, request: Dict) -> Dict[str, object]:
         min_size = parse_number(request.get("min_size", 1), "min_size", int)
@@ -470,9 +430,8 @@ class ShardRouter(FrontEnd):
         )
 
     async def _op_local(self, request: Dict) -> Dict[str, object]:
-        node = self._resolve_node(request.get("node"))
-        shard = self.shard_map.shard_of(node)
-        payload: Dict[str, object] = {"op": "local", "node": node}
+        shard = self._home(request)
+        payload: Dict[str, object] = {"op": "local", "node": request.get("node")}
         if request.get("level") is not None:
             payload["level"] = request.get("level")
         response = await self._forward(shard, payload)
@@ -501,9 +460,8 @@ class ShardRouter(FrontEnd):
         }
 
     async def _op_watch(self, request: Dict) -> Dict[str, object]:
-        node = self._resolve_node(request.get("node"))
-        shard = self.shard_map.shard_of(node)
-        payload: Dict[str, object] = {"op": "watch", "node": node}
+        shard = self._home(request)
+        payload: Dict[str, object] = {"op": "watch", "node": request.get("node")}
         if request.get("level") is not None:
             payload["level"] = request.get("level")
         response = await self._forward(shard, payload)
@@ -514,9 +472,8 @@ class ShardRouter(FrontEnd):
         return out
 
     async def _op_unwatch(self, request: Dict) -> Dict[str, object]:
-        node = self._resolve_node(request.get("node"))
-        shard = self.shard_map.shard_of(node)
-        payload: Dict[str, object] = {"op": "unwatch", "node": node}
+        shard = self._home(request)
+        payload: Dict[str, object] = {"op": "unwatch", "node": request.get("node")}
         if request.get("level") is not None:
             payload["level"] = request.get("level")
         await self._forward(shard, payload)
@@ -681,11 +638,11 @@ class ShardRouter(FrontEnd):
         doc = self.shard_map.to_dict()
         doc["workers"] = {
             str(worker.shard_id): {
-                "host": worker.spec.host,
+                "host": worker.spec.config.host,
                 "port": worker.port,
                 "alive": worker.alive,
                 "restarts": worker.restarts,
-                "data_dir": worker.spec.data_dir,
+                "data_dir": worker.spec.config.data_dir,
             }
             for worker in self.deployment.workers
         }

@@ -9,12 +9,12 @@ writer threads and N independent durability directories, so the
 single-writer discipline the service layer enforces per process now
 scales horizontally instead of being the ceiling.
 
-:class:`WorkerSpec` is a picklable bundle of primitives (the spawn
-start method re-imports everything in the child, so the spec carries
-edge lists and parameter fields, never live objects).  Fault specs ride
-along the same way and the child rebuilds its own
-:class:`~repro.faults.plan.FaultPlan` — that is how the chaos matrix
-reaches into a worker process.
+:class:`WorkerSpec` is a picklable bundle (the spawn start method
+re-imports everything in the child, so the spec carries edge lists and
+the worker's :class:`~repro.service.server.ServerConfig`, never live
+objects).  Fault specs ride along the same way and the child rebuilds
+its own :class:`~repro.faults.plan.FaultPlan` — that is how the chaos
+matrix reaches into a worker process.
 
 :class:`ShardWorker` is the parent-side supervisor handle: it spawns
 the process, waits for the port announcement, and can restart a dead
@@ -32,19 +32,18 @@ and owns the full set of workers.
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 import multiprocessing
-import socket
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from queue import Empty
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.anc import ANCParams
 from ..faults.plan import FaultPlan, FaultSpec
 from ..graph.graph import Edge, Graph
+from ..service.client import RetryPolicy, ServiceClient, ServiceError
 from ..service.server import ANCServer, ServerConfig
 from .shardmap import ShardMap
 
@@ -52,50 +51,27 @@ __all__ = ["ShardDeployment", "ShardWorker", "WorkerSpec", "worker_main"]
 
 log = logging.getLogger("repro.shard")
 
-#: ``(shard_id, port, error)`` announced by a child once its socket is
-#: bound; ``port < 0`` carries a startup failure in ``error``.
-WorkerAnnounce = Tuple[int, int, str]
+#: ``(port, error)`` announced by a child once its socket is bound;
+#: ``port < 0`` carries a startup failure in ``error``.
+WorkerAnnounce = Tuple[int, str]
+
+#: Seconds a spawned worker has to bind and announce its port.
+SPAWN_TIMEOUT = 60.0
 
 
 @dataclass(frozen=True)
 class WorkerSpec:
     """Everything a spawned worker process needs, as plain picklables."""
 
-    shard_id: int
     n: int
     edges: Tuple[Edge, ...]
     names: Optional[Tuple[Hashable, ...]]
-    engine: str = "anco"
+    #: This worker's server config (own ``data_dir`` and ``shard_id``,
+    #: port 0); the child arms ``faults`` from ``fault_specs``.
+    config: ServerConfig
     params: Optional[ANCParams] = None
-    host: str = "127.0.0.1"
-    data_dir: Optional[str] = None
-    batch_size: int = 64
-    max_latency: float = 0.05
-    max_pending: int = 4096
-    checkpoint_every: int = 2000
-    shed_watermark: int = 0
-    write_timeout: float = 30.0
-    metrics_interval: float = 0.0
     fault_specs: Tuple[FaultSpec, ...] = ()
     fault_seed: int = 0
-
-    def server_config(self, faults: Optional[FaultPlan]) -> ServerConfig:
-        """The :class:`ServerConfig` this spec describes (port 0 = pick)."""
-        return ServerConfig(
-            host=self.host,
-            port=0,
-            engine=self.engine,
-            batch_size=self.batch_size,
-            max_latency=self.max_latency,
-            max_pending=self.max_pending,
-            data_dir=self.data_dir,
-            checkpoint_every=self.checkpoint_every,
-            metrics_interval=self.metrics_interval,
-            shed_watermark=self.shed_watermark,
-            write_timeout=self.write_timeout,
-            shard_id=self.shard_id,
-            faults=faults,
-        )
 
 
 def worker_main(spec: WorkerSpec, ready: "multiprocessing.queues.Queue[WorkerAnnounce]") -> None:
@@ -107,7 +83,7 @@ def worker_main(spec: WorkerSpec, ready: "multiprocessing.queues.Queue[WorkerAnn
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.WARNING,
-        format=f"%(asctime)s shard-{spec.shard_id} %(name)s %(levelname)s %(message)s",
+        format=f"%(asctime)s shard-{spec.config.shard_id} %(name)s %(levelname)s %(message)s",
     )
     try:
         graph = Graph(spec.n, spec.edges)
@@ -119,48 +95,36 @@ def worker_main(spec: WorkerSpec, ready: "multiprocessing.queues.Queue[WorkerAnn
         server = ANCServer(
             graph,
             spec.names,
-            config=spec.server_config(plan),
+            config=replace(spec.config, faults=plan),
             params=spec.params,
         )
     except Exception as exc:
-        ready.put((spec.shard_id, -1, f"{type(exc).__name__}: {exc}"))
+        ready.put((-1, f"{type(exc).__name__}: {exc}"))
         raise
 
     async def _main() -> None:
         try:
             await server.start()
         except Exception as exc:
-            ready.put((spec.shard_id, -1, f"{type(exc).__name__}: {exc}"))
+            ready.put((-1, f"{type(exc).__name__}: {exc}"))
             raise
         assert server.port is not None
-        ready.put((spec.shard_id, server.port, ""))
+        ready.put((server.port, ""))
         await server.serve_forever()
 
     asyncio.run(_main())
 
 
-def _request_shutdown(host: str, port: int, *, timeout: float) -> bool:
-    """Best-effort graceful ``shutdown`` op over a raw socket."""
-    try:
-        with socket.create_connection((host, port), timeout=timeout) as sock:
-            sock.settimeout(timeout)
-            sock.sendall(json.dumps({"op": "shutdown"}).encode() + b"\n")
-            sock.makefile("rb").readline()
-        return True
-    except OSError:
-        return False
-
-
 class ShardWorker:
     """Parent-side handle of one shard's worker process."""
 
-    def __init__(self, spec: WorkerSpec, *, spawn_timeout: float = 60.0) -> None:
+    def __init__(self, spec: WorkerSpec) -> None:
+        assert spec.config.shard_id is not None, "a worker config names its shard"
+        self.shard_id: int = spec.config.shard_id
         self.spec = spec
-        self.shard_id = spec.shard_id
         self.port: Optional[int] = None
         #: Times this worker was respawned after dying (supervisor metric).
         self.restarts = 0
-        self._spawn_timeout = spawn_timeout
         self._ctx = multiprocessing.get_context("spawn")
         self._proc: Optional[multiprocessing.process.BaseProcess] = None
 
@@ -179,22 +143,22 @@ class ShardWorker:
         )
         proc.start()
         try:
-            shard_id, port, error = queue.get(timeout=self._spawn_timeout)
+            port, error = queue.get(timeout=SPAWN_TIMEOUT)
         except Empty:
             proc.terminate()
             proc.join(timeout=5.0)
             raise RuntimeError(
                 f"shard {self.shard_id} worker did not announce within "
-                f"{self._spawn_timeout}s"
+                f"{SPAWN_TIMEOUT}s"
             ) from None
         finally:
             queue.close()
         if port < 0:
             proc.join(timeout=5.0)
-            raise RuntimeError(f"shard {shard_id} worker failed to start: {error}")
+            raise RuntimeError(f"shard {self.shard_id} worker failed to start: {error}")
         self._proc = proc
         self.port = port
-        log.info("shard %d worker up on %s:%d", self.shard_id, self.spec.host, port)
+        log.info("shard %d worker up on %s:%d", self.shard_id, self.spec.config.host, port)
         return self
 
     def restart_if_dead(self) -> bool:
@@ -227,7 +191,18 @@ class ShardWorker:
         if proc is None:
             return
         if proc.is_alive() and self.port is not None:
-            _request_shutdown(self.spec.host, self.port, timeout=min(timeout, 5.0))
+            # Best effort, one attempt: a worker that does not answer is
+            # terminated below.
+            try:
+                with ServiceClient(
+                    self.spec.config.host,
+                    self.port,
+                    timeout=min(timeout, 5.0),
+                    retry=RetryPolicy(attempts=1),
+                ) as client:
+                    client.shutdown()
+            except ServiceError:
+                pass
         proc.join(timeout=timeout)
         if proc.is_alive():
             log.warning("shard %d worker ignored shutdown; terminating", self.shard_id)
@@ -237,7 +212,14 @@ class ShardWorker:
 
 
 class ShardDeployment:
-    """The :class:`ShardMap` plus one supervised worker per shard."""
+    """The :class:`ShardMap` plus one supervised worker per shard.
+
+    ``config`` is every worker's :class:`ServerConfig`, read per worker:
+    ``data_dir`` is the root each worker persists under (``shard-<i>``),
+    ``shard_id`` and a free port are filled in, the metrics log line is
+    off (the router federates worker metrics) and fault plans come from
+    ``fault_specs``.
+    """
 
     def __init__(
         self,
@@ -246,49 +228,41 @@ class ShardDeployment:
         *,
         shards: int,
         seed: int = 0,
-        engine: str = "anco",
         params: Optional[ANCParams] = None,
-        data_dir: Optional[Union[str, Path]] = None,
-        host: str = "127.0.0.1",
-        batch_size: int = 64,
-        max_latency: float = 0.05,
-        max_pending: int = 4096,
-        checkpoint_every: int = 2000,
-        shed_watermark: int = 0,
-        write_timeout: float = 30.0,
+        config: Optional[ServerConfig] = None,
         fault_specs: Optional[Mapping[int, Sequence[FaultSpec]]] = None,
         fault_seed: int = 0,
-        spawn_timeout: float = 60.0,
     ) -> None:
+        self.graph = graph
         self.shard_map = ShardMap.build(graph, shards, seed=seed)
         self.names: Optional[Tuple[Hashable, ...]] = (
             tuple(names) if names is not None else None
         )
+        config = config or ServerConfig()
         self.workers: List[ShardWorker] = []
         for shard in range(shards):
-            shard_dir = (
-                str(Path(data_dir) / f"shard-{shard}") if data_dir is not None else None
-            )
-            armed = tuple(fault_specs.get(shard, ())) if fault_specs else ()
-            spec = WorkerSpec(
+            worker_config = replace(
+                config,
+                port=0,
+                data_dir=(
+                    str(Path(config.data_dir) / f"shard-{shard}")
+                    if config.data_dir is not None
+                    else None
+                ),
+                metrics_interval=0.0,
                 shard_id=shard,
+                faults=None,
+            )
+            spec = WorkerSpec(
                 n=graph.n,
                 edges=self.shard_map.shard_edges[shard],
                 names=self.names,
-                engine=engine,
+                config=worker_config,
                 params=params,
-                host=host,
-                data_dir=shard_dir,
-                batch_size=batch_size,
-                max_latency=max_latency,
-                max_pending=max_pending,
-                checkpoint_every=checkpoint_every,
-                shed_watermark=shed_watermark,
-                write_timeout=write_timeout,
-                fault_specs=armed,
+                fault_specs=tuple(fault_specs.get(shard, ())) if fault_specs else (),
                 fault_seed=fault_seed,
             )
-            self.workers.append(ShardWorker(spec, spawn_timeout=spawn_timeout))
+            self.workers.append(ShardWorker(spec))
         self._started = False
 
     @property
@@ -326,7 +300,7 @@ class ShardDeployment:
         out: Dict[int, Tuple[str, int]] = {}
         for worker in self.workers:
             if worker.port is not None:
-                out[worker.shard_id] = (worker.spec.host, worker.port)
+                out[worker.shard_id] = (worker.spec.config.host, worker.port)
         return out
 
     def total_restarts(self) -> int:

@@ -26,9 +26,8 @@ engines through identical workloads and asserts exactly that:
   engine, recovered into the array engine, matching the never-killed
   oracle;
 * **engine variants and subsystem paths**: ANCOR's periodic sweep,
-  ANCF's refresh, dynamic edge insertion, the ParallelUpdater index
-  path, the replica follower's WAL-record apply, and the per-shard
-  worker slices of ``repro.shard``;
+  ANCF's refresh, dynamic edge insertion, the replica follower's
+  WAL-record apply, and the per-shard worker slices of ``repro.shard``;
 * **the vote kernel**: ``voted_adjacency``'s numpy count equals the
   per-edge ``same_cluster_vote`` loop at every level, on both index
   classes, across dynamic edge insertion and seedless nodes.
@@ -280,15 +279,6 @@ def test_dynamic_edge_insertion_parity():
         apply_activations(engine, acts[cut:])
         engines.append(engine)
     assert_parity(*engines)
-
-
-def test_parallel_updater_parity():
-    """update_workers > 0 routes repairs through the ParallelUpdater."""
-    graph, acts = _fixed_workload(seed=9)
-    engine_d, engine_a = _pair("anco", graph, update_workers=2)
-    apply_activations(engine_d, acts)
-    apply_activations(engine_a, acts)
-    assert_parity(engine_d, engine_a)
 
 
 def test_replica_apply_parity():

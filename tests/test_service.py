@@ -629,27 +629,32 @@ class TestCrashRecovery:
         with pytest.raises(ValueError, match="unsupported engine-state"):
             restore_engine(graph, {"format": 42}, tmp_path / "index.json")
 
-    def test_dump_restore_preserves_update_workers(
-        self, tmp_path, small_planted
+    def test_restore_accepts_legacy_update_workers(
+        self, tmp_path, small_planted, monkeypatch
     ):
-        """A checkpointed engine keeps its ParallelUpdater wiring."""
+        """Checkpoints from when ``ANCParams`` had the ``update_workers``
+        thread-pool knob carry it in their params; they still restore,
+        identical to the engine that wrote them."""
+        from repro.service import snapshots
+
+        dump = snapshots.dump_engine_state
+
+        def dump_with_knob(engine):
+            doc = dump(engine)
+            doc["params"]["update_workers"] = 2
+            return doc
+
+        monkeypatch.setattr(snapshots, "dump_engine_state", dump_with_knob)
         graph, labels = small_planted
-        params = ANCParams(rep=1, k=2, seed=0, update_workers=2)
-        engine = ANCO(graph, params)
-        try:
-            acts = make_stream(graph, labels, timestamps=5)
-            apply_activations(engine, acts)
-            store = CheckpointStore(tmp_path)
-            store.write_checkpoint(engine)
-            recovered, _ = recover_engine(graph, store)
-        finally:
-            engine.close()
-        try:
-            assert recovered.params.update_workers == 2
-            assert recovered._updater is not None
-            assert_engines_identical(engine, recovered)
-        finally:
-            recovered.close()
+        engine = ANCO(graph, ANCParams(rep=1, k=2, seed=0))
+        apply_activations(engine, make_stream(graph, labels, timestamps=5))
+        store = CheckpointStore(tmp_path)
+        store.write_checkpoint(engine)
+        engine_json = next(tmp_path.glob("checkpoint-*/engine.json"))
+        assert '"update_workers": 2' in engine_json.read_text()
+        recovered, _ = recover_engine(graph, store)
+        assert recovered.params == engine.params
+        assert_engines_identical(engine, recovered)
 
 
 # ----------------------------------------------------------------------
@@ -768,11 +773,11 @@ class TestServerProtocol:
         assert alive["ok"] is True  # the connection survived every error
 
     def test_ingest_batch_key_validation(self, small_planted):
-        """Keys are non-empty, whitespace-free and at most 256
+        """Keys are non-empty, whitespace-free strings of at most 256
         characters: every WAL record of the batch carries its key."""
         graph, _ = small_planted
         (u, v) = graph.edges()[0]
-        keys = ["", "a b", "k" * 256, "k" * 257]
+        keys = ["", "a b", "k" * 256, "k" * 257, 5]
 
         async def scenario(reader, writer, server):
             return [
@@ -783,10 +788,10 @@ class TestServerProtocol:
                 for i, key in enumerate(keys)
             ]
 
-        empty, spaced, longest, too_long = run_server_scenario(
+        empty, spaced, longest, too_long, number = run_server_scenario(
             scenario, graph_and_labels=small_planted
         )
-        for response in (empty, spaced, too_long):
+        for response in (empty, spaced, too_long, number):
             assert response["ok"] is False
             assert response["error_type"] == "BAD_REQUEST"
         assert "256" in too_long["error"]

@@ -9,6 +9,7 @@ engine over the whole graph and the whole stream would say.
 from __future__ import annotations
 
 import io
+import random
 
 import pytest
 
@@ -23,13 +24,20 @@ from repro.faults.chaos import (
     RouterThread,
     ServerThread,
 )
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.graph.generators import barbell_graph, planted_partition
 from repro.graph.graph import Graph
 from repro.graph.io import write_edge_list
 from repro.obs import fleet_chrome_trace, fleet_trace_summary
 from repro.service.client import ServiceClient
 from repro.service.server import ServerConfig
-from repro.shard import ShardMap, ShardDeployment, merge_clusters, merge_stats
+from repro.shard import (
+    RouterConfig,
+    ShardDeployment,
+    ShardMap,
+    merge_clusters,
+    merge_stats,
+)
 
 
 def _disjoint_blocks(blocks=4, size=10, seed=3):
@@ -253,12 +261,25 @@ def _normalize(clusters):
 
 
 class TestScatterGatherOracle:
-    def test_two_shard_clusters_match_single_engine(self, tmp_path):
+    @pytest.mark.parametrize("labels", ["names-none", "shuffled-int"])
+    def test_two_shard_clusters_match_single_engine(self, tmp_path, labels):
         graph, acts = build_shard_workload(0)
         smap = ShardMap.build(graph, 2, seed=0)
         # The workload is intra-shard by construction: the oracle
         # contract below is only promised when cross_edges == 0.
         assert smap.cross_edges == ()
+        # Integer labels in shuffled first-seen order are what the edge
+        # reader hands out for a file of ``u v`` integers: label "4" is
+        # then some other dense id, so a hop that re-read dense ids as
+        # labels would route and answer for the wrong nodes.
+        names = None
+        if labels == "shuffled-int":
+            perm = list(range(graph.n))
+            random.Random(7).shuffle(perm)
+            names = [str(p) for p in perm]
+
+        def label(v):
+            return names[v] if names is not None else v
 
         oracle = make_engine("ANCO", graph, SHARD_PARAMS)
         for act in acts:
@@ -266,30 +287,49 @@ class TestScatterGatherOracle:
 
         deployment = ShardDeployment(
             graph,
+            names,
             shards=2,
             seed=0,
-            engine="anco",
             params=SHARD_PARAMS,
-            data_dir=str(tmp_path / "shards"),
+            config=ServerConfig(data_dir=str(tmp_path / "shards")),
         )
-        with RouterThread(deployment) as router:
-            assert router.port is not None
-            with ServiceClient("127.0.0.1", router.port, timeout=60) as client:
-                batch = [[act.u, act.v, act.t] for act in acts]
+        single = ServerThread(
+            graph,
+            names=names,
+            config=ServerConfig(metrics_interval=0.0),
+            params=SHARD_PARAMS,
+        )
+        with RouterThread(deployment) as router, single:
+            assert router.port is not None and single.port is not None
+            client = ServiceClient("127.0.0.1", router.port, timeout=60)
+            reference = ServiceClient("127.0.0.1", single.port, timeout=60)
+            with client, reference:
+                batch = [[label(act.u), label(act.v), act.t] for act in acts]
                 accepted = 0
                 for i in range(0, len(batch), 40):
-                    r = client.request(
-                        "ingest_batch", items=batch[i:i + 40], key=f"oracle-b{i}"
-                    )
+                    chunk = batch[i:i + 40]
+                    r = client.request("ingest_batch", items=chunk, key=f"oracle-b{i}")
+                    assert r["accepted"] == len(chunk)
                     accepted += int(r["accepted"])
+                    reference.request("ingest_batch", items=chunk, key=f"oracle-b{i}")
                 assert accepted == len(acts)
                 assert client.sync() == len(acts)
+                assert reference.sync() == len(acts)
 
                 merged = client.request("clusters")
                 assert merged["cross_edges"] == 0
                 assert merged["applied"] == len(acts)
                 expected = oracle.clusters(int(merged["level"]))
-                assert _normalize(merged["clusters"]) == _normalize(expected)
+                assert _normalize(merged["clusters"]) == _normalize(
+                    [[label(v) for v in c] for c in expected]
+                )
+                assert _normalize(merged["clusters"]) == _normalize(
+                    reference.clusters(int(merged["level"]))
+                )
+                for v in range(graph.n):
+                    assert sorted(client.local(label(v))) == sorted(
+                        reference.local(label(v))
+                    )
                 # Every cluster id is namespaced to a live shard.
                 assert all(
                     cid.startswith(("s0:", "s1:")) for cid in merged["cluster_ids"]
@@ -316,9 +356,8 @@ class TestScatterGatherOracle:
             graph,
             shards=2,
             seed=0,
-            engine="anco",
             params=SHARD_PARAMS,
-            data_dir=str(tmp_path / "shards"),
+            config=ServerConfig(data_dir=str(tmp_path / "shards")),
         )
         with RouterThread(deployment) as router:
             assert router.port is not None
@@ -358,6 +397,27 @@ class TestScatterGatherOracle:
                 assert all(isinstance(p, str) for p in snap["path"].values())
                 assert snap["applied"] == len(acts)
 
+    def test_single_ingest_is_applied_once_across_a_dropped_forward(self, tmp_path):
+        """The router keys a single ``ingest`` like an unkeyed batch, so
+        the resend after a forward lost in flight is deduped, not
+        applied a second time."""
+        graph, _ = build_shard_workload(0)
+        u, v = graph.edges()[0]
+        deployment = ShardDeployment(
+            graph,
+            shards=1,
+            params=SHARD_PARAMS,
+            config=ServerConfig(data_dir=str(tmp_path / "shards")),
+        )
+        plan = FaultPlan([FaultSpec("router.forward", "drop", at_count=1)])
+        with RouterThread(deployment, config=RouterConfig(faults=plan)) as router:
+            assert router.port is not None
+            with ServiceClient("127.0.0.1", router.port, timeout=60) as client:
+                answer = client.request("ingest", u=u, v=v, t=1.0)
+                assert (answer["seq"], answer["t"], answer["shard"]) == (0, 1.0, 0)
+                assert client.sync() == 1
+        assert [f["site"] for f in plan.fired] == ["router.forward"]
+
 
 # ----------------------------------------------------------------------
 # Fleet observability: labeled federation + trace propagation (PR 8)
@@ -387,9 +447,8 @@ class TestFleetObservability:
             graph,
             shards=2,
             seed=0,
-            engine="anco",
             params=SHARD_PARAMS,
-            data_dir=str(tmp_path / "shards"),
+            config=ServerConfig(data_dir=str(tmp_path / "shards")),
         )
         return graph, acts, deployment
 

@@ -272,12 +272,22 @@ def test_shard_router_refuses_keys_the_suffix_would_push_past_the_bound():
         b'{"op": "clusters", "level": "2"}',
         b'{"op": "zoom_in", "level": null}',
         b'{"op": "ingest", "u": $U, "v": $V, "t": 1e999}',
+        b'{"op": "ingest_batch", "items": [[$U, $V, 1.0]], "key": ""}',
+        b'{"op": "ingest_batch", "items": [[$U, $V, 1.0]], "key": 5}',
     ],
-    ids=["min_size-null", "level-string", "zoom-level-null", "t-1e999"],
+    ids=[
+        "min_size-null",
+        "level-string",
+        "zoom-level-null",
+        "t-1e999",
+        "key-empty",
+        "key-number",
+    ],
 )
 def test_shard_router_refuses_malformed_numbers(line):
-    """The router parses the numbers it reads itself: a malformed one is
-    ``BAD_REQUEST`` before anything is forwarded."""
+    """The router parses the numbers it reads itself, and checks a batch
+    key by the server's rule: a malformed one is ``BAD_REQUEST`` before
+    anything is forwarded."""
 
     async def main():
         async with Peer() as peer:
