@@ -18,17 +18,22 @@ Both run in ``O(m log n)`` (Lemma 8) and both are search-based, so a
 *local* query — the cluster of one node — costs time proportional to the
 neighborhood of the reported nodes only (Lemma 9).  Zoom-in and zoom-out
 move one granularity level up or down.
+
+:func:`even_clustering` and :func:`power_clustering` are the one-shot
+extraction: they vote every edge afresh.  :class:`ClusterQueryEngine`
+answers from each level's live voted subgraph instead; both hand their
+votes to the same search.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..graph.graph import Graph
 from ..obs.trace import DISABLED_OBS, Observability, perf_counter
 from .pyramid import PyramidIndex
-from .voting import voted_adjacency
+from .voting import LiveVotes, voted_adjacency
 
 __all__ = [
     "node_rank_order",
@@ -47,6 +52,58 @@ def node_rank_order(graph: Graph) -> List[int]:
     return sorted(graph.nodes(), key=lambda v: (-graph.degree(v), v))
 
 
+def _rank_and_position(graph: Graph) -> Tuple[List[int], List[int]]:
+    """The rank order and ``position[v]``, v's index in it."""
+    rank = node_rank_order(graph)
+    position = [0] * graph.n
+    for i, v in enumerate(rank):
+        position[v] = i
+    return rank, position
+
+
+def _search(
+    adj: Sequence[Iterable[int]], order: Iterable[int], position: Sequence[int]
+) -> Clustering:
+    """The search both methods share.
+
+    Each node of ``order`` that is still unclustered starts a cluster and
+    claims every unclustered node it reaches along voted edges
+    ``x → y`` with ``position[y] >= position[x]``.  Clusters are sorted
+    internally and listed in the order their first node was met.
+    """
+    clustered = [False] * len(position)
+    clusters: Clustering = []
+    for v in order:
+        if clustered[v]:
+            continue
+        clustered[v] = True
+        cluster = [v]
+        head = 0
+        while head < len(cluster):
+            x = cluster[head]
+            head += 1
+            px = position[x]
+            for y in adj[x]:
+                if not clustered[y] and position[y] >= px:
+                    clustered[y] = True
+                    cluster.append(y)
+        cluster.sort()
+        clusters.append(cluster)
+    return clusters
+
+
+def _even(index: PyramidIndex, adj: Sequence[Iterable[int]]) -> Clustering:
+    # Equal positions let the search follow every voted edge: components.
+    n = index.graph.n
+    return _search(adj, range(n), [0] * n)
+
+
+def _power(index: PyramidIndex, adj: Sequence[Iterable[int]]) -> Clustering:
+    # Distinct positions direct each edge down the rank order.
+    rank, position = index.graph_cache("rank_order", _rank_and_position)
+    return _search(adj, rank, position)
+
+
 def even_clustering(index: PyramidIndex, level: int) -> Clustering:
     """Connected components of the voted subgraph at ``level``.
 
@@ -54,26 +111,7 @@ def even_clustering(index: PyramidIndex, level: int) -> Clustering:
     minimum node.  Every node appears in exactly one cluster (isolated
     nodes form singletons).
     """
-    adj = voted_adjacency(index, level)
-    n = index.graph.n
-    seen = [False] * n
-    clusters: Clustering = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        head = 0
-        while head < len(comp):
-            x = comp[head]
-            head += 1
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-        comp.sort()
-        clusters.append(comp)
-    return clusters
+    return _even(index, voted_adjacency(index, level))
 
 
 def power_clustering(index: PyramidIndex, level: int) -> Clustering:
@@ -84,32 +122,7 @@ def power_clustering(index: PyramidIndex, level: int) -> Clustering:
     direction.  Returns a partition of ``V`` (clusters sorted internally,
     ordered by the rank of their leader).
     """
-    graph = index.graph
-    adj = voted_adjacency(index, level)
-    rank = node_rank_order(graph)
-    # position[v] = rank index; the edge u->v exists iff position[u] < position[v].
-    position = [0] * graph.n
-    for i, v in enumerate(rank):
-        position[v] = i
-    clustered = [False] * graph.n
-    clusters: Clustering = []
-    for v in rank:
-        if clustered[v]:
-            continue
-        clustered[v] = True
-        cluster = [v]
-        head = 0
-        while head < len(cluster):
-            x = cluster[head]
-            head += 1
-            for y in adj[x]:
-                # follow the direction: only descend to lower-ranked nodes
-                if not clustered[y] and position[y] > position[x]:
-                    clustered[y] = True
-                    cluster.append(y)
-        cluster.sort()
-        clusters.append(cluster)
-    return clusters
+    return _power(index, voted_adjacency(index, level))
 
 
 def local_cluster(index: PyramidIndex, v: int, level: int) -> List[int]:
@@ -143,6 +156,12 @@ class ClusterQueryEngine:
     cluster queries (smallest cluster, ``√n``-granularity cluster) with
     zooming.  ``method`` selects power (default, the paper's
     DirectedCluster) or even clustering for the global reports.
+
+    Each level it has reported keeps its voted subgraph live
+    (:class:`~repro.index.voting.LiveVotes`) together with that level's
+    last clustering, so a report pays for the seeds that moved since the
+    previous one and searches again only when a vote flipped.  Every
+    report is a fresh copy the caller owns.
     """
 
     def __init__(self, index: PyramidIndex, *, method: str = "power") -> None:
@@ -150,6 +169,9 @@ class ClusterQueryEngine:
             raise ValueError(f"method must be 'power' or 'even', got {method}")
         self.index = index
         self.method = method
+        self._cluster = _power if method == "power" else _even
+        self._votes: Dict[int, LiveVotes] = {}
+        self._clusterings: Dict[int, Clustering] = {}
         self._obs = DISABLED_OBS
 
     def bind_obs(self, obs: Observability) -> None:
@@ -218,9 +240,12 @@ class ClusterQueryEngine:
         return result
 
     def _clusters_at(self, level: int) -> Clustering:
-        if self.method == "power":
-            return power_clustering(self.index, level)
-        return even_clustering(self.index, level)
+        votes = self._votes.get(level)
+        if votes is None:
+            votes = self._votes[level] = LiveVotes(self.index, level)
+        if votes.refresh():
+            self._clusterings[level] = self._cluster(self.index, votes.adj)
+        return [list(cluster) for cluster in self._clusterings[level]]
 
     def clusters_closest_to(self, target_count: int, *, min_size: int = 1) -> Tuple[int, Clustering]:
         """Level whose cluster count is closest to ``target_count``.

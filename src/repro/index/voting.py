@@ -8,8 +8,12 @@ adds:
   of ``G`` that survive the vote, one ``H_l`` call per edge (the
   reference loop);
 * :func:`voted_adjacency` — the same edges as adjacency lists (the input
-  to even/power clustering), counted for every edge at once by one numpy
-  kernel over the level's ``k`` seed lists;
+  to the one-shot even/power clustering), counted for every edge at once
+  by one numpy kernel over the level's ``k`` seed lists;
+* :class:`LiveVotes` — one level's voted subgraph kept current between
+  queries: each refresh recounts only the edges at nodes whose seed
+  moved (what :class:`~repro.index.clustering.ClusterQueryEngine`
+  serves from);
 * :class:`VoteTable` — the "Remarks" extension of Section V-C: a per-level,
   per-edge vote count maintained in real time, so that changes around
   user-specified nodes can be reported at a cost equal to the reporting.
@@ -17,6 +21,8 @@ adds:
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import ne
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..graph.graph import Edge, Graph, edge_key
@@ -25,7 +31,7 @@ from .pyramid import PyramidIndex
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["voted_edges", "voted_adjacency", "VoteTable"]
+__all__ = ["voted_edges", "voted_adjacency", "LiveVotes", "VoteTable"]
 
 
 def voted_edges(index: PyramidIndex, level: int) -> List[Edge]:
@@ -53,8 +59,8 @@ def voted_adjacency(index: PyramidIndex, level: int) -> List[List[int]]:
     one vectorized pass per pyramid: a pyramid votes for ``(u, v)`` when
     both endpoints have the same seed and that seed is not ``-1``.
     """
-    # numpy loads on the first vote, so the routers, which import the
-    # engine modules but never cluster, do not pay for it.
+    # numpy loads on the first one-shot vote; serving processes answer
+    # from LiveVotes and never load it.
     import numpy as np
 
     us, vs = index.graph_cache("edge_endpoints", _edge_endpoints)
@@ -69,6 +75,73 @@ def voted_adjacency(index: PyramidIndex, level: int) -> List[List[int]]:
         adj[u].append(v)
         adj[v].append(u)
     return adj
+
+
+class LiveVotes:
+    """The voted subgraph of one level, kept live by diffing seed lists.
+
+    Holds a copy of the level's ``k`` seed lists and, in :attr:`adj`,
+    the voted neighbors of every node — the edges of
+    :func:`voted_adjacency`, as sets.  :meth:`refresh` compares the live
+    seeds with the copy and recounts the votes only on edges incident to
+    a node whose seed moved in some pyramid: an edge's vote reads its
+    endpoints' seeds and nothing else, so no other vote can have
+    changed.  Edges are only ever appended to the graph, so a changed
+    ``graph.m`` is the one case that recounts every edge.
+    """
+
+    def __init__(self, index: PyramidIndex, level: int) -> None:
+        self.index = index
+        self.level = level
+        self.threshold = index.support * index.k
+        #: adj[v] = the neighbors of v whose edge to v carries the vote.
+        self.adj: List[Set[int]] = []
+        self._seeds: List[List[int]] = []
+        self._m = -1
+
+    def refresh(self) -> bool:
+        """Catch up with the live seeds; True when any vote flipped."""
+        graph = self.index.graph
+        live = [part.seed for part in self.index.partitions_at(self.level)]
+        if graph.m != self._m:
+            self._m = graph.m
+            self._seeds = [list(seed) for seed in live]
+            self.adj = [set() for _ in graph.nodes()]
+            for u, v in graph.edges():
+                if self._voted(u, v):
+                    self.adj[u].add(v)
+                    self.adj[v].add(u)
+            return True
+        nodes = graph.nodes()
+        moved: Set[int] = set()
+        for old, new in zip(self._seeds, live):
+            moved.update(compress(nodes, map(ne, old, new)))
+        if not moved:
+            return False
+        self._seeds = [list(seed) for seed in live]
+        adj = self.adj
+        flipped = False
+        for x in moved:
+            near = adj[x]
+            for y in graph.neighbors(x):
+                if self._voted(x, y) != (y in near):
+                    if y in near:
+                        near.discard(y)
+                        adj[y].discard(x)
+                    else:
+                        near.add(y)
+                        adj[y].add(x)
+                    flipped = True
+        return flipped
+
+    def _voted(self, u: int, v: int) -> bool:
+        """``H_l(u, v)`` counted on the held seed lists."""
+        votes = 0
+        for seed in self._seeds:
+            su = seed[u]
+            if su >= 0 and su == seed[v]:
+                votes += 1
+        return votes >= self.threshold
 
 
 class VoteTable:

@@ -13,8 +13,11 @@ block the writer and the writer never blocks them.
 
 A query for a level that is not yet materialized registers the level and
 awaits the next publication (one micro-batch flush away, or immediate
-when the engine is idle); from then on the level is kept fresh in every
-snapshot until :meth:`EngineHost.untrack_level` drops it.
+when the engine is idle).  A level stays tracked once it has been asked
+for: every later snapshot carries it.  Each publish pays only for the
+seeds that moved since the previous one, because
+:class:`~repro.index.clustering.ClusterQueryEngine` keeps every tracked
+level's voted subgraph live.
 """
 
 from __future__ import annotations
@@ -408,11 +411,6 @@ class EngineHost:
 
     def zoom_out(self, level: int) -> int:
         return max(1, min(self.state.num_levels, level - 1))
-
-    def untrack_level(self, level: int) -> None:
-        """Stop refreshing ``level`` (the default level is always kept)."""
-        if level != self.state.sqrt_level:
-            self._tracked_levels = self._tracked_levels - {level}
 
     def stats(self) -> Dict[str, object]:
         """Engine stats of the published state plus host-level info."""

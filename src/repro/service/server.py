@@ -844,6 +844,8 @@ class ANCServer(FrontEnd):
 
     def _trim_dedup(self) -> None:
         """Drop the oldest *settled* dedup keys past the capacity bound."""
+        if len(self._dedup) <= DEDUP_CAPACITY:
+            return
         for key in list(self._dedup):
             if len(self._dedup) <= DEDUP_CAPACITY:
                 break

@@ -58,7 +58,9 @@ import hashlib
 import json
 import os
 import struct
+import sys
 import zlib
+from array import array
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -66,6 +68,7 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     NamedTuple,
@@ -836,6 +839,14 @@ def engine_signature(engine: ANCEngineBase) -> Dict[str, object]:
     }
 
 
+def _le_bytes(typecode: str, values: Iterable[Union[int, float]]) -> bytes:
+    """``values`` as little-endian ``q`` (int64) or ``d`` (float64) items."""
+    packed = array(typecode, values)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return packed.tobytes()
+
+
 def signature_digest(engine: ANCEngineBase) -> str:
     """SHA-256 over the engine state packed as little-endian bytes.
 
@@ -848,13 +859,14 @@ def signature_digest(engine: ANCEngineBase) -> str:
     identically.  Each call hashes the live state (nothing is cached),
     so in-place corruption shows at the next audit.
     """
-    import numpy as np  # deferred: routers import this module, never numpy
-
     metric = engine.metric
-    items = list(metric.similarity.items_anchored())
-    ends = np.array([x for edge, _ in items for x in edge], dtype="<i8").reshape(-1, 2)
-    values = np.array([value for _, value in items], dtype="<f8")
-    by_edge = np.lexsort((ends[:, 1], ends[:, 0]))
+    n = engine.graph.n
+    # u·n + v orders the canonical edges (u < v < n) as the tuples do,
+    # and int keys sort about twice as fast as tuple keys.
+    items = sorted(
+        metric.similarity.items_anchored(),
+        key=lambda item: item[0][0] * n + item[0][1],
+    )
     digest = hashlib.sha256(
         struct.pack(
             "<qqdd",
@@ -864,9 +876,9 @@ def signature_digest(engine: ANCEngineBase) -> str:
             metric.clock.anchor,
         )
     )
-    digest.update(ends[by_edge].tobytes())
-    digest.update(values[by_edge].tobytes())
+    digest.update(_le_bytes("q", [x for edge, _ in items for x in edge]))
+    digest.update(_le_bytes("d", [value for _, value in items]))
     for pyramid in engine.index.pyramids:
         for level in sorted(pyramid.levels):
-            digest.update(np.array(pyramid.levels[level].seed, dtype="<i8").tobytes())
+            digest.update(_le_bytes("q", pyramid.levels[level].seed))
     return digest.hexdigest()

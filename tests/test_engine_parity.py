@@ -30,7 +30,11 @@ engines through identical workloads and asserts exactly that:
   WAL-record apply, and the per-shard worker slices of ``repro.shard``;
 * **the vote kernel**: ``voted_adjacency``'s numpy count equals the
   per-edge ``same_cluster_vote`` loop at every level, on both index
-  classes, across dynamic edge insertion and seedless nodes.
+  classes, across dynamic edge insertion and seedless nodes;
+* **the live votes**: every parity check point also compares
+  ``engine.clusters`` (served from each level's live voted subgraph)
+  with the one-shot ``power_clustering`` oracle at every level, and
+  ``signature_digest`` with the numpy packing it replaced.
 
 The dict reference stays the permanent oracle
 (``docs/engine-internals.md``); the fault-injection half of the
@@ -40,7 +44,9 @@ test is the array engine and every oracle the reference.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import struct
 import tempfile
 from pathlib import Path
 from typing import List, Tuple
@@ -56,6 +62,11 @@ from repro.core.activation import Activation  # noqa: E402
 from repro.core.anc import ANCParams, make_engine, reference_engine  # noqa: E402
 from repro.graph.generators import planted_partition  # noqa: E402
 from repro.graph.graph import Graph  # noqa: E402
+from repro.index.clustering import (  # noqa: E402
+    ClusterQueryEngine,
+    even_clustering,
+    power_clustering,
+)
 from repro.index.dynamic import add_relation_edge  # noqa: E402
 from repro.index.voting import voted_adjacency, voted_edges  # noqa: E402
 from repro.service.snapshots import (  # noqa: E402
@@ -94,11 +105,52 @@ def _checkpoint_doc(engine) -> str:
     return json.dumps(dump_engine_state(engine), sort_keys=True)
 
 
+def numpy_signature_digest(engine) -> str:
+    """``signature_digest`` as numpy packed it: the bytes it must keep.
+
+    Followers audit a primary by comparing digests, so a fleet that
+    mixes versions stays equal only while the byte layout is unchanged.
+    """
+    import numpy as np
+
+    metric = engine.metric
+    items = list(metric.similarity.items_anchored())
+    ends = np.array([x for edge, _ in items for x in edge], dtype="<i8").reshape(-1, 2)
+    values = np.array([value for _, value in items], dtype="<f8")
+    by_edge = np.lexsort((ends[:, 1], ends[:, 0]))
+    digest = hashlib.sha256(
+        struct.pack(
+            "<qqdd",
+            engine.activations_processed,
+            len(items),
+            engine.now,
+            metric.clock.anchor,
+        )
+    )
+    digest.update(ends[by_edge].tobytes())
+    digest.update(values[by_edge].tobytes())
+    for pyramid in engine.index.pyramids:
+        for level in sorted(pyramid.levels):
+            digest.update(np.array(pyramid.levels[level].seed, dtype="<i8").tobytes())
+    return digest.hexdigest()
+
+
+def assert_live_matches_oracle(engine) -> None:
+    """The live clusters equal the one-shot extraction at every level,
+    and the digest equals its numpy packing."""
+    for level in range(1, engine.queries.num_levels + 1):
+        assert engine.clusters(level) == power_clustering(engine.index, level), level
+    assert signature_digest(engine) == numpy_signature_digest(engine)
+
+
 def assert_parity(engine_d, engine_a) -> None:
-    """The full oracle: signature, every granularity, checkpoint bytes."""
+    """The full oracle: signature, every granularity, checkpoint bytes,
+    and each engine's live clusters and digest against their oracles."""
     assert engine_signature(engine_d) == engine_signature(engine_a)
     for level in range(1, engine_d.queries.num_levels + 1):
         assert engine_d.clusters(level) == engine_a.clusters(level), level
+    for engine in (engine_d, engine_a):
+        assert_live_matches_oracle(engine)
     assert _checkpoint_doc(engine_d) == _checkpoint_doc(engine_a)
 
 
@@ -147,13 +199,31 @@ def workload(draw, max_events: int = 50):
 @PINNED
 @given(workload())
 def test_random_stream_parity(wl):
-    """Arbitrary pinned streams: signatures, all levels, checkpoint doc."""
+    """Arbitrary pinned streams: signatures, all levels, checkpoint doc —
+    checked at three cuts, so the live votes refresh between checks."""
     graph, acts, rescale_every = wl
     engine_d, engine_a = _pair("anco", graph, rescale_every=rescale_every)
-    apply_activations(engine_d, acts)
-    apply_activations(engine_a, acts)
-    assert signature_digest(engine_d) == signature_digest(engine_a)
-    assert_parity(engine_d, engine_a)
+    third = len(acts) // 3
+    for piece in (acts[:third], acts[third:2 * third], acts[2 * third:]):
+        apply_activations(engine_d, piece)
+        apply_activations(engine_a, piece)
+        assert signature_digest(engine_d) == signature_digest(engine_a)
+        assert_parity(engine_d, engine_a)
+
+
+def test_returned_clusters_are_the_callers():
+    """Mutating a returned clustering leaves the next answer unchanged."""
+    graph, acts = _fixed_workload()
+    engine = make_engine("anco", graph, _params())
+    apply_activations(engine, acts)
+    level = engine.queries.sqrt_n_level()
+    first = engine.clusters(level)
+    expected = [list(cluster) for cluster in first]
+    first[0].append(-1)
+    first[-1].clear()
+    first.pop()
+    assert engine.clusters(level) == expected
+    assert expected == power_clustering(engine.index, level)
 
 
 @PINNED
@@ -186,10 +256,13 @@ def test_kill_recover_parity(wl):
     graph, acts, rescale_every = wl
     cut = max(1, (2 * len(acts)) // 3)
     live_d, live_a = _pair("anco", graph, rescale_every=rescale_every)
-    apply_activations(live_d, acts)
-    apply_activations(live_a, acts)
+    apply_activations(live_d, acts[:cut])
+    apply_activations(live_a, acts[:cut])
+    assert_parity(live_d, live_a)
+    apply_activations(live_d, acts[cut:])
+    apply_activations(live_a, acts[cut:])
+    assert_parity(live_d, live_a)
     expected = engine_signature(live_d)
-    assert expected == engine_signature(live_a)
 
     params = _params(rescale_every=rescale_every)
     with tempfile.TemporaryDirectory() as tmp:
@@ -206,6 +279,7 @@ def test_kill_recover_parity(wl):
             recovery = recover_to(graph, store, params=params)
             assert recovery.engine.metric.space is not None
             assert engine_signature(recovery.engine) == expected, build.__name__
+            assert_live_matches_oracle(recovery.engine)
 
 
 # ----------------------------------------------------------------------
@@ -315,9 +389,11 @@ def test_shard_worker_parity():
         engines = tuple(
             build("ANCO", shard_graph, SHARD_PARAMS) for build in BUILDERS
         )
-        for engine in engines:
-            apply_activations(engine, shard_acts)
-        assert engine_signature(engines[0]) == engine_signature(engines[1])
+        half = len(shard_acts) // 2
+        for piece in (shard_acts[:half], shard_acts[half:]):
+            for engine in engines:
+                apply_activations(engine, piece)
+            assert_parity(*engines)
 
 
 # ----------------------------------------------------------------------
@@ -333,9 +409,12 @@ def _loop_adjacency(index, level: int) -> List[List[int]]:
     return adj
 
 
-def _assert_votes_match(index) -> None:
+def _assert_votes_match(engine, even: ClusterQueryEngine) -> None:
+    index = engine.index
     for level in range(1, index.num_levels + 1):
         assert voted_adjacency(index, level) == _loop_adjacency(index, level), level
+        assert even.clusters(level) == even_clustering(index, level), level
+    assert_live_matches_oracle(engine)
 
 
 #: Nodes appended after the planted graph, joined only to each other, so
@@ -355,7 +434,8 @@ EXTRA = 5
 def test_vote_kernel_matches_loop(wl, inserts):
     """After a stream with dynamic edge insertion, on both index
     classes, ``voted_adjacency`` equals the ``same_cluster_vote`` loop
-    at every level, seedless (``-1``) nodes included."""
+    at every level, seedless (``-1``) nodes included, and the live even
+    and power clusterings equal the one-shot ones."""
     base, acts, rescale_every = wl
     cut = len(acts) // 2
     for build in BUILDERS:
@@ -365,13 +445,14 @@ def test_vote_kernel_matches_loop(wl, inserts):
             graph.add_edge(x, x + 1)
         engine = build("anco", graph, _params(rescale_every=rescale_every))
         index = engine.index
+        even = ClusterQueryEngine(index, method="even")
         level1 = index.partitions_at(1)
         assert any(s < 0 for part in level1 for s in part.seed)
         apply_activations(engine, acts[:cut])
-        _assert_votes_match(index)
+        _assert_votes_match(engine, even)
         for u, v in inserts:
             if u != v:
                 add_relation_edge(engine, u, v)
-        _assert_votes_match(index)
+        _assert_votes_match(engine, even)
         apply_activations(engine, acts[cut:])
-        _assert_votes_match(index)
+        _assert_votes_match(engine, even)

@@ -797,6 +797,39 @@ class TestServerProtocol:
         assert "256" in too_long["error"]
         assert longest["ok"] is True and longest["accepted"] == 1
 
+    def test_dedup_map_keeps_the_newest_keys(self, small_planted, monkeypatch):
+        """Past ``DEDUP_CAPACITY`` the oldest settled keys are dropped:
+        six keyed batches under a capacity of 4 leave the newest four,
+        and a resend of a kept key is still answered from the map."""
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(server_module, "DEDUP_CAPACITY", 4)
+        graph, _ = small_planted
+        (u, v) = graph.edges()[0]
+        keys = [f"b{i}" for i in range(6)]
+
+        async def scenario(reader, writer, server):
+            for i, key in enumerate(keys):
+                sent = await rpc(
+                    reader, writer, op="ingest_batch",
+                    items=[[u, v, float(i + 1)]], key=key,
+                )
+                assert sent["ok"] is True and "deduped" not in sent
+            kept = list(server._dedup)
+            resend = await rpc(
+                reader, writer, op="ingest_batch",
+                items=[[u, v, 4.0]], key="b3",
+            )
+            synced = await rpc(reader, writer, op="sync")
+            return kept, resend, synced
+
+        kept, resend, synced = run_server_scenario(
+            scenario, graph_and_labels=small_planted
+        )
+        assert kept == keys[2:]
+        assert resend["ok"] is True and resend["deduped"] is True
+        assert synced["applied"] == len(keys)
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -1050,7 +1083,72 @@ class TestWriterFailure:
         assert acked == len(items) - 1 and len(logged) == len(items)
 
 
+#: Serves one durable ANCServer through keyed ingest, ``clusters`` at
+#: two levels, ``local``, ``stats``, ``signature`` and ``snapshot``,
+#: then reports whether numpy was ever imported.
+NUMPY_FREE_SERVE = """
+import asyncio, json, sys
+from repro.core.anc import ANCParams
+from repro.graph.generators import planted_partition
+from repro.service import ANCServer, ServerConfig, ServiceClient
+
+graph, labels = planted_partition(60, 4, p_in=0.5, p_out=0.02, seed=11)
+items = [[u, v, float(i // 8)] for i, (u, v) in enumerate(graph.edges()[:64])]
+
+async def main():
+    server = ANCServer(
+        graph, None,
+        config=ServerConfig(data_dir=sys.argv[1], metrics_interval=0.0),
+        params=ANCParams(rep=1, k=2, seed=0),
+    )
+    await server.start()
+    serving = asyncio.create_task(server.serve_forever())
+
+    def drive():
+        with ServiceClient("127.0.0.1", server.port) as client:
+            client.ingest_batch(items[:32], key="first")
+            client.ingest_batch(items[32:], key="second")
+            client.sync()
+            sqrt = client.request("clusters")
+            finer = client.request("clusters", level=sqrt["level"] + 1)
+            return {
+                "sqrt": sqrt["level"],
+                "finer": finer["level"],
+                "local": client.local(0),
+                "applied": client.stats()["applied"],
+                "digest": client.request("signature")["digest"],
+                "snapshot": client.request("snapshot")["ok"],
+            }
+
+    try:
+        return await asyncio.to_thread(drive)
+    finally:
+        await server.stop()
+        await serving
+
+report = asyncio.run(main())
+report["numpy"] = "numpy" in sys.modules
+print(json.dumps(report))
+"""
+
+
 class TestServerSubprocess:
+    def test_served_process_loads_no_numpy(self, tmp_path):
+        """A durable server answers ingest, queries at two levels, stats,
+        signature and snapshot without ever importing numpy."""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-c", NUMPY_FREE_SERVE, str(tmp_path / "data")],
+            capture_output=True, env=env, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report["applied"] == 64
+        assert report["finer"] == report["sqrt"] + 1
+        assert 0 in report["local"]
+        assert len(report["digest"]) == 64 and report["snapshot"] is True
+        assert report["numpy"] is False
+
     def test_kill_dash_nine_recovers_identical_clusters(self, tmp_path):
         """SIGKILL the serving process mid-stream; the restarted server
         answers ``clusters`` identically at the same granularity."""
