@@ -6,8 +6,8 @@ bursts, the Fig 9 workload), absorbs them minute by minute with the
 online engine, and demonstrates the operational side of the system:
 
 * per-minute batch latency (bounded by the affected set, not the graph);
-* the real-time vote table reporting which edges flipped cluster
-  membership each hour (the "Remarks" feature of Section V-C);
+* live votes at the sqrt-n level reporting which users had an incident
+  vote flip each hour (the "Remarks" feature of Section V-C);
 * live local queries against the current index.
 
 Run:  python examples/social_stream_monitoring.py
@@ -17,7 +17,7 @@ import time
 
 from repro import ANCO, ANCParams
 from repro.graph.generators import planted_partition
-from repro.index.voting import VoteTable
+from repro.index.voting import LiveVotes
 from repro.workloads.streams import day_trace
 
 MINUTES = 180  # 3 simulated hours
@@ -29,8 +29,9 @@ def main() -> None:
 
     params = ANCParams(lam=0.01, rep=2, k=4, seed=0, eps=0.25, mu=2)
     engine = ANCO(graph, params)
-    votes = VoteTable(engine.index)
     watch_level = engine.queries.sqrt_n_level()
+    votes = LiveVotes(engine.index, watch_level)
+    votes.refresh()
     print(f"Watching cluster changes at level {watch_level} (sqrt-n granularity)\n")
 
     stream = day_trace(
@@ -39,18 +40,15 @@ def main() -> None:
 
     latencies = []
     processed = 0
-    flip_log = []
+    flipped_this_hour = set()
     for minute, batch in stream.batches_by_timestamp():
         start = time.perf_counter()
         engine.process_batch(batch)
-        touched = {a.u for a in batch} | {a.v for a in batch}
-        votes.refresh_around(touched, level=watch_level)
+        # The endpoints of every edge whose vote flipped in this batch.
+        flipped_this_hour |= votes.refresh()
         latencies.append(time.perf_counter() - start)
         processed += len(batch)
 
-        flipped = votes.changed_edges(watch_level)
-        if flipped:
-            flip_log.append((minute, len(flipped)))
         if int(minute) % 60 == 0:
             hour = int(minute) // 60
             lat = sorted(latencies[-60:])
@@ -58,9 +56,9 @@ def main() -> None:
             print(
                 f"hour {hour}: {processed} activations so far, "
                 f"p95 minute latency {p95 * 1000:.1f} ms, "
-                f"{sum(n for _, n in flip_log)} vote flips this hour"
+                f"{len(flipped_this_hour)} users with a flipped vote this hour"
             )
-            flip_log.clear()
+            flipped_this_hour.clear()
 
     lat = sorted(latencies)
     print(

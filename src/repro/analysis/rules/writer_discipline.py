@@ -92,7 +92,6 @@ FALLBACK_METHOD_MUTATORS = frozenset(
         "set_all_weights",
         "rebuild",
         "on_rescale",
-        "drain_affected",
     }
 )
 

@@ -10,7 +10,7 @@ run.  Three runners cover the five families:
   activation to the WAL, apply it, checkpoint periodically; on an
   :class:`~repro.faults.plan.InjectedCrash` (or at end of stream,
   standing in for a ``kill -9``) reopen the data directory, run
-  :func:`~repro.service.snapshots.recover_engine` and resend every
+  :func:`~repro.service.snapshots.recover_to` and resend every
   activation past the recovered high-water mark;
 * the **fleet** runner (service, replica and readpath) runs a real
   :class:`~repro.service.server.ANCServer` primary (:func:`ServerThread`)
@@ -104,7 +104,7 @@ from ..service.snapshots import (
     WriteAheadLog,
     apply_activations,
     engine_signature,
-    recover_engine,
+    recover_to,
     signature_digest,
 )
 from ..service.wire import FrontEnd
@@ -705,6 +705,23 @@ class _Cell:
         if not ok:
             self.failed.append(what)
 
+    def fired(self) -> List[Dict[str, object]]:
+        """Every fired-log entry so far, this process's and reconstructed."""
+        return [entry for plan in self.plans for entry in plan.fired] + self.reconstructed
+
+    def unfired(self) -> List[str]:
+        """The armed specs that have not fired yet, as ``site/kind[@count]``."""
+        fired = self.fired()
+        return [
+            f"{spec.site}/{spec.kind}" + (f"@{spec.at_count}" if spec.at_count else "")
+            for spec in self.armed
+            if not any(
+                (entry["site"], entry["kind"]) == (spec.site, spec.kind)
+                and spec.at_count in (None, entry["hit"])
+                for entry in fired
+            )
+        ]
+
 
 def _verdict(cell: _Cell, refused: Optional[Exception] = None) -> ChaosResult:
     """Classify one cell from what its runner observed.
@@ -716,20 +733,10 @@ def _verdict(cell: _Cell, refused: Optional[Exception] = None) -> ChaosResult:
     whatever else happened: it did not test what its scenario claims.
     """
     scenario = cell.scenario
-    fired = [entry for plan in cell.plans for entry in plan.fired]
-    fired += cell.reconstructed
     parts = list(cell.notes)
     if refused is not None:
         parts.append(f"{type(refused).__name__}: {refused}")
-    never = [
-        f"{spec.site}/{spec.kind}" + (f"@{spec.at_count}" if spec.at_count else "")
-        for spec in cell.armed
-        if not any(
-            (entry["site"], entry["kind"]) == (spec.site, spec.kind)
-            and spec.at_count in (None, entry["hit"])
-            for entry in fired
-        )
-    ]
+    never = cell.unfired()
     failed = list(cell.failed)
     if scenario.evidence is not None and not scenario.evidence(
         defaultdict(float, cell.counters)
@@ -751,7 +758,7 @@ def _verdict(cell: _Cell, refused: Optional[Exception] = None) -> ChaosResult:
         status,
         scenario.expect,
         detail="; ".join(parts),
-        injected=fired,
+        injected=cell.fired(),
         family=scenario.mode,
     )
 
@@ -795,7 +802,8 @@ def _run_pipeline(cell: _Cell) -> None:
     # A typed refusal (WalCorruptError / CheckpointCorruptError) raises
     # out of here to the verdict.
     plan.set_phase("recovery")
-    recovered, replayed = recover_engine(graph, store, params=QUICK_PARAMS)
+    recovery = recover_to(graph, store, params=QUICK_PARAMS)
+    recovered = recovery.engine
     # The client resends everything past the recovered high-water mark —
     # it never got an ack for those, so at-least-once delivery covers the
     # tail the crash (or a benign torn/lost tail record) took.
@@ -807,7 +815,7 @@ def _run_pipeline(cell: _Cell) -> None:
             apply_activations(recovered, [act])
     finally:
         tail_wal.close()
-    cell.notes.append(f"replayed {replayed}, resent {len(resend)}")
+    cell.notes.append(f"replayed {recovery.replayed}, resent {len(resend)}")
     cell.check(engine_signature(recovered) == expected, "recovered signature")
 
 
@@ -992,6 +1000,10 @@ _FOLLOWERS = {"service": 0, "replica": 1, "readpath": 2}
 #: Fault sites armed on the first follower; every other site arms on the
 #: primary (which serves ``wal_fetch``).
 _FOLLOWER_SITES = frozenset({"replica.apply"})
+
+#: Seconds a fleet cell waits, once its stream is in, for armed faults
+#: that have not fired yet before it stops the fleet.
+UNFIRED_GRACE_S = 10.0
 
 #: Client error codes a routed read may legally surface while the fleet
 #: is degraded — every one is typed, none hands back stale data.
@@ -1305,6 +1317,13 @@ def _run_fleet(cell: _Cell) -> None:
                 timeout=30.0,
                 what="follower catch-up",
             )
+        # A fault armed on a polled path (a caught-up follower's fetch
+        # parks on the primary) may not have fired yet: give it the
+        # chance before the stop races it.  One that still has not
+        # fired reads ``error`` in the verdict.
+        deadline = time.monotonic() + UNFIRED_GRACE_S
+        while cell.unfired() and time.monotonic() < deadline:
+            time.sleep(0.01)
     finally:
         fleet.stop()
 

@@ -18,7 +18,7 @@ from .distances import (
 from .dynamic import add_relation_edge, insert_edge_into_index, register_edge_in_metric
 from .pyramid import Pyramid, PyramidIndex, levels_for, seeds_at_level
 from .voronoi import VoronoiPartition
-from .voting import VoteTable, voted_adjacency, voted_edges
+from .voting import LiveVotes, voted_adjacency, voted_edges
 
 __all__ = [
     "common_seed_witness",
@@ -40,7 +40,7 @@ __all__ = [
     "levels_for",
     "seeds_at_level",
     "VoronoiPartition",
-    "VoteTable",
+    "LiveVotes",
     "voted_adjacency",
     "voted_edges",
 ]

@@ -113,7 +113,6 @@ class ArrayPyramidIndex(PyramidIndex):
         e_uv = self._space.eid[key]
         touched = 0
         moved_at: Optional[Dict[int, int]] = None
-        affected_acc = self.affected_since_drain
         w_uv = new_weight
         if new_weight < old:
             for level, part in self._parts:
@@ -137,7 +136,6 @@ class ArrayPyramidIndex(PyramidIndex):
                             moved_at = {level: moved}
                         else:
                             moved_at[level] = moved_at.get(level, 0) + moved
-                        affected_acc |= part.last_affected
                         continue
                 o = seed[u]
                 if o >= 0:
@@ -151,10 +149,8 @@ class ArrayPyramidIndex(PyramidIndex):
                             moved_at = {level: moved}
                         else:
                             moved_at[level] = moved_at.get(level, 0) + moved
-                        affected_acc |= part.last_affected
                         continue
                 part.last_touched = 0
-                part.last_affected = set()
         else:
             for level, part in self._parts:
                 parent = part.parent
@@ -162,7 +158,6 @@ class ArrayPyramidIndex(PyramidIndex):
                     # No tree edge severed: Update-Increase exits before
                     # touching anything.
                     part.last_touched = 0
-                    part.last_affected = set()
                     continue
                 moved = self._repair_increase(part, u, v)
                 touched += moved
@@ -170,7 +165,6 @@ class ArrayPyramidIndex(PyramidIndex):
                     moved_at = {level: moved}
                 else:
                     moved_at[level] = moved_at.get(level, 0) + moved
-                affected_acc |= part.last_affected
         # Batched counter bookkeeping: one pass per level instead of one
         # per partition, with the exact totals the base accounting
         # accumulates (a no-op repair still creates/keeps the level key).
@@ -211,7 +205,6 @@ class ArrayPyramidIndex(PyramidIndex):
         parent = part.parent
         children = part._children
         touched = 0
-        affected = set()
         pq: List[Tuple[float, int, int]] = []
         push = heappush
         pop = heappop
@@ -234,7 +227,6 @@ class ArrayPyramidIndex(PyramidIndex):
                         children[old].discard(a_)
                     parent[a_] = b_
                     children[b_].add(a_)
-                affected.add(a_)
                 push(pq, (d, o, a_))
         nbr = space.nbr
         neid = space.neid
@@ -260,10 +252,8 @@ class ArrayPyramidIndex(PyramidIndex):
                             children[old].discard(y)
                         parent[y] = x
                         children[x].add(y)
-                    affected.add(y)
                     push(pq, (dy, sx, y))
         part.last_touched = touched
-        part.last_affected = affected
         return touched
 
     def _repair_increase(self, part: VoronoiPartition, u: int, v: int) -> int:
@@ -279,7 +269,6 @@ class ArrayPyramidIndex(PyramidIndex):
             orphan = v
         else:
             part.last_touched = 0
-            part.last_affected = set()
             return 0
         # Subtree BFS — iterates the children sets exactly as the dict
         # backend does (identical op history ⇒ identical iteration order).
@@ -334,7 +323,6 @@ class ArrayPyramidIndex(PyramidIndex):
                     touched += 1
                     push(pq, (dy, sx, y))
         part.last_touched = touched
-        part.last_affected = impacted_set
         return touched
 
     # ------------------------------------------------------------------

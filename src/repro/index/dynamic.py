@@ -60,11 +60,6 @@ def insert_edge_into_index(
         moved = partition.update_decrease(u, v)
         touched += moved
         index._record_repair(level, moved)
-        index.affected_since_drain |= partition.last_affected
-    # The endpoints gained an edge even if no assignment changed: vote
-    # tables must (re)count the new edge.
-    index.affected_since_drain.add(u)
-    index.affected_since_drain.add(v)
     index.total_touched += touched
     index.update_count += 1
     index.update_decreases += 1

@@ -79,9 +79,8 @@ class ParallelUpdater:
 
         moved = list(self._pool.map(repair, self._partitions))
         touched = sum(moved)
-        for level, partition, count in zip(self._levels, self._partitions, moved):
+        for level, count in zip(self._levels, moved):
             self.index._record_repair(level, count)
-            self.index.affected_since_drain |= partition.last_affected
         self.index.total_touched += touched
         self.index.update_count += 1
         if new_weight > old:

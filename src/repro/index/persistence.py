@@ -202,7 +202,6 @@ def load_index_resume(
             partition.seed = [int(s) for s in part_doc["seed"]]
             partition.parent = [int(p) for p in part_doc["parent"]]
             partition.last_touched = 0
-            partition.last_affected = set()
             partition._children = [set() for _ in range(graph.n)]
             for v, p in enumerate(partition.parent):
                 if p >= 0:

@@ -151,9 +151,6 @@ class PyramidIndex:
         self.touched_by_level: Dict[int, int] = {}
         #: level -> repair dispatches (k per level per update).
         self.repairs_by_level: Dict[int, int] = {}
-        #: Union of partitions' affected sets since the last drain —
-        #: consumed by vote maintenance (VoteTable / ClusterWatcher).
-        self.affected_since_drain: set = set()
 
     def _record_repair(self, level: int, moved: int) -> None:
         """Account one partition repair at ``level`` that moved ``moved`` nodes."""
@@ -245,7 +242,6 @@ class PyramidIndex:
             moved = partition.apply_weight_change(u, v, old, new_weight)
             touched += moved
             self._record_repair(level, moved)
-            self.affected_since_drain |= partition.last_affected
         self.total_touched += touched
         self.update_count += 1
         if new_weight > old:
@@ -253,14 +249,6 @@ class PyramidIndex:
         else:
             self.update_decreases += 1
         return touched
-
-    def drain_affected(self) -> set:
-        """Nodes whose assignment changed in any partition since the
-        last drain (always includes update endpoints via their repairs).
-        Clears the accumulator."""
-        out = self.affected_since_drain
-        self.affected_since_drain = set()
-        return out
 
     def on_rescale(self, g: float) -> None:
         """Absorb a batched rescale of the global decay factor (Lemma 10).
@@ -278,7 +266,6 @@ class PyramidIndex:
         """Rebuild every partition from scratch (the RECONSTRUCT baseline)."""
         for partition in self.partitions():
             partition.rebuild()
-        self.affected_since_drain = set(self.graph.nodes())
 
     def set_all_weights(self, weights: Dict[Edge, float]) -> None:
         """Replace the whole weight table without incremental repair.

@@ -70,7 +70,6 @@ class VoronoiPartition:
         "parent",
         "_children",
         "last_touched",
-        "last_affected",
     )
 
     def __init__(self, graph: Graph, seeds: Sequence[int], weight: WeightFn) -> None:
@@ -92,9 +91,6 @@ class VoronoiPartition:
         self._children: List[Set[int]] = []
         #: Nodes touched by the most recent update (observability, Fig 8).
         self.last_touched: int = 0
-        #: Nodes whose dist/seed changed in the most recent update — the
-        #: affected set U of Lemma 11, consumed by vote maintenance.
-        self.last_affected: Set[int] = set()
         self.rebuild()
 
     # ------------------------------------------------------------------
@@ -109,8 +105,6 @@ class VoronoiPartition:
         for v, p in enumerate(self.parent):
             if p >= 0:
                 self._children[p].add(v)
-        # Everything may have moved: consumers must refresh globally.
-        self.last_affected = set(self.graph.nodes())
 
     # ------------------------------------------------------------------
     # Forest bookkeeping
@@ -187,13 +181,10 @@ class VoronoiPartition:
         weight.  Returns the number of touched nodes.
         """
         touched = 0
-        affected: Set[int] = set()
         pq: List[Tuple[float, int, int]] = []
         if self.probe(u, v):
-            affected.add(u)
             heapq.heappush(pq, (self.dist[u], self.seed[u], u))
         if self.probe(v, u):
-            affected.add(v)
             heapq.heappush(pq, (self.dist[v], self.seed[v], v))
         while pq:
             d, s, x = heapq.heappop(pq)
@@ -202,10 +193,8 @@ class VoronoiPartition:
             touched += 1
             for y in self.graph.neighbors(x):
                 if self.probe(y, x):
-                    affected.add(y)
                     heapq.heappush(pq, (self.dist[y], self.seed[y], y))
         self.last_touched = touched
-        self.last_affected = affected
         return touched
 
     # ------------------------------------------------------------------
@@ -225,7 +214,6 @@ class VoronoiPartition:
             o = v
         else:
             self.last_touched = 0
-            self.last_affected = set()
             return 0
         impacted = self.subtree(o)
         impacted_set = set(impacted)
@@ -248,7 +236,6 @@ class VoronoiPartition:
                     touched += 1
                     heapq.heappush(pq, (self.dist[y], self.seed[y], y))
         self.last_touched = touched
-        self.last_affected = impacted_set
         return touched
 
     def apply_weight_change(self, u: int, v: int, old: float, new: float) -> int:
@@ -258,7 +245,6 @@ class VoronoiPartition:
         if new > old:
             return self.update_increase(u, v)
         self.last_touched = 0
-        self.last_affected = set()
         return 0
 
     # ------------------------------------------------------------------

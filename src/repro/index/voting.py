@@ -1,4 +1,4 @@
-"""Voting over pyramids (Section V-B) and the maintained vote table.
+"""Voting over pyramids (Section V-B) and the live voted subgraph.
 
 The basic voting function ``H_l(u, v)`` lives on
 :meth:`repro.index.pyramid.PyramidIndex.same_cluster_vote`.  This module
@@ -12,26 +12,27 @@ adds:
   by one numpy kernel over the level's ``k`` seed lists;
 * :class:`LiveVotes` — one level's voted subgraph kept current between
   queries: each refresh recounts only the edges at nodes whose seed
-  moved (what :class:`~repro.index.clustering.ClusterQueryEngine`
-  serves from);
-* :class:`VoteTable` — the "Remarks" extension of Section V-C: a per-level,
-  per-edge vote count maintained in real time, so that changes around
-  user-specified nodes can be reported at a cost equal to the reporting.
+  moved and reports the endpoints of the votes that flipped.  It is the
+  "Remarks" extension of Section V-C — vote counts kept in real time, so
+  that changes around user-specified nodes are reported at a cost equal
+  to the reporting — and what both
+  :class:`~repro.index.clustering.ClusterQueryEngine` and
+  :class:`~repro.monitor.ClusterWatcher` serve from.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 from operator import ne
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, List, Set, Tuple
 
-from ..graph.graph import Edge, Graph, edge_key
+from ..graph.graph import Edge, Graph
 from .pyramid import PyramidIndex
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["voted_edges", "voted_adjacency", "LiveVotes", "VoteTable"]
+__all__ = ["voted_edges", "voted_adjacency", "LiveVotes"]
 
 
 def voted_edges(index: PyramidIndex, level: int) -> List[Edge]:
@@ -99,8 +100,13 @@ class LiveVotes:
         self._seeds: List[List[int]] = []
         self._m = -1
 
-    def refresh(self) -> bool:
-        """Catch up with the live seeds; True when any vote flipped."""
+    def refresh(self) -> Set[int]:
+        """Catch up with the live seeds.
+
+        Returns the endpoints of the edges whose vote flipped since the
+        previous refresh — empty when none did, every node after a full
+        recount.
+        """
         graph = self.index.graph
         live = [part.seed for part in self.index.partitions_at(self.level)]
         if graph.m != self._m:
@@ -111,16 +117,16 @@ class LiveVotes:
                 if self._voted(u, v):
                     self.adj[u].add(v)
                     self.adj[v].add(u)
-            return True
+            return set(graph.nodes())
         nodes = graph.nodes()
         moved: Set[int] = set()
         for old, new in zip(self._seeds, live):
             moved.update(compress(nodes, map(ne, old, new)))
         if not moved:
-            return False
+            return set()
         self._seeds = [list(seed) for seed in live]
         adj = self.adj
-        flipped = False
+        flipped: Set[int] = set()
         for x in moved:
             near = adj[x]
             for y in graph.neighbors(x):
@@ -131,7 +137,8 @@ class LiveVotes:
                     else:
                         near.add(y)
                         adj[y].add(x)
-                    flipped = True
+                    flipped.add(x)
+                    flipped.add(y)
         return flipped
 
     def _voted(self, u: int, v: int) -> bool:
@@ -142,71 +149,3 @@ class LiveVotes:
             if su >= 0 and su == seed[v]:
                 votes += 1
         return votes >= self.threshold
-
-
-class VoteTable:
-    """Real-time per-edge vote counts for every granularity level.
-
-    After every index update, :meth:`refresh_around` recounts only the
-    edges incident to the touched nodes — the "local feature of the
-    update" the paper's Remarks exploit.  :meth:`changed_edges` drains the
-    set of edges whose vote flipped since last drained, which is exactly
-    what a user-facing change feed would report.
-    """
-
-    def __init__(self, index: PyramidIndex) -> None:
-        self.index = index
-        self.threshold = index.support * index.k
-        # counts[level][edge] = number of agreeing pyramids
-        self.counts: Dict[int, Dict[Edge, int]] = {}
-        self._changed: Dict[int, Set[Edge]] = {}
-        for level in range(1, index.num_levels + 1):
-            table: Dict[Edge, int] = {}
-            for u, v in index.graph.edges():
-                table[(u, v)] = index.vote_count(u, v, level)
-            self.counts[level] = table
-            self._changed[level] = set()
-
-    def vote(self, u: int, v: int, level: int) -> bool:
-        """``H_l(u, v)`` from the maintained table (edges of ``G`` only).
-
-        Edges inserted after construction count as 0 until the first
-        :meth:`refresh_around` that covers them.
-        """
-        return self.counts[level].get(edge_key(u, v), 0) >= self.threshold
-
-    def refresh_around(self, nodes: Iterable[int], level: Optional[int] = None) -> int:
-        """Recount votes for all edges incident to ``nodes``.
-
-        Returns the number of edges whose vote result flipped.  When
-        ``level`` is None all levels refresh.
-        """
-        node_set = set(nodes)
-        levels = range(1, self.index.num_levels + 1) if level is None else (level,)
-        graph = self.index.graph
-        flips = 0
-        edges_to_check: Set[Edge] = set()
-        for x in node_set:
-            for y in graph.neighbors(x):
-                edges_to_check.add(edge_key(x, y))
-        for lvl in levels:
-            table = self.counts[lvl]
-            for key in edges_to_check:
-                # Edges inserted after construction (index growth) enter
-                # the table here with an implicit prior count of 0.
-                old = table.get(key, 0)
-                new = self.index.vote_count(key[0], key[1], lvl)
-                if new != old or key not in table:
-                    table[key] = new
-                    was = old >= self.threshold
-                    now = new >= self.threshold
-                    if was != now:
-                        self._changed[lvl].add(key)
-                        flips += 1
-        return flips
-
-    def changed_edges(self, level: int) -> List[Edge]:
-        """Drain and return the edges whose vote flipped at ``level``."""
-        out = sorted(self._changed[level])
-        self._changed[level].clear()
-        return out

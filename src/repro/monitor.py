@@ -6,10 +6,11 @@ allows us to report changes on user specified nodes at a cost equal to
 the reporting."  This module builds that application end to end:
 
 * :class:`ClusterWatcher` — register nodes of interest at a granularity
-  level; after each processed batch it refreshes the vote table around
-  the touched region and re-derives the watched nodes' local clusters
-  *only if* a vote incident to their current cluster flipped — the
-  "cost equal to the reporting" property;
+  level; after each processed batch it refreshes each watched level's
+  live votes (:class:`~repro.index.voting.LiveVotes`, which recount only
+  the edges at nodes whose seed moved) and re-derives the watched nodes'
+  local clusters *only if* a vote incident to their current cluster
+  flipped — the "cost equal to the reporting" property;
 * :class:`ClusterChange` — the emitted event: node, level, time, nodes
   joined and left.
 
@@ -25,7 +26,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from .core.activation import Activation, ActivationStream
 from .core.anc import ANCEngineBase
 from .index.clustering import local_cluster
-from .index.voting import VoteTable
+from .index.voting import LiveVotes
 from .obs.trace import perf_counter
 
 __all__ = ["ClusterChange", "ClusterWatcher"]
@@ -58,9 +59,10 @@ class ClusterWatcher:
     Parameters
     ----------
     engine:
-        Any ANC engine.  The watcher processes batches *through* the
-        engine (:meth:`process_batch`), so it sees exactly which nodes
-        each batch touched.
+        Any ANC engine.  The watcher either feeds each batch through the
+        engine itself (:meth:`process_batch`) or observes a batch the
+        engine already absorbed (:meth:`observe_applied`); either way it
+        finds the changes by diffing the index's seeds, not the batch.
     levels:
         Granularity levels to watch (default: the √n level).
     """
@@ -78,7 +80,12 @@ class ClusterWatcher:
         if bad:
             raise ValueError(f"levels out of range: {bad}")
         self.levels: Tuple[int, ...] = tuple(sorted(set(levels)))
-        self.votes = VoteTable(engine.index)
+        # The watcher's own baseline: a refresh consumes the diff, so it
+        # cannot share the query engine's LiveVotes.
+        self.votes: Dict[int, LiveVotes] = {}
+        for level in self.levels:
+            self.votes[level] = LiveVotes(engine.index, level)
+            self.votes[level].refresh()
         # watched[level] = set of nodes; clusters[(node, level)] = frozenset
         self._watched: Dict[int, Set[int]] = {l: set() for l in self.levels}
         self._clusters: Dict[Tuple[int, int], FrozenSet[int]] = {}
@@ -116,9 +123,9 @@ class ClusterWatcher:
         """Feed a batch through the engine, then report watched changes.
 
         Returns the changes detected in this batch (also appended to
-        :meth:`events`).  The refresh cost is proportional to the batch's
-        touched region plus the size of the re-derived clusters — never
-        the graph.
+        :meth:`events`).  The refresh cost is proportional to the edges
+        at nodes whose seed moved plus the size of the re-derived
+        clusters — never the graph.
         """
         self.engine.process_batch(batch)
         return self.observe_applied(batch)
@@ -140,10 +147,10 @@ class ClusterWatcher:
         """
         obs = self.engine.obs
         if not obs.enabled:
-            return self._observe(batch)[0]
+            return self._observe()[0]
         start = perf_counter()
         with obs.tracer.span("watcher_refresh", batch_size=len(batch)):
-            changes, touched_count = self._observe(batch)
+            changes, touched_count = self._observe()
         registry = obs.registry
         registry.histogram("watcher_refresh_seconds").observe(
             perf_counter() - start
@@ -156,32 +163,20 @@ class ClusterWatcher:
         )
         return changes
 
-    def _observe(
-        self, batch: Sequence[Activation]
-    ) -> Tuple[List[ClusterChange], int]:
-        """The refresh itself; returns (changes, touched-region size)."""
-        # The refresh region is the index's actual affected set (Lemma 11
-        # — possibly wider than the batch endpoints when updates re-seat
-        # distant nodes) plus the endpoints themselves.
-        touched = {a.u for a in batch} | {a.v for a in batch}
-        touched |= self.engine.index.drain_affected()
+    def _observe(self) -> Tuple[List[ClusterChange], int]:
+        """The refresh itself; returns (changes, flipped-endpoint count)."""
         changes: List[ClusterChange] = []
         t = self.engine.now
-        # Refresh every level in one pass so the vote table stays globally
-        # exact (cost: touched-incident edges × levels, still local).
-        if touched:
-            self.votes.refresh_around(touched)
+        touched = 0
         for level in self.levels:
-            flipped_edges = self.votes.changed_edges(level)
-            flipped_nodes = {v for e in flipped_edges for v in e}
+            flipped = self.votes[level].refresh()
+            touched += len(flipped)
             for node in self._watched[level]:
                 old = self._clusters[(node, level)]
-                # Re-derive only when a flipped edge touches the node's
-                # current cluster (otherwise its component is unchanged:
-                # votes define the component structure).
-                if flipped_nodes and not (flipped_nodes & old):
-                    continue
-                if not flipped_nodes:
+                # Re-derive only when a flipped vote touches the node's
+                # current cluster: the cluster is the node's voted
+                # component, and a flip outside it cannot reach it.
+                if flipped.isdisjoint(old):
                     continue
                 new = frozenset(local_cluster(self.engine.index, node, level))
                 if new != old:
@@ -195,7 +190,7 @@ class ClusterWatcher:
                     changes.append(change)
                     self._clusters[(node, level)] = new
         self._events.extend(changes)
-        return changes, len(touched)
+        return changes, touched
 
     def process_stream(self, stream: ActivationStream) -> List[ClusterChange]:
         """Feed a whole stream batch-by-timestamp; returns all changes."""

@@ -42,7 +42,6 @@ from .snapshots import (
     WalCorruptError,
     WriteAheadLog,
     dump_engine_state,
-    recover_engine,
     restore_engine,
 )
 
@@ -72,5 +71,4 @@ __all__ = [
     "CheckpointCorruptError",
     "dump_engine_state",
     "restore_engine",
-    "recover_engine",
 ]

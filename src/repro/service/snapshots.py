@@ -102,7 +102,6 @@ __all__ = [
     "dump_engine_state",
     "engine_signature",
     "restore_engine",
-    "recover_engine",
     "recover_to",
     "signature_digest",
 ]
@@ -788,23 +787,6 @@ def recover_to(
             replayed += 1
     apply_activations(engine, tail)
     return Recovery(engine=engine, replayed=replayed, epoch=epoch, dedup=dedup)
-
-
-def recover_engine(
-    graph: Graph,
-    store: CheckpointStore,
-    *,
-    params: Optional[ANCParams] = None,
-    engine_name: str = "ANCO",
-) -> Tuple[ANCEngineBase, int]:
-    """Compatibility wrapper over :func:`recover_to`.
-
-    Returns ``(engine, replayed)`` — the pre-replication recovery
-    surface.  New callers that need the epoch or the dedup map use
-    :func:`recover_to` directly.
-    """
-    recovery = recover_to(graph, store, params=params, engine_name=engine_name)
-    return recovery.engine, recovery.replayed
 
 
 # ----------------------------------------------------------------------

@@ -5,12 +5,14 @@ seeds.  Each cell must land in its contract — either the recovered
 engine state is byte-identical to the fault-free oracle (exact float
 reprs, same clusterings) or the failure surfaced as a *typed* error.
 A cell that diverges silently is the one unforgivable outcome and
-fails the suite (and the CI gate) immediately.  Every engine under test
+fails the suite immediately.  Every engine under test
 runs the array serving engine and every oracle the dict reference, so
 each cell is also a cross-engine differential under faults.
 
 Gated behind ``@pytest.mark.chaos`` (enable with ``--chaos`` or
-``ANC_CHAOS=1``) so the tier-1 suite stays fast.
+``ANC_CHAOS=1``) so the tier-1 suite stays fast; CI runs the same cells
+through ``repro-anc chaos`` instead.  The catalog's injector floor needs
+no cell run and lives in ``tests/test_faults.py``.
 """
 
 from __future__ import annotations
@@ -21,24 +23,7 @@ from repro.faults import SCENARIOS, run_scenario
 
 SEEDS = (0, 1, 2)
 
-#: The acceptance floor: the matrix must exercise at least this many
-#: distinct injector kinds across the scenario catalog.
-MIN_INJECTOR_KINDS = 8
-
 pytestmark = pytest.mark.chaos
-
-
-def _kinds() -> set:
-    kinds = set()
-    for scenario in SCENARIOS:
-        for spec in scenario.specs(0, 100):
-            kinds.add((spec.site, spec.kind))
-    return kinds
-
-
-def test_matrix_covers_injector_floor():
-    """The catalog spans >= 8 (site, kind) injector combinations."""
-    assert len(_kinds()) >= MIN_INJECTOR_KINDS, sorted(_kinds())
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -13,7 +13,7 @@ from repro.index.clustering import (
     power_clustering,
 )
 from repro.index.pyramid import PyramidIndex
-from repro.index.voting import VoteTable, voted_adjacency, voted_edges
+from repro.index.voting import LiveVotes, voted_adjacency, voted_edges
 
 
 @pytest.fixture
@@ -133,26 +133,38 @@ class TestVoting:
                 assert u in adj[v]
 
     def test_vote_table_matches_direct(self, barbell_index):
-        table = VoteTable(barbell_index)
+        """The live vote table (LiveVotes) holds exactly H_l's edges."""
         for level in range(1, barbell_index.num_levels + 1):
+            votes = LiveVotes(barbell_index, level)
+            assert votes.refresh() == set(barbell_index.graph.nodes())
             for u, v in barbell_index.graph.edges():
-                assert table.vote(u, v, level) == barbell_index.same_cluster_vote(
+                assert (v in votes.adj[u]) == barbell_index.same_cluster_vote(
                     u, v, level
                 )
+                assert (u in votes.adj[v]) == (v in votes.adj[u])
 
     def test_vote_table_refresh_after_update(self, barbell_index):
-        table = VoteTable(barbell_index)
+        """A refresh reports exactly the endpoints of the flipped votes."""
+        levels = range(1, barbell_index.num_levels + 1)
+        live = {level: LiveVotes(barbell_index, level) for level in levels}
+        for votes in live.values():
+            votes.refresh()
+        before = {level: set(voted_edges(barbell_index, level)) for level in levels}
         # Make the bridge cheap: the two bells should merge at fine levels.
         bridge = next(
             e for e in barbell_index.graph.edges() if (e[0] < 6) != (e[1] < 6)
         )
         barbell_index.update_edge_weight(*bridge, 0.01)
-        table.refresh_around(barbell_index.graph.nodes())
-        for level in range(1, barbell_index.num_levels + 1):
+        flips = 0
+        for level in levels:
+            after = set(voted_edges(barbell_index, level))
+            changed = before[level] ^ after
+            flips += len(changed)
+            assert live[level].refresh() == {x for e in changed for x in e}
+            assert live[level].refresh() == set()
             for u, v in barbell_index.graph.edges():
-                assert table.vote(u, v, level) == barbell_index.same_cluster_vote(
-                    u, v, level
-                )
+                assert (v in live[level].adj[u]) == ((u, v) in after)
+        assert flips > 0
 
 
 class TestQueryEngine:

@@ -60,7 +60,7 @@ from repro.service.snapshots import (
     WalCorruptError,
     WriteAheadLog,
     apply_activations,
-    recover_engine,
+    recover_to,
 )
 from repro.core.activation import Activation
 from repro.workloads.streams import community_biased_stream
@@ -300,9 +300,9 @@ class TestCheckpointFaults:
         with pytest.raises(InjectedCrash):
             store.write_checkpoint(engine)
         assert store.latest_checkpoint() is None
-        recovered, replayed = recover_engine(graph, store, params=QUICK_PARAMS)
-        assert replayed == 30
-        assert engine_signature(recovered) == engine_signature(engine)
+        recovery = recover_to(graph, store, params=QUICK_PARAMS)
+        assert recovery.replayed == 30
+        assert engine_signature(recovery.engine) == engine_signature(engine)
 
     def test_bit_rot_fails_the_checksum(self, tmp_path):
         plan = FaultPlan(
@@ -312,7 +312,7 @@ class TestCheckpointFaults:
         store.write_checkpoint(engine)  # completes: rot happens post-fsync
         assert store.latest_checkpoint() is not None
         with pytest.raises(CheckpointCorruptError, match="checksum"):
-            recover_engine(graph, store, params=QUICK_PARAMS)
+            recover_to(graph, store, params=QUICK_PARAMS)
 
     def test_index_bit_rot_fails_the_checksum(self, tmp_path):
         graph, stream, store, engine = self.run_to_checkpoint(tmp_path)
@@ -320,7 +320,7 @@ class TestCheckpointFaults:
         index = path / "index.json"
         index.write_text(index.read_text() + " ")
         with pytest.raises(CheckpointCorruptError, match="index.json"):
-            recover_engine(graph, store, params=QUICK_PARAMS)
+            recover_to(graph, store, params=QUICK_PARAMS)
 
     def test_crash_between_append_and_apply(self, tmp_path):
         """Satellite regression: kill -9 after WAL append, before apply.
@@ -348,8 +348,9 @@ class TestCheckpointFaults:
         assert applied == 20
         del engine  # kill -9: in-memory state is gone
 
-        recovered, replayed = recover_engine(graph, store, params=QUICK_PARAMS)
-        assert replayed == 21  # includes the orphan append
+        recovery = recover_to(graph, store, params=QUICK_PARAMS)
+        recovered = recovery.engine
+        assert recovery.replayed == 21  # includes the orphan append
         resend = stream[recovered.activations_processed:]
         wal2 = WriteAheadLog(store.wal_path)
         for act in resend:
@@ -654,6 +655,31 @@ class TestScenarioPlumbing:
         for _ in range(2):
             report = run_matrix((0,), only=only, workdir=tmp_path)
             assert report["ok"] == report["total"] == 2, report["failures"]
+
+    def test_matrix_covers_injector_floor(self):
+        """The catalog spans >= 8 (site, kind) injector combinations."""
+        kinds = {
+            (spec.site, spec.kind)
+            for scenario in SCENARIOS
+            for spec in scenario.specs(0, 100)
+        }
+        assert len(kinds) >= 8, sorted(kinds)
+
+    def test_fault_on_a_polled_path_fires_before_the_fleet_stops(self, tmp_path):
+        """A late fetch fault lands once the follower has caught up and
+        parks its fetch on the primary; the cell must let it fire
+        rather than stop the fleet under it."""
+        scenario = Scenario(
+            name="replica-late-fetch-stall",
+            mode="replica",
+            expect="recovered",
+            specs=lambda seed, n: [
+                FaultSpec("replica.fetch", "stall", at_count=12, args={"seconds": 0.05})
+            ],
+        )
+        result = run_scenario(scenario, 0, tmp_path)
+        assert result.status == "recovered", result.detail
+        assert [entry["hit"] for entry in result.injected] == [12]
 
     def test_fault_that_never_fires_is_out_of_contract(self, tmp_path):
         scenario = Scenario(

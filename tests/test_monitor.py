@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.anc import ANCO, ANCParams
+from repro.core.anc import ANCO, ANCOR, ANCParams
 from repro.index.clustering import local_cluster
+from repro.index.dynamic import add_relation_edge
 from repro.monitor import ClusterChange, ClusterWatcher
 from repro.workloads.streams import community_biased_stream
 
@@ -121,22 +122,52 @@ class TestMultiLevel:
             assert watcher.current_cluster(0, level) == fresh
 
 
-class TestAffectedSetPlumbing:
-    def test_index_reports_affected_nodes(self, small_planted):
-        graph, _ = small_planted
-        engine = ANCO(graph, QUICK)
-        engine.index.drain_affected()  # clear build-time state
-        e = graph.edges()[0]
-        engine.index.update_edge_weight(*e, 0.2)
-        affected = engine.index.drain_affected()
-        assert affected  # a real decrease re-seats someone
-        # Drain clears.
-        assert engine.index.drain_affected() == set()
+class TestEventsMatchReference:
+    def test_observe_applied_events_equal_fresh_cluster_deltas(self, small_planted):
+        """Batch by batch, the events are exactly the watched clusters'
+        brute-force deltas: an event when a fresh local query differs
+        from the one before the batch, joined/left the set differences.
+        Runs across rescales and a mid-stream edge insertion."""
+        graph, labels = small_planted
+        params = ANCParams(rep=1, k=2, seed=0, rescale_every=16, mu=2, eps=0.2)
+        engine = ANCOR(graph, params, reinforce_interval=3.0)
+        levels = (engine.queries.sqrt_n_level(), engine.queries.num_levels)
+        watcher = ClusterWatcher(engine, levels=levels)
+        watched = [(v, level) for v in (0, 7, 23, 41) for level in levels]
+        for v, level in watched:
+            watcher.watch(v, level)
+        stream = community_biased_stream(
+            graph, labels, timestamps=24, fraction=0.2, intra_bias=0.7, seed=6
+        )
+        batches = [batch for _, batch in stream.batches_by_timestamp()]
+        far = next(w for w in graph.nodes() if labels[w] != labels[0])
+        assert not graph.has_edge(0, far)
 
-    def test_noop_update_affects_nobody(self, small_planted):
-        graph, _ = small_planted
-        engine = ANCO(graph, QUICK)
-        engine.index.drain_affected()
-        e = graph.edges()[0]
-        engine.index.update_edge_weight(*e, engine.index.weight(*e))
-        assert engine.index.drain_affected() == set()
+        def fresh():
+            return {
+                (v, level): frozenset(local_cluster(engine.index, v, level))
+                for v, level in watched
+            }
+
+        emitted = 0
+        for step, batch in enumerate(batches):
+            before = fresh()
+            if step == len(batches) // 2:
+                add_relation_edge(engine, 0, far)  # graph.m grows: a full recount
+            engine.process_batch(batch)
+            changes = watcher.observe_applied(batch)
+            after = fresh()
+            expected = {
+                key: (after[key] - before[key], before[key] - after[key])
+                for key in watched
+                if after[key] != before[key]
+            }
+            got = {(c.node, c.level): (c.joined, c.left) for c in changes}
+            assert len(got) == len(changes)
+            assert got == expected, step
+            assert all(c.t == engine.now for c in changes)
+            for key in watched:
+                assert watcher.current_cluster(*key) == after[key]
+            emitted += len(changes)
+        assert emitted > 0
+        assert engine.graph.has_edge(0, far)

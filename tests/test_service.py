@@ -46,11 +46,10 @@ from repro.service import (
     ServiceClient,
     ServiceError,
     WriteAheadLog,
-    recover_engine,
 )
 from repro.obs.instruments import Counter, Gauge, Histogram
 from repro.service.client import RetryPolicy
-from repro.service.snapshots import apply_activations, restore_engine
+from repro.service.snapshots import apply_activations, recover_to, restore_engine
 from repro.service.wire import LINE_LIMIT
 from repro.workloads.streams import community_biased_stream
 
@@ -555,10 +554,10 @@ class TestCrashRecovery:
         apply_activations(live, acts[cut:])
         wal.close()  # simulated crash point: WAL flushed, no new checkpoint
 
-        recovered, replayed = recover_engine(graph, store, params=quick_params)
-        assert replayed == len(acts) - cut
-        assert type(recovered).__name__ == engine_name
-        assert_engines_identical(live, recovered)
+        recovery = recover_to(graph, store, params=quick_params)
+        assert recovery.replayed == len(acts) - cut
+        assert type(recovery.engine).__name__ == engine_name
+        assert_engines_identical(live, recovery.engine)
 
     def test_recovery_with_torn_wal_tail(
         self, tmp_path, small_planted, quick_params
@@ -573,11 +572,11 @@ class TestCrashRecovery:
         with open(store.wal_path, "a", encoding="utf-8") as fh:
             fh.write("3 4")  # the append in flight at the crash
 
-        recovered, replayed = recover_engine(graph, store, params=quick_params)
-        assert replayed == len(acts)  # torn line skipped, nothing else lost
+        recovery = recover_to(graph, store, params=quick_params)
+        assert recovery.replayed == len(acts)  # torn line skipped, nothing else lost
         reference = ANCO(graph, quick_params)
         apply_activations(reference, acts)
-        assert_engines_identical(reference, recovered)
+        assert_engines_identical(reference, recovery.engine)
 
     def test_wal_only_recovery(self, tmp_path, small_planted, quick_params):
         graph, labels = small_planted
@@ -587,16 +586,13 @@ class TestCrashRecovery:
         for act in acts:
             wal.append(act)
         wal.close()
-        recovered, replayed = recover_engine(graph, store, params=quick_params)
-        assert replayed == len(acts)
+        assert recover_to(graph, store, params=quick_params).replayed == len(acts)
 
     def test_cold_start(self, tmp_path, small_planted, quick_params):
         graph, _ = small_planted
-        engine, replayed = recover_engine(
-            graph, CheckpointStore(tmp_path), params=quick_params
-        )
-        assert replayed == 0
-        assert engine.activations_processed == 0
+        recovery = recover_to(graph, CheckpointStore(tmp_path), params=quick_params)
+        assert recovery.replayed == 0
+        assert recovery.engine.activations_processed == 0
 
     def test_incomplete_checkpoint_ignored(
         self, tmp_path, small_planted, quick_params
@@ -618,9 +614,9 @@ class TestCrashRecovery:
         found = store.latest_checkpoint()
         assert found is not None
         assert found[0] == complete
-        recovered, replayed = recover_engine(graph, store, params=quick_params)
-        assert replayed == 0
-        assert_engines_identical(live, recovered)
+        recovery = recover_to(graph, store, params=quick_params)
+        assert recovery.replayed == 0
+        assert_engines_identical(live, recovery.engine)
 
     def test_restore_rejects_unknown_state_version(
         self, tmp_path, small_planted, quick_params
@@ -652,7 +648,7 @@ class TestCrashRecovery:
         store.write_checkpoint(engine)
         engine_json = next(tmp_path.glob("checkpoint-*/engine.json"))
         assert '"update_workers": 2' in engine_json.read_text()
-        recovered, _ = recover_engine(graph, store)
+        recovered = recover_to(graph, store).engine
         assert recovered.params == engine.params
         assert_engines_identical(engine, recovered)
 
@@ -988,10 +984,8 @@ class TestServerProtocol:
         assert shutdown["role"] == "primary"
         assert shutdown["epoch"] >= 1
         # The graceful shutdown left a recoverable store behind.
-        recovered, replayed = recover_engine(
-            graph, CheckpointStore(tmp_path), params=quick_params
-        )
-        assert recovered.activations_processed == len(acts)
+        recovery = recover_to(graph, CheckpointStore(tmp_path), params=quick_params)
+        assert recovery.engine.activations_processed == len(acts)
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Interleaves everything a deployment does — activations of varying burst
 sizes, idle gaps, queries at random levels, reinforcement sweeps, edge
 insertions, monitoring — for a few thousand operations, then verifies
-every global invariant: index ≡ fresh rebuild, vote table ≡ recount,
+every global invariant: index ≡ fresh rebuild, live votes ≡ recount,
 clusterings are partitions, activeness ≡ naive recomputation on a
 sampled edge.
 """
@@ -17,7 +17,7 @@ from repro.core.anc import ANCOR, ANCParams
 from repro.graph.generators import planted_partition
 from repro.index.dynamic import add_relation_edge
 from repro.index.pyramid import PyramidIndex
-from repro.index.voting import VoteTable
+from repro.index.voting import voted_edges
 from repro.monitor import ClusterWatcher
 
 
@@ -72,11 +72,10 @@ def test_long_mixed_session(seed):
         for v in engine.graph.nodes():
             assert p_inc.dist[v] == pytest.approx(p_ref.dist[v], rel=1e-6)
 
-    # Vote table equals a full recount.
-    recount = VoteTable(engine.index)
-    for level in range(1, engine.queries.num_levels + 1):
-        for u, v in engine.graph.edges():
-            assert watcher.votes.vote(u, v, level) == recount.vote(u, v, level)
+    # Each watched level's live votes equal a full recount.
+    for level, votes in watcher.votes.items():
+        live = {(u, v) for u in engine.graph.nodes() for v in votes.adj[u] if u < v}
+        assert live == set(voted_edges(engine.index, level))
 
     # Watched clusters are exact.
     for v in watched:

@@ -61,11 +61,15 @@ class TestCaseB_IncreaseAffectsOnlyLeaf:
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
         weights = WeightTable({(0, 1): 1.0, (0, 2): 1.0, (0, 3): 1.0})
         part = VoronoiPartition(g, [0], weights)
+        before = (list(part.dist), list(part.seed), list(part.parent))
         weights.set(0, 3, 2.0)
         part.update_increase(0, 3)
         assert part.dist[3] == 2.0
-        assert part.dist[1] == 1.0 and part.dist[2] == 1.0
-        assert part.last_affected == {3}  # only the reset leaf
+        after = (part.dist, part.seed, part.parent)
+        changed = {
+            v for old, new in zip(before, after) for v in g.nodes() if old[v] != new[v]
+        }
+        assert changed == {3}  # only the reset leaf
         part.check_consistency()
 
 
