@@ -3,9 +3,9 @@
 The structure-of-arrays engine (``repro.core.arrays`` +
 ``repro.index.array_index``; what :func:`~repro.core.anc.make_engine`
 builds) exists to kill the per-edge dict/tuple
-overhead that ``bench_profile.py`` attributed to ``reinforce`` (~65%)
-and ``index_repair`` (~26%).  This bench measures exactly that claim,
-with the same sampling idiom:
+overhead that a sampling profile of the dict engine puts in
+``reinforce`` and ``index_repair``.  This bench measures exactly that
+claim:
 
 * **Profile-attributed ratio (the gate).**  The array engine and the
   dict reference (:func:`~repro.core.anc.reference_engine`) replay the
@@ -22,9 +22,8 @@ with the same sampling idiom:
 * **Dict no-regression floor.**  The dict path is the permanent
   correctness oracle, so it must not have been slowed by the refactor:
   a disarmed (no-profiler) CO replay must still clear a conservative
-  throughput floor relative to the ~6-7k acts/s measured when the
-  profile was first committed, and the array backend must beat the
-  dict backend on the same wall-clock workload.
+  throughput floor (``MIN_DICT_ACTS_PER_S``), and the array backend
+  must beat the dict backend on the same wall-clock workload.
 
 Results land in ``bench_results/engine_backend_speedup.json``.
 """
@@ -48,9 +47,10 @@ WALL_DATASET = "CO"
 HOT_PHASES = ("reinforce", "index_repair")
 #: The committed acceptance gate: combined hot-phase speedup.
 MIN_HOT_SPEEDUP = 5.0
-#: Dict-oracle floor: half of the ~3.5-4k acts/s the dict path measures
-#: on this workload (cf. ``bench_results/obs_overhead.json`` dark mode),
-#: so machine jitter cannot fail the bench while a real regression will.
+#: Dict-oracle floor: about half of the 3.6k acts/s the dict path
+#: measured on this workload (``wall_acts_per_s`` in the committed
+#: ``bench_results/engine_backend_speedup.json``), so machine jitter
+#: cannot fail the bench while a real regression will.
 MIN_DICT_ACTS_PER_S = 2000.0
 
 

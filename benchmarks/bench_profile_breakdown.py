@@ -6,12 +6,12 @@ reinforcement (O(|N(u)|+|N(v)|), Lemma 5), and (iii) the bounded repair
 of all k·log n partitions (Lemma 12).  This bench measures each stage in
 isolation on the same stream and asserts the model's ordering:
 
-* stage (i) is by far the cheapest (the global decay factor's whole
-  point);
-* stage (iii) — the index repair — is a major share of the total
-  (comparable to the reinforcement at k=4 and linear in k), which is why
-  Lemma 13's parallelism targets it and why k trades quality against
-  update cost.
+* stage (i) is cheaper than the index repair (the global decay
+  factor's whole point);
+* stage (iii) — the index repair — costs more than half of the other
+  two stages combined at k=4, and is linear in k, which is why Lemma
+  13's parallelism targets it and why k trades quality against update
+  cost.
 """
 
 import time
@@ -82,12 +82,9 @@ def test_profile_breakdown(benchmark, profile):
             float_fmt="{:.4f}",
         )
     )
-    # Named cost_model_breakdown: ``profile_breakdown.json`` is the
-    # sampling profiler's document (benchmarks/bench_profile.py), which
-    # ROADMAP item 1 consumes; this bench is the analytic cost model.
     save_result("cost_model_breakdown", profile)
     assert profile["activeness_ms"] < profile["index_repair_ms"]
-    # The index repair is the dominant stage of the online path.
+    # The index repair costs more than half of the other two combined.
     assert profile["index_repair_ms"] > 0.5 * (
         profile["activeness_ms"] + profile["reinforcement_ms"]
     )

@@ -2,11 +2,12 @@
 
 The dict-of-dicts pipeline (``decay`` / ``similarity`` /
 ``reinforcement``) pays a tuple allocation plus a hash probe for every
-edge-value it touches, and the sampled profile
-(``bench_results/profile_breakdown.json``) attributes ~65% of online
-time to ``reinforce`` and ~26% to ``index_repair`` — almost all of it
-those per-edge dict operations.  This module re-homes the hot state in
-flat arrays indexed by a dense *edge id*:
+edge-value it touches, and on that pipeline the sampling profiler puts
+most of the online time in ``reinforce`` and ``index_repair`` — almost
+all of it those per-edge dict operations
+(``benchmarks/bench_engine_backends.py`` profiles both engines phase by
+phase).  This module re-homes the hot state in flat arrays indexed by a
+dense *edge id*:
 
 * :class:`EdgeSpace` — the id-interning table.  Every canonical edge
   ``(u, v)`` gets a dense integer ``eid`` in ``graph.edges()`` order;

@@ -1,8 +1,8 @@
 """A stdlib-only sampling wall-clock profiler with span attribution.
 
-ROADMAP item 1 wants to know *which engine internals* to refactor to
-arrays — that needs function-level wall-time attribution, which the
-span tracer's phase granularity cannot give.  :class:`SamplingProfiler`
+Knowing *which engine internals* to move to arrays needed
+function-level wall-time attribution, which the span tracer's phase
+granularity cannot give.  :class:`SamplingProfiler`
 is the standard fixed-cadence sampler built from nothing but the
 stdlib: a background daemon thread wakes every ``1/hz`` seconds, walks
 ``sys._current_frames()``, and aggregates each thread's stack into
@@ -20,13 +20,11 @@ Two properties matter here:
   ``track_open`` flag so every live span pushes/pops its name on a
   per-thread stack; each sample then lands in the innermost open engine
   phase (``activation``, ``index_repair``, ...).  The flag is off
-  outside a profiling window, keeping the tracing overhead gate
-  (<20 %, ``benchmarks/bench_obs_overhead.py``) honest.
+  outside a profiling window, so spans pay for the stack only while a
+  profile is being taken.
 
 The profiler itself samples *other* threads only — its own sampling
-loop never shows up in the report.  ``report()`` emits the exact shape
-committed to ``bench_results/profile_breakdown.json`` (see
-``benchmarks/bench_profile.py``).
+loop never shows up in the report.
 """
 
 from __future__ import annotations
@@ -192,7 +190,7 @@ class SamplingProfiler:
         ]
 
     def report(self) -> Dict[str, object]:
-        """The JSON document ``bench_results/profile_breakdown.json`` holds."""
+        """The profile as one JSON document (the ``profile`` op's ``report``)."""
         duration = self.duration_s
         if self.running:
             duration += perf_counter() - self._t0

@@ -15,8 +15,7 @@ envelope field::
   receiver's span can point back at it;
 * ``sampled`` — the fleet-wide record/forward decision, made once at
   the root.  Unsampled contexts still propagate (so a downstream hop
-  could flip sampling on in the future) but record nothing — that is
-  the <5 % dark budget (``benchmarks/bench_obs_overhead.py``).
+  could flip sampling on in the future) but record nothing.
 
 The current binding lives in a :class:`contextvars.ContextVar`, **not**
 a thread-local: the server handles many connections as interleaved

@@ -51,7 +51,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..service.client import CircuitBreaker
 from ..service.errors import BadRequest, Overloaded, ServiceFault, Unavailable
-from ..service.wire import TRANSPORT_ERRORS, FrontEnd, Handler, Upstream
+from ..service.wire import TRANSPORT_ERRORS, FrontEnd, Handler, Upstream, parse_number
 
 __all__ = ["READ_OPS", "FleetNode", "ReadRouter", "ReadRouterConfig"]
 
@@ -381,8 +381,8 @@ class ReadRouter(FrontEnd):
     def _effective_staleness(self, request: Mapping[str, object]) -> Optional[int]:
         """The tighter of the router's bound and the request's own."""
         bound = self.config.max_staleness
-        asked = request.get("max_staleness")
-        if isinstance(asked, int):
+        if request.get("max_staleness") is not None:
+            asked = parse_number(request["max_staleness"], "max_staleness", int)
             bound = asked if bound is None else min(bound, asked)
         return bound
 
@@ -430,7 +430,7 @@ class ReadRouter(FrontEnd):
     async def _op_read(self, request: Dict) -> Dict[str, object]:
         """The degradation ladder behind every routed snapshot read."""
         token = request.get("token")
-        required = int(token) if isinstance(token, int) else 0
+        required = 0 if token is None else parse_number(token, "token", int)
         payload = {k: v for k, v in request.items() if k not in ("id", "trace")}
         bound = self._effective_staleness(request)
         if bound is not None:

@@ -100,6 +100,11 @@ WAL_TAIL_CAPACITY = 4096
 #: another for one run.
 PROFILE_HZ = 97.0
 
+#: The fastest cadence the ``profile`` op accepts.  Each sample walks
+#: every thread's stack while holding the GIL, so a faster sampler
+#: slows the writer thread it is there to observe.
+MAX_PROFILE_HZ = 1000.0
+
 
 class RequestRules:
     """How a request names nodes, activations and batch keys, for one
@@ -965,12 +970,15 @@ class ANCServer(FrontEnd):
         action = str(request.get("action", "status"))
         profiler = self.profiler
         if action == "start":
-            hz = request.get("hz")
-            if hz is not None and not profiler.running:
-                # A fresh profiler: a new cadence must not dilute the
-                # previous run's sample counts.
-                profiler = SamplingProfiler(float(hz), tracer=self.tracer)
-                self.profiler = profiler
+            if request.get("hz") is not None:
+                hz = parse_number(request["hz"], "hz", float)
+                if not 0 < hz <= MAX_PROFILE_HZ:
+                    raise ValueError(f"hz must be in (0, {MAX_PROFILE_HZ:g}], got {hz!r}")
+                if not profiler.running:
+                    # A fresh profiler: a new cadence must not dilute the
+                    # previous run's sample counts.
+                    profiler = SamplingProfiler(hz, tracer=self.tracer)
+                    self.profiler = profiler
             profiler.start()
         elif action == "stop":
             profiler.stop()

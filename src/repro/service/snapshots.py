@@ -15,7 +15,7 @@ Because the whole pipeline is deterministic — seeded RNG, float state
 restored bit-for-bit (``json`` round-trips ``repr`` exactly), updates
 independent of dict iteration order — the recovered engine's
 ``clusters()`` output is byte-identical to the crashed process's, which
-``tests/test_service.py`` and the service benchmark both assert.
+``tests/test_service.py`` and every ``perfbench`` run both assert.
 
 Checkpoints are crash-safe without directory renames: a checkpoint dir
 ``checkpoint-<seq>/`` is complete only once its ``MANIFEST`` file exists;

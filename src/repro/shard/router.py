@@ -42,6 +42,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
+from ..index.pyramid import levels_for
 from ..obs.export import span_dicts, trace_op
 from ..obs.federate import (
     Source,
@@ -122,6 +123,10 @@ class ShardRouter(FrontEnd):
         #: resolves a reference only to pick its shard, and forwards the
         #: client's own reference for the worker to resolve alike.
         self.rules = RequestRules(deployment.graph, deployment.names)
+        #: Every worker serves the full node space, so all share one
+        #: level range, and a zoom (pure arithmetic on a worker too) is
+        #: answered here without a scatter.
+        self._num_levels = levels_for(self.shard_map.n)
         #: Protocol label → home shard, for the cluster merge.
         self._label_home: Dict[object, int] = {
             self.rules.label(v): self.shard_map.shard_of(v)
@@ -445,19 +450,11 @@ class ShardRouter(FrontEnd):
 
     async def _op_zoom_in(self, request: Dict) -> Dict[str, object]:
         level = parse_number(request.get("level", 0), "level", int)
-        answers = await self._scatter("zoom_in", {"op": "zoom_in", "level": level})
-        # Every worker starts tracking its own clamped level; answer with
-        # the shallowest of them — the deepest level *all* shards serve.
-        return {
-            "level": min(int(a.get("level", level)) for a in answers.values())  # type: ignore[arg-type]
-        }
+        return {"level": max(1, min(self._num_levels, level + 1))}
 
     async def _op_zoom_out(self, request: Dict) -> Dict[str, object]:
         level = parse_number(request.get("level", 0), "level", int)
-        answers = await self._scatter("zoom_out", {"op": "zoom_out", "level": level})
-        return {
-            "level": min(int(a.get("level", level)) for a in answers.values())  # type: ignore[arg-type]
-        }
+        return {"level": max(1, min(self._num_levels, level - 1))}
 
     async def _op_watch(self, request: Dict) -> Dict[str, object]:
         shard = self._home(request)

@@ -95,6 +95,21 @@ def free_dead_port():
     return port
 
 
+def read_counts(rt, *followers):
+    """The router's forwards and read counters, and the queries its
+    followers served."""
+    router = rt.router.metrics
+    counters = router.counters()
+    return {
+        "forwards": router.histograms()["readpath_forward_seconds"].count,
+        "follower_reads": counters["readpath_follower_reads"].value,
+        "primary_reads": counters["readpath_primary_reads"].value,
+        "queries_served": sum(
+            f.server.metrics.counters()["queries_served"].value for f in followers
+        ),
+    }
+
+
 def router_config(**overrides):
     base = dict(heartbeat_interval=0.05)
     base.update(overrides)
@@ -265,11 +280,20 @@ class TestReadRouter:
                         assert total == len(stream)
                         wait_for(lambda: caught_up(f1, total), what="f1 catch-up")
                         wait_for(lambda: caught_up(f2, total), what="f2 catch-up")
-                        # Steady state: reads hit the follower fleet, and
-                        # smooth WRR spreads them across both.
+                        # Steady state: each read is forwarded once, to the
+                        # follower fleet, and smooth WRR spreads them
+                        # across both.
+                        before = read_counts(rt, f1, f2)
                         steady = set()
                         for _ in range(8):
                             steady.add(client.clusters_info()["served_by"])
+                        after = read_counts(rt, f1, f2)
+                        assert {k: after[k] - before[k] for k in after} == {
+                            "forwards": 8,
+                            "follower_reads": 8,
+                            "primary_reads": 0,
+                            "queries_served": 8,
+                        }
                         assert steady <= {
                             f"127.0.0.1:{f1.port}",
                             f"127.0.0.1:{f2.port}",

@@ -49,6 +49,7 @@ from repro.service import (
 )
 from repro.obs.instruments import Counter, Gauge, Histogram
 from repro.service.client import RetryPolicy
+from repro.service.server import MAX_PROFILE_HZ
 from repro.service.snapshots import apply_activations, recover_to, restore_engine
 from repro.service.wire import LINE_LIMIT
 from repro.workloads.streams import community_biased_stream
@@ -893,6 +894,31 @@ class TestServerProtocol:
                 '{"op": "ingest_batch", "key": "k", "items": [[$U, $V, 1.0], [$U, $V, 1e999]]}',
                 id="ingest_batch-second-item-1e999",
             ),
+            # A sampler faster than MAX_PROFILE_HZ starves the writer.
+            pytest.param(
+                '{"op": "profile", "action": "start", "hz": "inf"}',
+                id="profile-hz-string-inf",
+            ),
+            pytest.param(
+                '{"op": "profile", "action": "start", "hz": 1e999}',
+                id="profile-hz-1e999",
+            ),
+            pytest.param(
+                '{"op": "profile", "action": "start", "hz": true}',
+                id="profile-hz-bool",
+            ),
+            pytest.param(
+                '{"op": "profile", "action": "start", "hz": 5000}',
+                id="profile-hz-above-bound",
+            ),
+            pytest.param(
+                '{"op": "profile", "action": "start", "hz": "97"}',
+                id="profile-hz-string",
+            ),
+            pytest.param(
+                '{"op": "profile", "action": "start", "hz": 0}',
+                id="profile-hz-zero",
+            ),
         ],
     )
     def test_malformed_numeric_field_is_bad_request(self, small_planted, line):
@@ -916,6 +942,21 @@ class TestServerProtocol:
         assert answer["ok"] is False and answer["error_type"] == "BAD_REQUEST", answer
         assert stats["wal_entries"] == 0 and stats["role"] == "primary"
         assert synced["ok"] is True and synced["applied"] == 0
+
+    def test_profile_starts_at_the_cadence_bound(self, small_planted):
+        """``hz`` up to ``MAX_PROFILE_HZ`` starts a fresh profiler at
+        that cadence, whatever JSON number spells it."""
+
+        async def scenario(reader, writer, server):
+            started = await rpc(reader, writer, op="profile", action="start", hz=1e3)
+            stopped = await rpc(reader, writer, op="profile", action="stop")
+            return started, stopped
+
+        started, stopped = run_server_scenario(
+            scenario, graph_and_labels=small_planted
+        )
+        assert started["running"] is True and started["hz"] == MAX_PROFILE_HZ
+        assert stopped["running"] is False
 
     def test_zoom_and_watch_ops(self, small_planted, quick_params):
         graph, labels = small_planted

@@ -27,10 +27,12 @@ from repro.shard.worker import ShardDeployment
 
 
 class Peer:
-    """A scripted JSON-lines server; counts the connections it accepts."""
+    """A scripted JSON-lines server; counts the connections it accepts
+    and keeps every request it reads."""
 
     def __init__(self) -> None:
         self.connections = 0
+        self.requests: list = []
         self.received = asyncio.Event()
         self._server = None
         self.port = None
@@ -53,6 +55,7 @@ class Peer:
                 if not line:
                     return
                 request = json.loads(line)
+                self.requests.append(request)
                 self.received.set()
                 op = request.get("op")
                 if op == "slow":
@@ -295,6 +298,84 @@ def test_shard_router_refuses_malformed_numbers(line):
             u, v = graph.edges()[0]
             raw = line.replace(b"$U", str(u).encode()).replace(b"$V", str(v).encode())
             answer = await router._respond(raw)
+            await router.stop()
+            return answer, peer.connections
+
+    answer, connections = run(main())
+    assert answer["ok"] is False and answer["error_type"] == "BAD_REQUEST", answer
+    assert connections == 0
+
+
+@pytest.mark.parametrize("op, expected", [("zoom_in", 4), ("zoom_out", 2)])
+def test_shard_router_answers_zoom_without_a_scatter(op, expected):
+    """Every worker serves the full node space, so the router clamps a
+    zoom to the shared level range itself and contacts no worker."""
+
+    async def main():
+        async with Peer() as peer:
+            router, _graph = _peer_router(peer)
+            answer = await router._respond(json.dumps({"op": op, "level": 3}).encode())
+            await router.stop()
+            return answer, peer.connections
+
+    answer, connections = run(main())
+    assert answer["ok"] is True and answer["level"] == expected, answer
+    assert connections == 0
+
+
+def _staleness_router(peer):
+    """A read router with a 10-record bound in front of the peer as its
+    only node, so every read is forwarded to the peer."""
+    return ReadRouter(
+        ("127.0.0.1", peer.port),
+        config=ReadRouterConfig(max_staleness=10),
+    )
+
+
+@pytest.mark.parametrize("asked, forwarded", [(0.0, 0), (3.0, 3), (3, 3), (20, 10)])
+def test_read_router_never_loosens_a_staleness_bound(asked, forwarded):
+    """The forwarded bound is the tighter of the router's and the
+    request's, whatever JSON number spells the request's: ``0.0`` asks
+    for no lag at all."""
+
+    async def main():
+        async with Peer() as peer:
+            router = _staleness_router(peer)
+            request = {"op": "clusters", "max_staleness": asked}
+            answer = await router._respond(json.dumps(request).encode())
+            await router.stop()
+            return answer, peer.requests
+
+    answer, requests = run(main())
+    assert answer["ok"] is True, answer
+    assert [r["max_staleness"] for r in requests] == [forwarded], requests
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b'{"op": "clusters", "max_staleness": "2"}',
+        b'{"op": "clusters", "max_staleness": true}',
+        b'{"op": "clusters", "max_staleness": 1.5}',
+        b'{"op": "local", "node": 0, "token": "3"}',
+        b'{"op": "clusters", "token": [1]}',
+    ],
+    ids=[
+        "max_staleness-string",
+        "max_staleness-bool",
+        "max_staleness-fraction",
+        "token-string",
+        "token-list",
+    ],
+)
+def test_read_router_refuses_malformed_read_bounds(line):
+    """A malformed ``max_staleness`` or ``token`` is ``BAD_REQUEST``
+    before anything is forwarded."""
+
+    async def main():
+        async with Peer() as peer:
+            router = _staleness_router(peer)
+            answer = await router._respond(line)
             await router.stop()
             return answer, peer.connections
 
