@@ -42,12 +42,11 @@ def start_server(edgelist: Path, data_dir: Path) -> subprocess.Popen:
     return proc
 
 
-def main() -> None:
+def demo(workdir: Path) -> None:
     graph, groups = planted_partition(80, 4, p_in=0.45, p_out=0.02, seed=5)
     stream = community_biased_stream(
         graph, groups, timestamps=20, fraction=0.08, seed=1
     )
-    workdir = Path(tempfile.mkdtemp(prefix="anc-service-"))
     edgelist = workdir / "graph.txt"
     edgelist.write_text(
         "".join(f"user{u} user{v}\n" for u, v in graph.edges())
@@ -95,6 +94,11 @@ def main() -> None:
     server.wait(timeout=30)
     if not identical:
         raise SystemExit("recovery mismatch — this should never happen")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="anc-service-") as workdir:
+        demo(Path(workdir))
 
 
 if __name__ == "__main__":

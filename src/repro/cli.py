@@ -811,7 +811,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="intake queue bound (backpressure limit)")
     p_serve.add_argument("--data-dir", default=None,
                          help="durability directory (WAL + checkpoints); "
-                              "omit for an in-memory server")
+                              "omitted = a throwaway directory, removed "
+                              "when the server stops")
     p_serve.add_argument("--checkpoint-every", type=int, default=2000,
                          help="checkpoint after this many applied activations")
     p_serve.add_argument("--metrics-interval", type=float, default=30.0,
@@ -861,7 +862,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-worker intake queue bound (backpressure limit)")
     p_shard.add_argument("--data-dir", default=None,
                          help="durability root; each shard persists under "
-                              "<data-dir>/shard-<i> (omit for in-memory workers)")
+                              "<data-dir>/shard-<i> (omitted = a throwaway "
+                              "root, removed when the deployment stops)")
     p_shard.add_argument("--checkpoint-every", type=int, default=2000,
                          help="per-worker checkpoint period (applied activations)")
     p_shard.add_argument("--fanout-timeout", type=float, default=10.0,

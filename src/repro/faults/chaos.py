@@ -1040,10 +1040,10 @@ def _caught_up(handle: ServingThread[ANCServer], target: int) -> bool:
 class _Fleet:
     """One fleet cell's nodes, router, client and read ledger.
 
-    The shape comes from the family: :data:`_FOLLOWERS` followers, a
-    data dir per node only when there are followers, and a
-    :class:`~repro.readpath.router.ReadRouter` with session-token reads
-    only for readpath cells.  The flows drive it.
+    The shape comes from the family: :data:`_FOLLOWERS` followers and,
+    for readpath cells only, a :class:`~repro.readpath.router.ReadRouter`
+    with session-token reads.  Every node persists under its own
+    directory in the cell's.  The flows drive it.
     """
 
     def __init__(self, cell: _Cell, graph: Graph, acts: Sequence[Activation]) -> None:
@@ -1088,7 +1088,7 @@ class _Fleet:
     ) -> ServingThread[ANCServer]:
         config = ServerConfig(
             metrics_interval=0.0,
-            data_dir=self.cell.path / name if self.n_followers else None,
+            data_dir=self.cell.path / name,
             checkpoint_every=CHECKPOINT_EVERY,
             faults=plan,
             **role,  # type: ignore[arg-type]

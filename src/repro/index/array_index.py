@@ -105,6 +105,7 @@ class ArrayPyramidIndex(PyramidIndex):
     def update_edge_weight(self, u: int, v: int, new_weight: float) -> int:
         if new_weight <= 0:
             raise ValueError(f"weight must be positive, got {new_weight}")
+        new_weight *= self._scale
         key = edge_key(u, v)
         old = self._weights[key]
         if new_weight == old:  # anclint: allow-float-equality — exact no-op guard, mirrors PyramidIndex
@@ -327,7 +328,7 @@ class ArrayPyramidIndex(PyramidIndex):
 
     # ------------------------------------------------------------------
     def on_rescale(self, g: float) -> None:
-        factor = 1.0 / g
+        factor = self._rescale_factor(g)
         weights = self._weights
         for key in weights:
             weights[key] *= factor

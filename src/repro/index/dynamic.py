@@ -54,7 +54,7 @@ def insert_edge_into_index(
     key = edge_key(u, v)
     if key in index._weights:
         raise ValueError(f"edge {key} already has a weight; use update_edge_weight")
-    index._store_weight(key, weight)
+    index._store_weight(key, weight * index._scale)
     touched = 0
     for level, partition in index.partitions_with_levels():
         moved = partition.update_decrease(u, v)

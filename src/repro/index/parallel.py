@@ -66,6 +66,7 @@ class ParallelUpdater:
         """
         if new_weight <= 0:
             raise ValueError(f"weight must be positive, got {new_weight}")
+        new_weight *= self.index._scale
         key = edge_key(u, v)
         old = self.index._weights[key]
         if new_weight == old:

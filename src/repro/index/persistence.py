@@ -4,8 +4,9 @@ A production deployment builds the index once (Lemma 7 cost) and then
 maintains it incrementally forever; losing it to a process restart would
 mean paying the build again.  This module serializes a
 :class:`PyramidIndex` — seeds, per-partition ``dist``/``seed``/``parent``
-arrays, the weight table and the construction parameters — to a compact
-JSON document, and restores it without re-running a single Dijkstra.
+arrays, the weight table and its scale, and the construction
+parameters — to a compact JSON document, and restores it without
+re-running a single Dijkstra.
 
 The graph itself is *not* stored (the index is meaningless without the
 exact relation network anyway, and the paper's Fig 6 accounting also
@@ -40,7 +41,7 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def graph_fingerprint(graph: Graph) -> Dict[str, int]:
@@ -83,6 +84,7 @@ def save_index(
         "k": index.k,
         "support": index.support,
         "weights": [[u, v, w] for (u, v), w in index._weights.items()],
+        "scale": index._scale,
         "pyramids": [
             {
                 str(level): {
@@ -188,6 +190,7 @@ def load_index_resume(
     index._weights = weights
     index._weight_fn = index._make_weight_fn()
     index._init_counters()
+    index._scale = float(doc["scale"])
     index.pyramids = []
     for pyramid_doc in doc["pyramids"]:
         pyramid = Pyramid.__new__(Pyramid)

@@ -134,8 +134,11 @@ class PyramidIndex:
         self._init_counters()
 
     def _init_counters(self) -> None:
-        """Zero the observability counters and empty the graph-derived
-        cache (every construction path calls this)."""
+        """Zero the observability counters, reset the weight scale and
+        empty the graph-derived cache (every construction path calls
+        this)."""
+        #: Stored weight = incoming weight × ``_scale``; see :meth:`on_rescale`.
+        self._scale = 1.0
         #: name -> (graph.m, value) behind :meth:`graph_cache`.
         self._graph_cache: Dict[str, Tuple[int, object]] = {}
         #: Cumulative touched-node count across updates (Fig 8 observability).
@@ -197,7 +200,8 @@ class PyramidIndex:
         return cast(T, hit[1])
 
     def weight(self, u: int, v: int) -> float:
-        """Current stored weight of edge ``{u, v}``."""
+        """Current stored weight of edge ``{u, v}``: the weight last set
+        times the weight scale (1 until the first :meth:`on_rescale`)."""
         return self._weights[edge_key(u, v)]
 
     def weights_view(self) -> Dict[Edge, float]:
@@ -226,12 +230,15 @@ class PyramidIndex:
     def update_edge_weight(self, u: int, v: int, new_weight: float) -> int:
         """Set edge ``{u, v}``'s weight and repair every partition.
 
-        Dispatches Update-Decrease or Update-Increase per partition based
-        on the sign of the change (no-op when unchanged).  Returns the
-        total number of touched nodes across partitions.
+        ``new_weight`` is in the metric's units; the index stores it
+        times its weight scale (see :meth:`on_rescale`).  Dispatches
+        Update-Decrease or Update-Increase per partition based on the
+        sign of the change (no-op when unchanged).  Returns the total
+        number of touched nodes across partitions.
         """
         if new_weight <= 0:
             raise ValueError(f"weight must be positive, got {new_weight}")
+        new_weight *= self._scale
         key = edge_key(u, v)
         old = self._weights[key]
         if new_weight == old:
@@ -253,14 +260,30 @@ class PyramidIndex:
     def on_rescale(self, g: float) -> None:
         """Absorb a batched rescale of the global decay factor (Lemma 10).
 
-        Weights and distances are NegM: both scale by ``1/g``, leaving all
-        comparisons — and hence partitions, votes and clusters — intact.
+        The metric's weights are NegM: they scale by ``1/g``.  Scaling
+        the index's weights and distances by ``1/g`` too would round, and
+        two distances an ulp apart could come out equal: the index would
+        then keep the larger seed where a rebuild takes the smaller one.
+        So the index scales by the nearest power of two instead, which is
+        exact and changes no sum or comparison, and keeps the remaining
+        factor in its weight scale, which every later incoming weight is
+        multiplied by.
         """
-        factor = 1.0 / g
+        p = self._rescale_factor(g)
         for key in self._weights:
-            self._weights[key] *= factor
+            self._weights[key] *= p
         for partition in self.partitions():
-            partition.absorb_scale(factor)
+            partition.absorb_scale(p)
+
+    def _rescale_factor(self, g: float) -> float:
+        """The power of two nearest ``1/(scale·g)``; updates the scale."""
+        target = 1.0 / (self._scale * g)
+        mantissa, exponent = math.frexp(target)
+        if mantissa < math.sqrt(0.5):
+            exponent -= 1
+        p = math.ldexp(1.0, exponent)
+        self._scale = p / target
+        return p
 
     def rebuild(self) -> None:
         """Rebuild every partition from scratch (the RECONSTRUCT baseline)."""
@@ -279,6 +302,7 @@ class PyramidIndex:
             raise ValueError(f"weights missing for {len(missing)} edges")
         self._weights.clear()
         self._weights.update(weights)
+        self._scale = 1.0
 
     # ------------------------------------------------------------------
     # Voting (Section V-B)

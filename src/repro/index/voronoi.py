@@ -253,10 +253,10 @@ class VoronoiPartition:
     def absorb_scale(self, factor: float) -> None:
         """Multiply all stored distances by ``factor``.
 
-        The pyramid's shared weights are NegM: at a batched rescale they
-        are divided by ``g``, so the distances must be too
-        (``factor = 1/g``).  Comparisons — and hence the partition itself —
-        are unchanged.
+        The pyramid multiplies its shared weights by the same factor at a
+        batched rescale.  It passes a power of two, so every product is
+        exact: each distance still equals the sum along its path, and
+        the partition is the one a rebuild would find.
         """
         dist = self.dist
         for i in range(len(dist)):

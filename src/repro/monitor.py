@@ -64,7 +64,8 @@ class ClusterWatcher:
         engine already absorbed (:meth:`observe_applied`); either way it
         finds the changes by diffing the index's seeds, not the batch.
     levels:
-        Granularity levels to watch (default: the √n level).
+        Granularity levels to watch (default: the √n level);
+        :meth:`add_level` adds more later.
     """
 
     def __init__(
@@ -76,20 +77,30 @@ class ClusterWatcher:
         self.engine = engine
         if levels is None:
             levels = [engine.queries.sqrt_n_level()]
-        bad = [l for l in levels if not 1 <= l <= engine.queries.num_levels]
-        if bad:
-            raise ValueError(f"levels out of range: {bad}")
-        self.levels: Tuple[int, ...] = tuple(sorted(set(levels)))
+        #: Watched levels in the order they were added; the first is the
+        #: default of every ``level=None`` argument.
+        self.levels: Tuple[int, ...] = ()
         # The watcher's own baseline: a refresh consumes the diff, so it
         # cannot share the query engine's LiveVotes.
         self.votes: Dict[int, LiveVotes] = {}
-        for level in self.levels:
-            self.votes[level] = LiveVotes(engine.index, level)
-            self.votes[level].refresh()
         # watched[level] = set of nodes; clusters[(node, level)] = frozenset
-        self._watched: Dict[int, Set[int]] = {l: set() for l in self.levels}
+        self._watched: Dict[int, Set[int]] = {}
         self._clusters: Dict[Tuple[int, int], FrozenSet[int]] = {}
         self._events: List[ClusterChange] = []
+        for level in sorted(set(levels)):
+            self.add_level(level)
+
+    def add_level(self, level: int) -> None:
+        """Watch ``level`` too (no-op if already watched): its votes are
+        tracked from the index as it is now."""
+        if level in self.votes:
+            return
+        if not 1 <= level <= self.engine.queries.num_levels:
+            raise ValueError(f"level {level} is out of range")
+        self.votes[level] = LiveVotes(self.engine.index, level)
+        self.votes[level].refresh()
+        self._watched[level] = set()
+        self.levels += (level,)
 
     # ------------------------------------------------------------------
     def watch(self, node: int, level: Optional[int] = None) -> FrozenSet[int]:

@@ -155,20 +155,28 @@ class SamplingProfiler:
             items = sorted(self._counts.items())
         return [f"{';'.join(stack)} {count}" for stack, count in items]
 
+    def _duration(self) -> float:
+        """Seconds profiled so far, the running window included."""
+        if self.running:
+            return self.duration_s + perf_counter() - self._t0
+        return self.duration_s
+
     def phase_breakdown(self) -> Dict[str, Dict[str, float]]:
         """Per-engine-phase ``{samples, est_s, share}`` by sampled time.
 
-        ``est_s`` scales each phase's sample count by the sampling
-        interval — the standard estimator for wall time under a
-        fixed-cadence sampler.
+        ``est_s`` scales each phase's sample count by the measured time
+        per sample (profiled seconds / samples taken), not by the
+        nominal ``1/hz``: the sampler needs the GIL for every sample, so
+        on a busy interpreter it falls well short of ``hz``.
         """
         with self._lock:
             phases = dict(self._phase_counts)
+            per_sample = self._duration() / max(1, self.samples)
         total = sum(phases.values()) or 1
         return {
             name: {
                 "samples": float(count),
-                "est_s": count * self.interval,
+                "est_s": count * per_sample,
                 "share": count / total,
             }
             for name, count in sorted(
@@ -191,12 +199,9 @@ class SamplingProfiler:
 
     def report(self) -> Dict[str, object]:
         """The profile as one JSON document (the ``profile`` op's ``report``)."""
-        duration = self.duration_s
-        if self.running:
-            duration += perf_counter() - self._t0
         return {
             "hz": self.hz,
-            "duration_s": duration,
+            "duration_s": self._duration(),
             "samples": self.samples,
             "phases": self.phase_breakdown(),
             "top_functions": self.top_functions(),

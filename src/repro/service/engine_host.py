@@ -31,11 +31,10 @@ from ..core.activation import Activation
 from ..core.anc import ANCEngineBase
 from ..monitor import ClusterChange, ClusterWatcher
 from ..obs.instruments import MetricsRegistry
-from .errors import Fenced, Overloaded
+from .errors import Overloaded
 from .ingest import MicroBatcher
 from .snapshots import (
     CheckpointStore,
-    WalCorruptError,
     WalRecord,
     WriteAheadLog,
     apply_activations,
@@ -114,13 +113,15 @@ class EngineHost:
     batcher:
         Intake queue; the host's run loop drains it.
     wal:
-        Optional write-ahead log; when given, every activation is
-        appended (and flushed) before it is enqueued, making
-        acknowledged ingest durable.
+        Write-ahead log; every activation is appended (and flushed)
+        before it is enqueued, making acknowledged ingest durable.  A
+        server always passes one; a host without it is an in-process
+        view of the engine (no replication, no checkpoints).
     checkpoints / checkpoint_every:
-        Optional checkpoint store and the activation interval between
-        automatic checkpoints (taken on the writer thread at a batch
-        boundary, so they are always consistent).
+        Checkpoint store and the activation interval between automatic
+        checkpoints (taken on the writer thread at a batch boundary, so
+        they are always consistent).  Checkpoints need the WAL too: it
+        owns the epoch each one records.
     metrics:
         Optional registry; the host records ingest/apply/flush
         instruments into it.
@@ -150,9 +151,6 @@ class EngineHost:
         self.checkpoints = checkpoints
         self.checkpoint_every = checkpoint_every
         self.shed_watermark = shed_watermark
-        #: Primary epoch this host serves under; stamped into checkpoints
-        #: and (via the WAL) into records.  The server keeps it in sync.
-        self.epoch = 0
         self.metrics = metrics or MetricsRegistry()
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="anc-writer"
@@ -248,28 +246,14 @@ class EngineHost:
         The record keeps the *primary's* seq/epoch/key, so the local WAL
         stays a byte-identical prefix of the primary's; gap and
         stale-epoch refusal live in
-        :meth:`~repro.service.snapshots.WriteAheadLog.append_record` (or
-        are checked here for a WAL-less host).  Returns the applied seq.
+        :meth:`~repro.service.snapshots.WriteAheadLog.append_record`.
+        Returns the applied seq.
         """
         if self._closed:
             raise RuntimeError("host is closed")
-        if self.wal is not None:
-            self.wal.append_record(record)
-        else:
-            if record.seq != self._ingested:
-                raise WalCorruptError(
-                    f"replication gap: expected seq {self._ingested}, "
-                    f"got {record.seq}"
-                )
-            if record.epoch < self.epoch:
-                raise Fenced(
-                    f"replicated record seq {record.seq} carries epoch "
-                    f"{record.epoch} < {self.epoch}; refusing a deposed "
-                    f"primary's write",
-                    epoch=record.epoch,
-                    fenced_by=self.epoch,
-                )
-        self.epoch = max(self.epoch, record.epoch)
+        if self.wal is None:
+            raise RuntimeError("a replicated record needs the host's WAL")
+        self.wal.append_record(record)
         self._last_t = max(self._last_t, record.act.t)
         self._ingested = record.seq + 1
         self._c_ingested.inc()
@@ -298,11 +282,7 @@ class EngineHost:
             self._c_applied.inc(len(batch))
             self._c_batches.inc()
             self._since_checkpoint += len(batch)
-            if (
-                self.checkpoints is not None
-                and self.checkpoint_every > 0
-                and self._since_checkpoint >= self.checkpoint_every
-            ):
+            if 0 < self.checkpoint_every <= self._since_checkpoint:
                 await self.checkpoint()
 
     def _apply_and_materialize(
@@ -458,11 +438,7 @@ class EngineHost:
         def register() -> List[int]:
             if self._watcher is None:
                 self._watcher = ClusterWatcher(self.engine, levels=[level])
-            elif level not in self._watcher.levels:
-                raise ValueError(
-                    f"watcher already bound to levels {self._watcher.levels}; "
-                    f"cannot also watch level {level}"
-                )
+            self._watcher.add_level(level)
             return sorted(self._watcher.watch(node, level))
 
         return await self._run_on_writer(register)
@@ -486,16 +462,17 @@ class EngineHost:
     # Checkpointing and shutdown
     # ------------------------------------------------------------------
     async def checkpoint(self) -> Optional[str]:
-        """Write a consistent checkpoint now; returns its path.
+        """Write a consistent checkpoint now, stamped with the WAL's
+        epoch; returns its path.
 
         Runs on the writer thread, so it never overlaps a mutation.
-        No-op (returns None) without a checkpoint store.
+        No-op (returns None) without a checkpoint store and a WAL.
         """
-        if self.checkpoints is None:
+        wal, checkpoints = self.wal, self.checkpoints
+        if wal is None or checkpoints is None:
             return None
-        checkpoints = self.checkpoints
         path = await self._run_on_writer(
-            lambda: checkpoints.write_checkpoint(self.engine, epoch=self.epoch)
+            lambda: checkpoints.write_checkpoint(self.engine, epoch=wal.epoch)
         )
         self._since_checkpoint = 0
         self._last_checkpoint_at = time.monotonic()
@@ -531,8 +508,7 @@ class EngineHost:
         await self.batcher.close()
         if run_task is not None:
             await run_task
-        if self.checkpoints is not None:
-            await self.checkpoint()
+        await self.checkpoint()
         self._executor.shutdown(wait=True)
         for _, future in self._applied_waiters:
             if not future.done():

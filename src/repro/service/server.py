@@ -14,11 +14,13 @@ Wiring (one of everything):
     WAL append on ingest; periodic checkpoints through the host's
     writer thread; periodic metrics log line.
 
-On startup with a ``data_dir`` the server first recovers: newest
-complete checkpoint + WAL tail replay (see
+Every server is durable.  On startup it first recovers from its data
+directory: newest complete checkpoint + WAL tail replay (see
 :mod:`~repro.service.snapshots`), so a ``kill -9`` loses nothing that
-was acknowledged.  A writer that fails stops the server the same way
-(fail-stop): nothing more is acknowledged that could not be applied.
+was acknowledged.  A server configured without a directory serves from
+a throwaway one that it removes when it stops.  A writer that fails
+stops the server the same way (fail-stop): nothing more is acknowledged
+that could not be applied.
 
 The listener, the read–dispatch–write loop, slow-client eviction, the
 error envelope and the stop sequence are :class:`~repro.service.wire.FrontEnd`'s,
@@ -37,10 +39,12 @@ divergence auditor are documented in ``docs/replication.md``.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 import logging
 import os
 import re
+import tempfile
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
@@ -58,7 +62,7 @@ from typing import (
 )
 
 from ..core.activation import Activation
-from ..core.anc import ANCParams, make_engine
+from ..core.anc import ANCParams
 from ..graph.graph import Graph, edge_key
 from ..obs.export import span_dicts
 from ..obs.profiler import SamplingProfiler
@@ -205,7 +209,8 @@ class ServerConfig:
     max_latency: float = 0.05
     #: Intake queue bound — the backpressure limit.
     max_pending: int = 4096
-    #: Durability directory (WAL + checkpoints); None = in-memory only.
+    #: Durability directory (WAL + checkpoints); None = a throwaway
+    #: directory, removed when the server stops.
     data_dir: Optional[Union[str, Path]] = None
     #: Checkpoint after this many applied activations (0 = only on shutdown).
     checkpoint_every: int = 2000
@@ -250,9 +255,9 @@ class _BatchEntry:
 
     __slots__ = ("done", "last_seq", "future")
 
-    def __init__(self) -> None:
-        self.done = 0
-        self.last_seq = -1
+    def __init__(self, done: int = 0, last_seq: int = -1) -> None:
+        self.done = done
+        self.last_seq = last_seq
         self.future: Optional[asyncio.Future] = None
 
 
@@ -298,43 +303,46 @@ class ANCServer(FrontEnd):
             )
 
         self._faults = self.config.faults
-        store: Optional[CheckpointStore] = None
-        wal: Optional[WriteAheadLog] = None
-        recovered_epoch = 0
-        recovered_dedup: "OrderedDict[str, _BatchEntry]" = OrderedDict()
-        if self.config.data_dir is not None:
-            store = CheckpointStore(self.config.data_dir, faults=self._faults)
-            recovery = recover_to(
-                graph,
-                store,
-                params=params,
-                engine_name=self.config.engine.upper(),
+        #: Removes the throwaway data directory, if any, when the server stops.
+        self._scratch = contextlib.ExitStack()
+        data_dir = self.config.data_dir
+        if data_dir is None:
+            data_dir = self._scratch.enter_context(
+                tempfile.TemporaryDirectory(prefix="anc-server-")
             )
-            engine = recovery.engine
-            recovered_epoch = recovery.epoch
-            # Rebuild the exactly-once dedup map from the keyed WAL
-            # records (capped to the newest DEDUP_CAPACITY keys), so a
-            # client resend that straddles the restart resumes instead
-            # of double-applying.
-            for key, (done, last_seq) in list(recovery.dedup.items())[
-                -DEDUP_CAPACITY:
-            ]:
-                entry = _BatchEntry()
-                entry.done = done
-                entry.last_seq = last_seq
-                recovered_dedup[key] = entry
-            if recovery.replayed or engine.activations_processed:
-                log.info(
-                    "recovered engine at %d activations (%d replayed from "
-                    "WAL, epoch %d, %d dedup keys)",
-                    engine.activations_processed,
-                    recovery.replayed,
-                    recovery.epoch,
-                    len(recovered_dedup),
-                )
-            wal = WriteAheadLog(store.wal_path, faults=self._faults)
-        else:
-            engine = make_engine(self.config.engine.upper(), graph, params)
+        store = CheckpointStore(data_dir, faults=self._faults)
+        recovery = recover_to(
+            graph,
+            store,
+            params=params,
+            engine_name=self.config.engine.upper(),
+        )
+        engine = recovery.engine
+        # Rebuild the exactly-once dedup map from the keyed WAL records
+        # (capped to the newest DEDUP_CAPACITY keys), so a client resend
+        # that straddles the restart resumes instead of double-applying.
+        self._dedup: "OrderedDict[str, _BatchEntry]" = OrderedDict(
+            (key, _BatchEntry(done, last_seq))
+            for key, (done, last_seq) in list(recovery.dedup.items())[-DEDUP_CAPACITY:]
+        )
+        if recovery.replayed or engine.activations_processed:
+            log.info(
+                "recovered engine at %d activations (%d replayed from "
+                "WAL, epoch %d, %d dedup keys)",
+                engine.activations_processed,
+                recovery.replayed,
+                recovery.epoch,
+                len(self._dedup),
+            )
+        #: The log owns this node's epoch and fence (see :attr:`epoch`).
+        #: A checkpoint may record a newer epoch than the tail record; a
+        #: fresh primary starts at 1 (0 marks a follower that has applied
+        #: nothing yet).
+        self.wal = WriteAheadLog(store.wal_path, faults=self._faults)
+        self.wal.epoch = (
+            max(recovery.epoch, 1) if self.config.role == "primary" else recovery.epoch
+        )
+        self.wal.on_append = self._on_wal_append
 
         # Engine-deep observability: the front end's registry and tracer
         # are shared by the engine, its index, the query engine and the
@@ -353,7 +361,7 @@ class ANCServer(FrontEnd):
         self.host = EngineHost(
             engine,
             self.batcher,
-            wal=wal,
+            wal=self.wal,
             checkpoints=store,
             checkpoint_every=self.config.checkpoint_every,
             metrics=self.metrics,
@@ -364,30 +372,14 @@ class ANCServer(FrontEnd):
         # Graceful-degradation state: sticks for DEGRADED_HOLD seconds
         # after the last shed/eviction.
         self._degraded_until = 0.0
-        self._dedup: "OrderedDict[str, _BatchEntry]" = recovered_dedup
 
         # -- replication state (docs/replication.md) -------------------
         #: ``primary`` | ``follower`` (promote flips a follower live).
         self.role = self.config.role
-        #: This node's primary epoch — the fencing token.  A fresh
-        #: primary starts at 1 (0 marks pre-replication data); followers
-        #: adopt the epochs of the records they apply.
-        self.epoch = (
-            max(recovered_epoch, 1)
-            if self.role == "primary"
-            else recovered_epoch
-        )
-        #: Highest epoch a ``fence`` op stamped on this node; writes are
-        #: refused while ``fenced_by > epoch`` (the deposed primary).
-        self.fenced_by = 0
         #: Sticky divergence-audit verdict; ``None`` = consistent.
         self.diverged: Optional[str] = None
         #: The follower's replication link (started by :meth:`start`).
         self.replication: Optional["ReplicationLink"] = None
-        self.host.epoch = self.epoch
-        if wal is not None:
-            wal.epoch = self.epoch
-            wal.on_append = self._on_wal_append
         #: Recent committed records served to followers without a file scan.
         self._wal_tail: Deque[WalRecord] = deque(maxlen=WAL_TAIL_CAPACITY)
         #: Set (and dropped) by the next WAL append; caught-up
@@ -452,13 +444,13 @@ class ANCServer(FrontEnd):
             await self.host.abort()
         else:
             await self.host.close(self._run_task)
-        if self.host.wal is not None:
-            self.host.wal.close()
+        self.wal.close()
         self.profiler.stop()
         if self._crashed:
             log.info("crashed hard at %d applied activations", self.host.applied)
         else:
             log.info("shut down cleanly at %d activations", self.host.applied)
+        self._scratch.close()
 
     def _stamp(self, response: Dict[str, object]) -> None:
         # Every envelope carries this node's epoch and role, so clients
@@ -571,6 +563,17 @@ class ANCServer(FrontEnd):
     # Replication plumbing (docs/replication.md)
     # ------------------------------------------------------------------
     @property
+    def epoch(self) -> int:
+        """This node's primary epoch, the fencing token (the WAL's)."""
+        return self.wal.epoch
+
+    @property
+    def fenced_by(self) -> int:
+        """Highest epoch a ``fence`` op stamped on this node (the WAL's
+        durable fence); writes are refused while it exceeds :attr:`epoch`."""
+        return self.wal.fence_epoch
+
+    @property
     def fenced(self) -> bool:
         """True once a newer primary's fence deposed this node."""
         return self.fenced_by > self.epoch
@@ -658,29 +661,22 @@ class ANCServer(FrontEnd):
         if appended is not None:
             appended.set()
 
-    def _wal_entries(self) -> int:
-        """Committed records in this node's log (the replication head)."""
-        wal = self.host.wal
-        return wal.entries if wal is not None else self.host.ingested
-
     def _wal_slice(self, from_seq: int, limit: int) -> List[WalRecord]:
         """Records ``[from_seq, from_seq + limit)`` — tail buffer first.
 
         Tail seqs are contiguous, so the slice is indexed by offset.
         Falls back to a file scan when the follower is further behind
-        than the in-memory tail reaches; a WAL-less (in-memory) node can
-        only serve what its tail buffer still holds.
+        than the in-memory tail reaches.
         """
         tail = self._wal_tail
         if tail and tail[0].seq <= from_seq:
             start = from_seq - tail[0].seq
             return [tail[i] for i in range(start, min(start + limit, len(tail)))]
-        if from_seq >= self._wal_entries() or self.host.wal is None:
+        if from_seq >= self.wal.entries:
             return []
         return list(
             itertools.islice(
-                WriteAheadLog.replay_records(self.host.wal.path, skip=from_seq),
-                limit,
+                WriteAheadLog.replay_records(self.wal.path, skip=from_seq), limit
             )
         )
 
@@ -698,7 +694,7 @@ class ANCServer(FrontEnd):
             self.metrics.gauge(
                 gauge,
                 lambda f=follower: float(
-                    max(0, self._wal_entries() - int(self._replicas[f]["applied"]))
+                    max(0, self.wal.entries - int(self._replicas[f]["applied"]))
                 ),
             )
         if float(applied) > info["applied"]:
@@ -709,10 +705,11 @@ class ANCServer(FrontEnd):
     async def apply_replicated(self, record: WalRecord) -> int:
         """Apply one fetched primary record (called by the follower link).
 
-        Beyond the host's WAL-level gap/epoch refusal this maintains the
-        server-side exactly-once dedup map, so a client batch resent
-        across a failover resumes on the promoted follower exactly where
-        the old primary's replicated records left it.
+        The WAL refuses a gap or a stale epoch and adopts the record's
+        epoch (:meth:`~repro.service.snapshots.WriteAheadLog.append_record`);
+        this maintains the server-side exactly-once dedup map, so a client
+        batch resent across a failover resumes on the promoted follower
+        exactly where the old primary's replicated records left it.
         """
         if self.role != "follower":
             raise ReadOnly("only a follower applies replicated records")
@@ -728,8 +725,6 @@ class ANCServer(FrontEnd):
                     f"crashed applying replicated seq {record.seq}",
                 )
         seq = await self.host.apply_replicated(record)
-        self.epoch = max(self.epoch, record.epoch)
-        self.host.epoch = self.epoch
         if record.key is not None:
             entry = self._dedup.get(record.key)
             if entry is None:
@@ -933,7 +928,7 @@ class ANCServer(FrontEnd):
         stats["epoch"] = self.epoch
         stats["fenced_by"] = self.fenced_by
         stats["diverged"] = self.diverged
-        stats["wal_entries"] = self._wal_entries()
+        stats["wal_entries"] = self.wal.entries
         stats["replicas"] = len(self._replicas)
         if self.config.shard_id is not None:
             stats["shard"] = self.config.shard_id
@@ -994,8 +989,6 @@ class ANCServer(FrontEnd):
     async def _op_snapshot(self, request: Dict) -> Dict[str, object]:
         await self.host.wait_applied()
         path = await self.host.checkpoint()
-        if path is None:
-            raise ValueError("server has no data_dir; checkpoints are disabled")
         return {"path": path, "applied": self.host.applied}
 
     # -- replication ops (docs/replication.md) -------------------------
@@ -1020,7 +1013,7 @@ class ANCServer(FrontEnd):
         follower = request.get("follower")
         if isinstance(follower, str) and follower:
             self._note_replica(follower, from_seq)
-        if wait > 0 and from_seq >= self._wal_entries() and not self._stop.is_set():
+        if wait > 0 and from_seq >= self.wal.entries and not self._stop.is_set():
             if self._appended is None:
                 self._appended = asyncio.Event()
             await _wait_set(self._appended, min(wait, MAX_FETCH_WAIT))
@@ -1041,12 +1034,12 @@ class ANCServer(FrontEnd):
                 [r.seq, r.act.u, r.act.v, r.act.t, r.epoch, r.key]
                 for r in records
             ],
-            "entries": self._wal_entries(),
+            "entries": self.wal.entries,
         }
 
     async def _op_replicas(self, request: Dict) -> Dict[str, object]:
         now = time.monotonic()
-        entries = self._wal_entries()
+        entries = self.wal.entries
         return {
             "entries": entries,
             "replicas": {
@@ -1069,9 +1062,10 @@ class ANCServer(FrontEnd):
     async def _op_fence(self, request: Dict) -> Dict[str, object]:
         """Depose this node: refuse writes below ``epoch`` from now on.
 
-        The fence reaches the WAL itself, so even a handler already past
+        The fence lives in the WAL itself, so even a handler already past
         the role check cannot complete a write (the last-moment refusal
-        the split-brain chaos scenario exercises).
+        the split-brain chaos scenario exercises), and it is on disk
+        before this answers, so a restart does not lift it.
         """
         epoch = parse_number(request.get("epoch", self.epoch + 1), "epoch", int)
         if epoch <= self.epoch:
@@ -1079,9 +1073,7 @@ class ANCServer(FrontEnd):
                 f"fence epoch {epoch} must exceed this node's epoch "
                 f"{self.epoch}"
             )
-        self.fenced_by = max(self.fenced_by, epoch)
-        if self.host.wal is not None:
-            self.host.wal.fence(epoch)
+        self.wal.fence(epoch)
         self._release_fetches()
         log.warning("fenced at epoch %d (own epoch %d)", self.fenced_by, self.epoch)
         return {"fenced_by": self.fenced_by}
@@ -1103,10 +1095,7 @@ class ANCServer(FrontEnd):
             link.stop()
             self.replication = None
         self.role = "primary"
-        self.epoch = new_epoch
-        self.host.epoch = new_epoch
-        if self.host.wal is not None:
-            self.host.wal.epoch = new_epoch
+        self.wal.epoch = new_epoch
         self._release_fetches()
         log.info("promoted to primary at epoch %d", new_epoch)
         return {"promoted": True}

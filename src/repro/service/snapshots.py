@@ -44,8 +44,11 @@ called with a newer epoch, and followers refuse to apply records from an
 epoch older than the newest they have seen.  The key lets a restarted
 node (or a promoted follower) rebuild the exactly-once dedup map from
 its own log, so a client resend straddling a failover never
-double-applies an activation.  Both fields ride in the same checksummed
-line format; logs written by older builds still replay.
+double-applies an activation.  Both fields ride in the one checksummed
+record format, ``seq u v t e<epoch> <key> crc32``; a line of any other
+shape is damage.  The fence itself is durable: :meth:`WriteAheadLog.fence`
+writes it to ``wal.fence`` beside the log before it returns, and opening
+the log re-arms it, so a deposed primary that restarts stays deposed.
 
 Both durability classes expose a ``faults`` attribute (``None`` by
 default) consulted via the :mod:`repro.faults` hook contract: disarmed
@@ -148,10 +151,9 @@ def _file_crc(path: Path) -> int:
 class WalRecord(NamedTuple):
     """One decoded WAL entry: the activation plus its replication context.
 
-    ``epoch`` is the primary epoch the record was written under (0 for
-    logs predating replication); ``key`` is the idempotency key of the
-    keyed client batch it belongs to (``None`` for un-keyed ingest and
-    for records written before keys were logged).
+    ``epoch`` is the primary epoch the record was written under; ``key``
+    is the idempotency key of the keyed client batch it belongs to
+    (``None`` for un-keyed ingest).
     """
 
     seq: int
@@ -174,68 +176,29 @@ def _wal_record(
     return f"{body} {zlib.crc32(body.encode()):08x}\n"
 
 
-def _wal_is_legacy(lines: List[str]) -> bool:
-    """Whether a WAL predates checksumming (no checksummed record anywhere).
-
-    The distinction matters because a *short write* of a checksummed
-    record leaves exactly the leading ``seq u v`` fields — which would
-    otherwise parse as a legacy ``u v t`` record and replay a phantom
-    activation.  A file containing any checksummed record (the 5-field
-    pre-replication format or the 7-field epoch/key format) is therefore
-    held to the checksummed format throughout: 3-field lines in it are
-    damage, not legacy data.
-    """
-    return not any(len(line.split()) in (5, 7) for line in lines)
-
-
-def _parse_wal_line(
-    line: str, position: int, *, legacy_ok: bool
-) -> Optional[WalRecord]:
+def _parse_wal_line(line: str) -> Optional[WalRecord]:
     """Decode one WAL line to a :class:`WalRecord`; ``None`` if damaged.
 
-    Accepts the current 7-field epoch/key format and the two older
-    formats: 5-field checksummed (``seq u v t crc``, epoch 0, no key)
-    always, and the legacy 3-field ``u v t`` (whose seq is its file
-    position) only when ``legacy_ok`` — see :func:`_wal_is_legacy`.
-    "Damaged" covers wrong field counts, unparseable numbers and CRC
-    mismatches — the *caller* decides whether damage means a benign torn
-    tail or corruption, based on where the line sits.
+    "Damaged" covers any shape but the seven fields of
+    :func:`_wal_record`, unparseable numbers and CRC mismatches — so a
+    short write, which leaves only a record's leading fields, is damage
+    too.  The *caller* decides whether damage means a benign torn tail
+    or corruption, based on where the line sits.
     """
     parts = line.split()
+    if len(parts) != 7 or not parts[4].startswith("e"):
+        return None
     try:
-        if len(parts) == 7:
-            body = " ".join(parts[:6])
-            if int(parts[6], 16) != zlib.crc32(body.encode()):
-                return None
-            if not parts[4].startswith("e"):
-                return None
-            key = None if parts[5] == _NO_KEY else parts[5]
-            return WalRecord(
-                int(parts[0]),
-                Activation(int(parts[1]), int(parts[2]), float(parts[3])),
-                int(parts[4][1:]),
-                key,
-            )
-        if len(parts) == 5:
-            body = " ".join(parts[:4])
-            if int(parts[4], 16) != zlib.crc32(body.encode()):
-                return None
-            return WalRecord(
-                int(parts[0]),
-                Activation(int(parts[1]), int(parts[2]), float(parts[3])),
-                0,
-                None,
-            )
-        if len(parts) == 3 and legacy_ok:  # record from before checksumming
-            return WalRecord(
-                position,
-                Activation(int(parts[0]), int(parts[1]), float(parts[2])),
-                0,
-                None,
-            )
+        if int(parts[6], 16) != zlib.crc32(" ".join(parts[:6]).encode()):
+            return None
+        return WalRecord(
+            int(parts[0]),
+            Activation(int(parts[1]), int(parts[2]), float(parts[3])),
+            int(parts[4][1:]),
+            None if parts[5] == _NO_KEY else parts[5],
+        )
     except ValueError:  # anclint: disable=service-exception-discipline — "damaged" is this parser's None return; the caller (replay) maps mid-file damage to WalCorruptError
         return None
-    return None
 
 
 class WriteAheadLog:
@@ -244,8 +207,12 @@ class WriteAheadLog:
     Entries are written in ingest order, which the single-writer host
     guarantees equals apply order, so "the first N entries" always means
     "the N activations the engine has absorbed".  Each record is
-    ``seq u v t crc32``; see the module docstring for how the three
-    corruption classes are told apart on replay.
+    ``seq u v t e<epoch> <key> crc32``; see the module docstring for how
+    the three corruption classes are told apart on replay.
+
+    The log owns its node's epoch and fence: :attr:`epoch` is stamped
+    into every new record, and :attr:`fence_epoch` (kept durable in
+    ``wal.fence`` beside the log) refuses appends from a deposed writer.
     """
 
     def __init__(self, path: PathLike, *, faults: "Optional[FaultPlan]" = None) -> None:
@@ -255,8 +222,14 @@ class WriteAheadLog:
         self.faults = faults
         #: Primary epoch stamped into new records (owners bump on promote).
         self.epoch = 0
-        #: Appends are refused below this epoch once :meth:`fence` is called.
-        self.fence_epoch = 0
+        self._fence_path = self.path.with_suffix(".fence")
+        #: Appends are refused below this epoch once :meth:`fence` is
+        #: called; re-armed from ``wal.fence`` when the log is reopened.
+        self.fence_epoch = (
+            int(self._fence_path.read_text(encoding="utf-8"))
+            if self._fence_path.exists()
+            else 0
+        )
         #: Called with each durably appended :class:`WalRecord` (the
         #: replication tail buffer subscribes here); ``None`` = disarmed.
         self.on_append: Optional[Callable[[WalRecord], None]] = None
@@ -276,14 +249,13 @@ class WriteAheadLog:
             return 0
         with open(self.path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-        legacy = _wal_is_legacy(lines)
-        if lines and _parse_wal_line(lines[-1], len(lines) - 1, legacy_ok=legacy) is None:
+        if lines and _parse_wal_line(lines[-1]) is None:
             lines.pop()
             with open(self.path, "w", encoding="utf-8") as fh:
                 fh.write("".join(line + "\n" for line in lines))
         if not lines:
             return 0
-        last = _parse_wal_line(lines[-1], len(lines) - 1, legacy_ok=legacy)
+        last = _parse_wal_line(lines[-1])
         if last is None:
             return len(lines)
         self.epoch = last.epoch
@@ -298,9 +270,24 @@ class WriteAheadLog:
         Idempotent and monotone: fencing at an older epoch than an
         existing fence is a no-op.  An in-flight handler that already
         passed the server's role check still cannot write — the refusal
-        happens at the last possible moment, on the log itself.
+        happens at the last possible moment, on the log itself.  The
+        fence is on disk before this returns (temp file, fsync, rename),
+        so it outlives a restart.
         """
-        self.fence_epoch = max(self.fence_epoch, epoch)
+        if epoch <= self.fence_epoch:
+            return
+        staged = self._fence_path.with_suffix(".fence-new")
+        with open(staged, "w", encoding="utf-8") as fh:
+            fh.write(f"{epoch}\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(staged, self._fence_path)
+        directory = os.open(self.path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
+        self.fence_epoch = epoch
 
     def append(self, act: Activation, *, key: Optional[str] = None) -> int:
         """Durably append one activation; returns its sequence number.
@@ -397,10 +384,9 @@ class WriteAheadLog:
             return
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-        legacy = _wal_is_legacy(lines)
         expected: Optional[int] = None
         for i, line in enumerate(lines):
-            decoded = _parse_wal_line(line, i, legacy_ok=legacy)
+            decoded = _parse_wal_line(line)
             if decoded is None:
                 if i == len(lines) - 1:
                     return  # torn tail
@@ -491,10 +477,7 @@ def restore_engine(
     name = doc["engine"]
     if name not in engines:
         raise ValueError(f"unknown engine {name!r} in checkpoint")
-    # Checkpoints from before the thread-pool index updater was removed
-    # still carry its ``update_workers`` count; it changed no result.
-    fields = {k: v for k, v in doc["params"].items() if k != "update_workers"}  # type: ignore[union-attr]
-    params = ANCParams(**fields)  # type: ignore[arg-type]
+    params = ANCParams(**doc["params"])  # type: ignore[arg-type]
 
     engine = engines[name].__new__(engines[name])  # type: ignore[assignment]
     engine.graph = graph
@@ -524,13 +507,11 @@ def restore_engine(
     engine.index, resume = load_index_resume(
         graph, index_path, faults=faults, space=metric.space
     )
-    if resume and resume.get("seq") is not None:
-        stored = int(resume["seq"])  # type: ignore[arg-type]
-        if stored != int(doc["activations"]):  # type: ignore[arg-type]
-            raise ValueError(
-                f"checkpoint internally inconsistent: index resume seq "
-                f"{stored} != engine activations {doc['activations']}"
-            )
+    if resume["seq"] != int(doc["activations"]):  # type: ignore[arg-type]
+        raise ValueError(
+            f"checkpoint internally inconsistent: index resume seq "
+            f"{resume['seq']} != engine activations {doc['activations']}"
+        )
     metric.clock.add_rescale_listener(engine.index.on_rescale)
     engine.queries = ClusterQueryEngine(engine.index, method=params.method)
     engine.activations_processed = int(doc["activations"])  # type: ignore[arg-type]
@@ -560,6 +541,7 @@ class CheckpointStore:
 
         data_dir/
           wal.log                  append-only activation log
+          wal.fence                the fence epoch, once a fence was set
           checkpoint-<seq>/
             engine.json            dump_engine_state() output
             index.json             repro.index.persistence document
@@ -587,10 +569,18 @@ class CheckpointStore:
         restart (or a follower bootstrapping from this directory) knows
         both the WAL resume point and the fencing token without
         re-scanning the log.
+
+        Re-cutting a checkpoint at the same seq (a restart followed by a
+        clean stop, or a second ``snapshot``, with no writes in between)
+        first drops the complete one's MANIFEST: a crash mid-re-cut then
+        leaves a torn directory that recovery ignores (the WAL, never
+        truncated, replays instead), not a MANIFEST over files it no
+        longer matches.
         """
         seq = engine.activations_processed
         target = self.data_dir / f"checkpoint-{seq}"
         target.mkdir(parents=True, exist_ok=True)
+        (target / "MANIFEST").unlink(missing_ok=True)
         doc = dump_engine_state(engine)
         payload = json.dumps(doc)
         action = (
@@ -725,7 +715,8 @@ def recover_to(
 
     ``params``/``engine_name`` configure the fresh-start path and are
     ignored when a checkpoint dictates them.  A checkpoint whose
-    contents fail the MANIFEST checksums or do not deserialize raises
+    MANIFEST lacks its checksums or epoch, whose contents fail the
+    checksums, or which does not deserialize raises
     :class:`CheckpointCorruptError`; a damaged WAL raises
     :class:`WalCorruptError` (see :meth:`WriteAheadLog.replay_records`).
     Serving silently-wrong clusters is never an option.
@@ -741,14 +732,12 @@ def recover_to(
                 manifest = json.load(fh)
             with open(path / "engine.json", "r", encoding="utf-8") as fh:
                 raw = fh.read()
-            engine_crc = manifest.get("engine_crc")
-            if engine_crc is not None and zlib.crc32(raw.encode()) != engine_crc:
+            if zlib.crc32(raw.encode()) != manifest["engine_crc"]:
                 raise CheckpointCorruptError(
                     f"checkpoint {path.name}: engine.json fails its "
                     f"MANIFEST checksum (bit rot after completion)"
                 )
-            index_crc = manifest.get("index_crc")
-            if index_crc is not None and _file_crc(path / "index.json") != index_crc:
+            if _file_crc(path / "index.json") != manifest["index_crc"]:
                 raise CheckpointCorruptError(
                     f"checkpoint {path.name}: index.json fails its "
                     f"MANIFEST checksum (bit rot after completion)"
@@ -757,7 +746,7 @@ def recover_to(
             engine = restore_engine(
                 graph, doc, path / "index.json", faults=store.faults
             )
-            epoch = int(manifest.get("epoch", 0))
+            epoch = int(manifest["epoch"])
         except CheckpointCorruptError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

@@ -254,7 +254,9 @@ class ShardRouter(FrontEnd):
 
         ``action`` is a fired ``router.forward`` fault, applied to the
         *first* attempt only (retries model the recovery path, not the
-        fault).  Raises :class:`Unavailable` once attempts are spent.
+        fault).  Raises :class:`Unavailable` once attempts are spent, or
+        on the first failure once the router is stopping: a stopping
+        router neither retries nor respawns a worker.
         """
         if action is not None and action.kind == "delay":
             await asyncio.sleep(action.seconds())
@@ -262,6 +264,8 @@ class ShardRouter(FrontEnd):
         last_exc: Optional[BaseException] = None
         for attempt in range(FORWARD_ATTEMPTS):
             if attempt > 0:
+                if self._stop.is_set():
+                    break
                 self._c_retries.inc()
                 await self._respawn_if_dead(shard)
                 await asyncio.sleep(RETRY_BACKOFF * (2 ** (attempt - 1)))

@@ -26,7 +26,10 @@ transient failure, and re-arming it in the respawned process would
 crash-loop the shard.
 
 :class:`ShardDeployment` builds the :class:`~repro.shard.shardmap.ShardMap`
-and owns the full set of workers.
+and owns the full set of workers.  Every worker is durable: a deployment
+configured without a data directory persists under a throwaway root that
+:meth:`ShardDeployment.stop` removes, so a respawned worker still
+recovers what it acknowledged.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import asyncio
 import logging
 import multiprocessing
 import sys
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from queue import Empty
@@ -215,9 +219,10 @@ class ShardDeployment:
     """The :class:`ShardMap` plus one supervised worker per shard.
 
     ``config`` is every worker's :class:`ServerConfig`, read per worker:
-    ``data_dir`` is the root each worker persists under (``shard-<i>``),
-    ``shard_id`` and a free port are filled in, the metrics log line is
-    off (the router federates worker metrics) and fault plans come from
+    ``data_dir`` is the root each worker persists under (``shard-<i>``;
+    ``None`` = a throwaway root, removed by :meth:`stop`), ``shard_id``
+    and a free port are filled in, the metrics log line is off (the
+    router federates worker metrics) and fault plans come from
     ``fault_specs``.
     """
 
@@ -239,16 +244,17 @@ class ShardDeployment:
             tuple(names) if names is not None else None
         )
         config = config or ServerConfig()
+        root = config.data_dir
+        self._scratch: "Optional[tempfile.TemporaryDirectory[str]]" = None
+        if root is None:
+            self._scratch = tempfile.TemporaryDirectory(prefix="anc-shards-")
+            root = self._scratch.name
         self.workers: List[ShardWorker] = []
         for shard in range(shards):
             worker_config = replace(
                 config,
                 port=0,
-                data_dir=(
-                    str(Path(config.data_dir) / f"shard-{shard}")
-                    if config.data_dir is not None
-                    else None
-                ),
+                data_dir=str(Path(root) / f"shard-{shard}"),
                 metrics_interval=0.0,
                 shard_id=shard,
                 faults=None,
@@ -290,10 +296,13 @@ class ShardDeployment:
         return self
 
     def stop(self) -> None:
-        """Stop every worker (graceful, then terminate)."""
+        """Stop every worker (graceful, then terminate), then remove the
+        throwaway root, if this deployment made one."""
         for worker in self.workers:
             worker.stop()
         self._started = False
+        if self._scratch is not None:
+            self._scratch.cleanup()
 
     def endpoints(self) -> Dict[int, Tuple[str, int]]:
         """shard id → ``(host, port)`` of each live worker."""

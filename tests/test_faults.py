@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import socket
 import time
+import zlib
 
 import pytest
 
@@ -62,7 +63,6 @@ from repro.service.snapshots import (
     apply_activations,
     recover_to,
 )
-from repro.core.activation import Activation
 from repro.workloads.streams import community_biased_stream
 
 
@@ -196,13 +196,10 @@ class TestWalFormat:
         wal.close()
         assert list(WriteAheadLog.replay(tmp_path / "wal.log")) == stream[:10]
 
-    def test_legacy_three_field_lines_replay(self, tmp_path):
-        path = tmp_path / "wal.log"
-        path.write_text("0 1 1.0\n0 2 2.0\n")
-        acts = list(WriteAheadLog.replay(path))
-        assert acts == [Activation(0, 1, 1.0), Activation(0, 2, 2.0)]
-
     def test_mid_file_garbage_is_typed(self, tmp_path):
+        """Only the seven-field record replays: garbage, a three-field
+        ``u v t`` line and a five-field ``seq u v t crc`` line (whose
+        checksum matches its own body) are all damage mid-file."""
         graph, stream = make_workload()
         path = tmp_path / "wal.log"
         wal = WriteAheadLog(path)
@@ -210,10 +207,17 @@ class TestWalFormat:
             wal.append(act)
         wal.close()
         lines = path.read_text().splitlines()
-        lines[1] = "garbage line"
-        path.write_text("".join(line + "\n" for line in lines))
-        with pytest.raises(WalCorruptError, match="corrupt WAL line 1"):
-            list(WriteAheadLog.replay(path))
+        act = stream[1]
+        body = f"1 {act.u} {act.v} {act.t!r}"
+        for damaged in (
+            "garbage line",
+            f"{act.u} {act.v} {act.t!r}",
+            f"{body} {zlib.crc32(body.encode()):08x}",
+        ):
+            lines[1] = damaged
+            path.write_text("".join(line + "\n" for line in lines))
+            with pytest.raises(WalCorruptError, match="corrupt WAL line 1"):
+                list(WriteAheadLog.replay(path))
 
     def test_sequence_gap_is_typed(self, tmp_path):
         graph, stream = make_workload()
@@ -321,6 +325,23 @@ class TestCheckpointFaults:
         index.write_text(index.read_text() + " ")
         with pytest.raises(CheckpointCorruptError, match="index.json"):
             recover_to(graph, store, params=QUICK_PARAMS)
+
+    def test_crashed_recut_replays_the_wal(self, tmp_path):
+        """A restart followed by a clean stop with no new writes cuts
+        the same checkpoint again.  A crash halfway through that re-cut
+        must not brick the data dir: recovery ignores the torn directory
+        and replays the intact WAL to the uninterrupted engine."""
+        plan = FaultPlan(
+            [FaultSpec("checkpoint.write", "truncate-engine", at_count=2)]
+        )
+        graph, stream, store, engine = self.run_to_checkpoint(tmp_path, plan)
+        store.write_checkpoint(engine)  # the first clean stop
+        restarted = recover_to(graph, store, params=QUICK_PARAMS).engine
+        with pytest.raises(InjectedCrash):
+            store.write_checkpoint(restarted)  # its clean stop, torn
+        recovery = recover_to(graph, store, params=QUICK_PARAMS)
+        assert recovery.replayed == 30
+        assert engine_signature(recovery.engine) == engine_signature(engine)
 
     def test_crash_between_append_and_apply(self, tmp_path):
         """Satellite regression: kill -9 after WAL append, before apply.

@@ -21,6 +21,7 @@ import io
 import json
 import re
 import threading
+import time
 
 import pytest
 
@@ -771,6 +772,21 @@ class TestSamplingProfiler:
         assert all(line.rsplit(" ", 1)[1].isdigit() for line in report["collapsed"])
         # track_open is returned to the tracer when the window closes.
         assert profiler.running is False
+
+    def test_est_s_reads_wall_seconds_at_a_high_rate(self):
+        """The sampler needs the GIL for every sample, so at 997 Hz it
+        falls far short of its nominal rate on a busy interpreter; the
+        busy phase's ``est_s`` must still be within 25% of the span's
+        wall time."""
+        tracer = Tracer(enabled=True, capacity=64)
+        with SamplingProfiler(hz=997.0, tracer=tracer) as profiler:
+            started = time.perf_counter()
+            with tracer.span("busy"):
+                while time.perf_counter() - started < 0.6:
+                    sum(i * i for i in range(200))
+            wall = time.perf_counter() - started
+        est = profiler.phase_breakdown()["busy"]["est_s"]
+        assert abs(est - wall) <= 0.25 * wall, (est, wall, profiler.samples)
 
     def test_rejects_nonpositive_hz(self):
         with pytest.raises(ValueError):

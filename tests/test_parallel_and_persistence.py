@@ -184,6 +184,7 @@ class TestPersistence:
         for _ in range(30):
             u, v = rng.choice(edges)
             index.update_edge_weight(u, v, rng.choice([0.2, 0.5, 1.5, 3.0]))
+        index.on_rescale(0.6)  # leaves a weight scale other than 1
         path = tmp_path / "index.json"
         save_index(index, path)
         loaded = load_index(graph, path)

@@ -12,7 +12,7 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.activation import Activation, naive_activeness
@@ -265,6 +265,10 @@ class TestEngineProperties:
         n_acts=st.integers(min_value=1, max_value=40),
         rescale_every=st.integers(min_value=2, max_value=16),
     )
+    # Streams whose rescales by 1/g would round two distances to a tie.
+    @example(stream_seed=245, n_acts=16, rescale_every=4)
+    @example(stream_seed=11, n_acts=16, rescale_every=2)
+    @example(stream_seed=56, n_acts=40, rescale_every=4)
     def test_online_index_equals_fresh_rebuild(self, stream_seed, n_acts, rescale_every):
         from repro.core.anc import ANCO, ANCParams
 

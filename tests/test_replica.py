@@ -306,6 +306,30 @@ class TestFailover:
                     follower.server.host.engine
                 ) == engine_signature(oracle)
 
+    def test_fence_survives_a_restart(self, tmp_path):
+        """A deposed primary that restarts on its data dir stays deposed:
+        the fence is on disk before ``fence`` answers, so writes are
+        refused with ``FENCED`` until a promotion moves past it."""
+        graph, stream = make_workload(15)
+        first, second = batches_of(stream)[:2]
+        with serve(graph, data_dir=tmp_path / "p") as node:
+            with ServiceClient(node.host, node.port, timeout=5.0) as client:
+                client.ingest_batch(first, key="fence-0")
+                assert client.request("fence", epoch=2)["fenced_by"] == 2
+        with serve(graph, data_dir=tmp_path / "p") as node:
+            with ServiceClient(
+                node.host, node.port, timeout=5.0, retry=RetryPolicy(attempts=1)
+            ) as client:
+                stats = client.request("stats")["stats"]
+                assert (stats["epoch"], stats["fenced_by"]) == (1, 2)
+                with pytest.raises(ServiceError) as exc:
+                    client.request("ingest_batch", items=second, key="fence-1")
+                assert exc.value.code == "FENCED"
+                client.request("promote")
+                answer = client.request("ingest_batch", items=second, key="fence-1")
+                assert answer["epoch"] >= 3
+                assert client.sync() == len(first) + len(second)
+
     def test_replicated_batch_dedups_after_failover(self, tmp_path):
         """Exactly once across failover: a keyed batch the follower only
         ever saw as *replicated* WAL records is absorbed by its dedup
@@ -435,8 +459,10 @@ class TestFailover:
 # ----------------------------------------------------------------------
 
 def ingested_primary(tmp_path, graph, stream, **config_kwargs):
-    """A started primary holding ``stream`` (the caller stops it)."""
-    primary = serve(graph, data_dir=tmp_path / "p", **config_kwargs).start()
+    """A started primary holding ``stream`` (the caller stops it); its
+    data dir is ``tmp_path / "p"`` unless ``data_dir`` names another."""
+    config_kwargs.setdefault("data_dir", tmp_path / "p")
+    primary = serve(graph, **config_kwargs).start()
     with ServiceClient(primary.host, primary.port, timeout=5.0) as client:
         client.ingest_batch([(a.u, a.v, a.t) for a in stream], key="lp-0")
         client.sync()
@@ -560,26 +586,47 @@ class TestWalSlice:
     def test_offset_slice_matches_the_log(self, tmp_path, monkeypatch):
         """``wal_fetch`` indexes the in-memory tail by offset; every
         boundary — before the tail (file-scan fallback), inside it, at
-        its end and past it — matches a scan of the log file."""
+        its end and past it — matches a scan of the log file, on a
+        primary with a data dir and on one started without (which logs
+        to a throwaway dir)."""
         graph, stream = make_workload(18)
         monkeypatch.setattr(server_module, "WAL_TAIL_CAPACITY", 16)
-        primary = ingested_primary(tmp_path, graph, stream[:40])
-        try:
-            server = primary.server
-            tail_start = server._wal_tail[0].seq
-            assert tail_start == 24
-            path = server.host.wal.path
-            for from_seq in (0, 10, 23, 24, 25, 31, 39, 40, 41):
-                for limit in (1, 5, 512):
-                    expected = list(
-                        itertools.islice(
-                            WriteAheadLog.replay_records(path, skip=from_seq), limit
+        for data_dir in (tmp_path / "p", None):
+            primary = ingested_primary(tmp_path, graph, stream[:40], data_dir=data_dir)
+            try:
+                server = primary.server
+                tail_start = server._wal_tail[0].seq
+                assert tail_start == 24
+                path = server.host.wal.path
+                for from_seq in (0, 10, 23, 24, 25, 31, 39, 40, 41):
+                    for limit in (1, 5, 512):
+                        expected = list(
+                            itertools.islice(
+                                WriteAheadLog.replay_records(path, skip=from_seq),
+                                limit,
+                            )
                         )
-                    )
-                    assert server._wal_slice(from_seq, limit) == expected, (
-                        from_seq,
-                        limit,
-                    )
+                        assert server._wal_slice(from_seq, limit) == expected, (
+                            data_dir,
+                            from_seq,
+                            limit,
+                        )
+            finally:
+                primary.stop()
+
+    def test_late_follower_catches_up_without_data_dirs(self, tmp_path, monkeypatch):
+        """A follower started after the stream catches up from a primary
+        started without a data dir: the records older than the in-memory
+        tail come from the primary's throwaway log."""
+        graph, stream = make_workload(18)
+        monkeypatch.setattr(server_module, "WAL_TAIL_CAPACITY", 16)
+        primary = ingested_primary(tmp_path, graph, stream[:40], data_dir=None)
+        try:
+            with serve(graph, **follower_kwargs(primary.port)) as follower:
+                wait_for(lambda: caught_up(follower, 40), what="late follower catch-up")
+                assert engine_signature(follower.server.host.engine) == engine_signature(
+                    primary.server.host.engine
+                )
         finally:
             primary.stop()
 

@@ -36,6 +36,7 @@ from repro.cli import main as cli_main
 from repro.core.activation import Activation
 from repro.core.anc import ANCO, ANCOR, ANCParams, make_engine
 from repro.graph.generators import planted_partition
+from repro.index.clustering import local_cluster
 from repro.service import (
     ANCServer,
     CheckpointStore,
@@ -626,33 +627,6 @@ class TestCrashRecovery:
         with pytest.raises(ValueError, match="unsupported engine-state"):
             restore_engine(graph, {"format": 42}, tmp_path / "index.json")
 
-    def test_restore_accepts_legacy_update_workers(
-        self, tmp_path, small_planted, monkeypatch
-    ):
-        """Checkpoints from when ``ANCParams`` had the ``update_workers``
-        thread-pool knob carry it in their params; they still restore,
-        identical to the engine that wrote them."""
-        from repro.service import snapshots
-
-        dump = snapshots.dump_engine_state
-
-        def dump_with_knob(engine):
-            doc = dump(engine)
-            doc["params"]["update_workers"] = 2
-            return doc
-
-        monkeypatch.setattr(snapshots, "dump_engine_state", dump_with_knob)
-        graph, labels = small_planted
-        engine = ANCO(graph, ANCParams(rep=1, k=2, seed=0))
-        apply_activations(engine, make_stream(graph, labels, timestamps=5))
-        store = CheckpointStore(tmp_path)
-        store.write_checkpoint(engine)
-        engine_json = next(tmp_path.glob("checkpoint-*/engine.json"))
-        assert '"update_workers": 2' in engine_json.read_text()
-        recovered = recover_to(graph, store).engine
-        assert recovered.params == engine.params
-        assert_engines_identical(engine, recovered)
-
 
 # ----------------------------------------------------------------------
 # Server protocol (in-process)
@@ -988,13 +962,62 @@ class TestServerProtocol:
         assert stats["stats"]["applied"] == len(acts)
         assert metrics["metrics"]["counters"]["activations_applied"] == len(acts)
 
-    def test_snapshot_requires_data_dir(self, small_planted):
-        async def scenario(reader, writer, server):
-            return await rpc(reader, writer, op="snapshot")
+    def test_watch_at_two_levels(self, small_planted, quick_params):
+        """Two nodes watched at two levels: after each synced batch, each
+        node's change events, folded over its watch answer, give the
+        voted component a replay of the same prefix finds at its level."""
+        graph, labels = small_planted
+        acts = make_stream(graph, labels, timestamps=15, seed=9)
+        batches = [acts[i : i + 25] for i in range(0, len(acts), 25)]
+        watched = [(0, 3), (13, 5)]
+        oracle = make_engine("ANCO", graph, quick_params)
 
-        response = run_server_scenario(scenario, graph_and_labels=small_planted)
-        assert response["ok"] is False
-        assert "data_dir" in response["error"]
+        def brute_force():
+            return {
+                (v, level): set(local_cluster(oracle.index, v, level))
+                for v, level in watched
+            }
+
+        async def scenario(reader, writer, server):
+            tracked = {}
+            for v, level in watched:
+                answer = await rpc(reader, writer, op="watch", node=v, level=level)
+                tracked[(v, level)] = set(answer["cluster"])
+            assert tracked == brute_force()
+            levels_changed = set()
+            for batch in batches:
+                items = [[a.u, a.v, a.t] for a in batch]
+                await rpc(reader, writer, op="ingest_batch", items=items)
+                await rpc(reader, writer, op="sync")
+                apply_activations(oracle, batch)
+                for event in (await rpc(reader, writer, op="changes"))["changes"]:
+                    cluster = tracked[(event["node"], event["level"])]
+                    joined, left = set(event["joined"]), set(event["left"])
+                    assert not joined & cluster and left <= cluster
+                    cluster |= joined
+                    cluster -= left
+                    levels_changed.add(event["level"])
+                assert tracked == brute_force()
+            return levels_changed
+
+        levels_changed = run_server_scenario(
+            scenario, graph_and_labels=small_planted, params=quick_params
+        )
+        assert levels_changed == {3, 5}
+
+    def test_snapshot_without_data_dir(self, small_planted):
+        """A server started without a data dir checkpoints into its
+        throwaway one, which is gone once the server has stopped."""
+        async def scenario(reader, writer, server):
+            response = await rpc(reader, writer, op="snapshot")
+            return response, server.host.checkpoints.data_dir
+
+        response, data_dir = run_server_scenario(
+            scenario, graph_and_labels=small_planted
+        )
+        assert response["ok"] is True
+        assert Path(response["path"]).parent == data_dir
+        assert not data_dir.exists()
 
     def test_snapshot_and_shutdown(self, small_planted, tmp_path, quick_params):
         graph, labels = small_planted

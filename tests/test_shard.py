@@ -14,7 +14,9 @@ import random
 import pytest
 
 import os
+import signal
 import time
+from pathlib import Path
 
 from repro.cli import main as cli_main
 from repro.core.anc import make_engine
@@ -396,6 +398,51 @@ class TestScatterGatherOracle:
                 assert sorted(snap["path"]) == ["0", "1"]
                 assert all(isinstance(p, str) for p in snap["path"].values())
                 assert snap["applied"] == len(acts)
+
+    def test_killed_worker_without_data_dir_keeps_what_it_acknowledged(self):
+        """A deployment started without a data dir still runs durable
+        workers.  Shard 0's process is SIGKILLed between keyed batches
+        and the router respawns it on its throwaway dir: ``sync`` counts
+        every accepted activation, the merged clusters equal one engine's
+        over the whole stream, and the throwaway root is gone after the
+        stop."""
+        graph, acts = build_shard_workload(0)
+        oracle = make_engine("ANCO", graph, SHARD_PARAMS)
+        for act in acts:
+            oracle.process(act)
+        deployment = ShardDeployment(graph, shards=2, seed=0, params=SHARD_PARAMS)
+        data_dir = deployment.workers[0].spec.config.data_dir
+        batch = [[act.u, act.v, act.t] for act in acts]
+        starts = range(0, len(batch), 40)
+        cut = len(starts) // 2
+        with RouterThread(deployment) as router:
+            assert router.port is not None
+            with ServiceClient("127.0.0.1", router.port, timeout=60) as client:
+
+                def ingest(chosen):
+                    return sum(
+                        int(
+                            client.request(
+                                "ingest_batch", items=batch[i:i + 40], key=f"kill-b{i}"
+                            )["accepted"]
+                        )
+                        for i in chosen
+                    )
+
+                accepted = ingest(starts[:cut])
+                assert client.sync() == accepted
+                victim = deployment.workers[0]._proc
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=10.0)
+                accepted += ingest(starts[cut:])
+                assert deployment.total_restarts() == 1
+                assert accepted == len(acts)
+                assert client.sync() == accepted
+                merged = client.request("clusters")
+                assert merged["applied"] == len(acts)
+                expected = oracle.clusters(int(merged["level"]))
+                assert _normalize(merged["clusters"]) == _normalize(expected)
+        assert data_dir is not None and not Path(data_dir).parent.exists()
 
     def test_single_ingest_is_applied_once_across_a_dropped_forward(self, tmp_path):
         """The router keys a single ``ingest`` like an unkeyed batch, so

@@ -6,6 +6,7 @@ the new weights: after any weight change the incrementally maintained
 forest invariants must hold (Lemmas 11-12).
 """
 
+import math
 import random
 
 import pytest
@@ -216,3 +217,32 @@ class TestAbsorbScale:
         for v in g.nodes():
             assert part.dist[v] == pytest.approx(dist_before[v] * factor)
         part.check_consistency()
+
+
+@pytest.mark.parametrize("index_class", [PyramidIndex, ArrayPyramidIndex])
+def test_rescale_that_would_round_to_a_tie_matches_a_fresh_rebuild(index_class):
+    """Node 1 is one ulp closer to seed 2 than to seed 0.  A rescale by
+    1.5 would round both weights to the same value, and a fresh rebuild
+    would then give node 1 the smaller seed while its distance, scaled in
+    place, kept seed 2.  The index scales by a power of two instead (2
+    here) and carries the rest as its weight scale."""
+    factor = 1.5
+    x = 1.9
+    while x * factor != math.nextafter(x, 2.0) * factor:
+        x = math.nextafter(x, 2.0)
+    graph = Graph(3, [(0, 1), (1, 2)])
+    weights = {(0, 1): math.nextafter(x, 2.0), (1, 2): x}
+    extra = {"space": EdgeSpace(graph)} if index_class is ArrayPyramidIndex else {}
+    for rng_seed in range(100):
+        index = index_class(graph, weights, k=1, seed=rng_seed, **extra)
+        part = index.partitions_at(2)[0]
+        if set(part.seeds) == {0, 2}:
+            break
+    assert part.seed == [0, 2, 2]
+    index.on_rescale(1.0 / factor)
+    assert index.weight(1, 2) == 2 * x
+    assert_matches_fresh(part, graph, index.weight)
+    # A later weight arrives in the metric's units: times 2/1.5.
+    index.update_edge_weight(0, 1, 1.0)
+    assert index.weight(0, 1) == pytest.approx(2 / factor, rel=1e-15)
+    assert_matches_fresh(part, graph, index.weight)
