@@ -23,8 +23,6 @@ Suppressions are counted and reported, never silent.  Everything here is
 pure stdlib ``ast`` — no new runtime dependencies.
 """
 
-from .baseline import apply_baseline, load_baseline, save_baseline
-from .cache import LintCache, rules_digest
 from .engine import (
     FileContext,
     LintResult,
@@ -38,6 +36,7 @@ from .pragmas import Suppressions, parse_pragmas
 from .project import ModuleSummary, ProjectModel, summarize_module
 from .registry import (
     Rule,
+    RuleSourceError,
     WholeProgramRule,
     all_rules,
     all_whole_program_rules,
@@ -45,7 +44,7 @@ from .registry import (
     rule,
     whole_program_rule,
 )
-from .reporters import render_json, render_sarif, render_text
+from .reporters import render_text
 
 # Importing the rule modules registers every built-in rule.
 from . import rules as _rules  # noqa: F401  (import for side effect)
@@ -53,29 +52,23 @@ from . import rules as _rules  # noqa: F401  (import for side effect)
 __all__ = [
     "FileContext",
     "Finding",
-    "LintCache",
     "LintResult",
     "ModuleSummary",
     "ProjectModel",
     "Rule",
+    "RuleSourceError",
     "Suppressions",
     "WholeProgramRule",
     "all_rules",
     "all_whole_program_rules",
-    "apply_baseline",
     "build_project",
     "get_rule",
     "iter_python_files",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "parse_pragmas",
-    "render_json",
-    "render_sarif",
     "render_text",
     "rule",
-    "rules_digest",
-    "save_baseline",
     "summarize_module",
     "whole_program_rule",
 ]

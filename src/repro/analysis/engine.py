@@ -8,9 +8,8 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .astutils import import_map, link_parents
-from .cache import LintCache
 from .findings import Finding
-from .pragmas import Pragma, Suppressions, parse_pragmas
+from .pragmas import Suppressions, parse_pragmas
 from .project import ModuleSummary, ProjectModel, summarize_module
 from .registry import Rule, all_rules, get_rule, split_selection
 
@@ -56,13 +55,6 @@ class LintResult:
     #: rule -> count of findings suppressed by pragmas.
     suppressed: Dict[str, int] = field(default_factory=dict)
     files: int = 0
-
-    def merge(self, other: "LintResult") -> None:
-        """Fold another result (one more file) into this one."""
-        self.findings.extend(other.findings)
-        for name, count in other.suppressed.items():
-            self.suppressed[name] = self.suppressed.get(name, 0) + count
-        self.files += other.files
 
     @property
     def ok(self) -> bool:
@@ -118,14 +110,15 @@ def _select_rules(select: Optional[Sequence[str]]) -> List[Rule]:
     return [get_rule(name) for name in select]
 
 
-def check_source(
-    source: str,
-    *,
-    path: str = "<snippet>",
-    module: str = "<snippet>",
-    select: Optional[Sequence[str]] = None,
-) -> LintResult:
-    """Lint one source string (the test fixtures' entry point)."""
+def _check(
+    source: str, path: str, module: str, rules: Sequence[Rule]
+) -> Tuple[LintResult, Suppressions, Optional[FileContext]]:
+    """Parse one file once and run ``rules`` over it.
+
+    Returns the file's result, its pragma set (whose ``applied`` counts
+    the exemptions used so far) and its context, which is ``None`` when
+    the file does not parse.
+    """
     result = LintResult(files=1)
     suppressions = parse_pragmas(source)
     try:
@@ -140,10 +133,10 @@ def check_source(
                 message=f"file does not parse: {exc.msg}",
             )
         )
-        return result.finalize()
+        return result, suppressions, None
 
     ctx = FileContext(path=path, module=module, source=source, tree=tree)
-    for rule in _select_rules(select):
+    for rule in rules:
         for node, message in rule.check(ctx):
             line = getattr(node, "lineno", 1)
             col = getattr(node, "col_offset", 0)
@@ -166,21 +159,28 @@ def check_source(
             )
         )
     result.suppressed = dict(suppressions.applied)
-    return result.finalize()
+    return result, suppressions, ctx
+
+
+def check_source(
+    source: str,
+    *,
+    path: str = "<snippet>",
+    module: str = "<snippet>",
+    select: Optional[Sequence[str]] = None,
+) -> LintResult:
+    """Lint one source string (the test fixtures' entry point)."""
+    return _check(source, path, module, _select_rules(select))[0].finalize()
 
 
 # Alias used by tests and docs; ``lint_source`` reads better at call sites.
 lint_source = check_source
 
 
-def check_file(
-    path: PathLike,
-    *,
-    select: Optional[Sequence[str]] = None,
-    package: str = "repro",
-) -> LintResult:
-    """Lint one file from disk."""
-    file_path = Path(path)
+def _check_path(
+    file_path: Path, rules: Sequence[Rule], package: str
+) -> Tuple[LintResult, Suppressions, Optional[FileContext]]:
+    """:func:`_check` on a file from disk; an unreadable file is a finding."""
     try:
         source = file_path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -194,71 +194,19 @@ def check_file(
                 message=f"cannot read file: {exc}",
             )
         )
-        return result.finalize()
-    return check_source(
-        source,
-        path=str(file_path),
-        module=module_name_for(file_path, package=package),
-        select=select,
-    )
-
-
-def _lint_file_full(
-    file_path: Path, package: str
-) -> Tuple[List[Finding], Suppressions, Optional[ModuleSummary]]:
-    """Run *all* per-file rules on one file and summarize it.
-
-    The full-rule product is what the incremental cache stores; callers
-    filter findings/suppressions down to the selected rule set.
-    """
-    path = str(file_path)
-    try:
-        source = file_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        finding = Finding(
-            path=path, line=1, col=0, rule=PARSE_ERROR,
-            message=f"cannot read file: {exc}",
-        )
-        return [finding], Suppressions(), None
-    suppressions = parse_pragmas(source)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        finding = Finding(
-            path=path,
-            line=exc.lineno or 1,
-            col=(exc.offset or 1) - 1,
-            rule=PARSE_ERROR,
-            message=f"file does not parse: {exc.msg}",
-        )
-        return [finding], suppressions, None
+        return result, Suppressions(), None
     module = module_name_for(file_path, package=package)
-    ctx = FileContext(path=path, module=module, source=source, tree=tree)
-    findings: List[Finding] = []
-    for rule in all_rules():
-        for node, message in rule.check(ctx):
-            line = getattr(node, "lineno", 1)
-            col = getattr(node, "col_offset", 0)
-            if suppressions.suppress(rule.name, line):
-                continue
-            findings.append(
-                Finding(path=path, line=line, col=col, rule=rule.name, message=message)
-            )
-    for pragma in suppressions.missing_reasons():
-        findings.append(
-            Finding(
-                path=path,
-                line=pragma.line,
-                col=0,
-                rule=BAD_PRAGMA,
-                message=(
-                    "exemption pragma must carry a reason: "
-                    "# anclint: disable=RULE — why this is safe"
-                ),
-            )
-        )
-    summary = summarize_module(module, path, tree)
-    return findings, suppressions, summary
+    return _check(source, str(file_path), module, rules)
+
+
+def check_file(
+    path: PathLike,
+    *,
+    select: Optional[Sequence[str]] = None,
+    package: str = "repro",
+) -> LintResult:
+    """Lint one file from disk."""
+    return _check_path(Path(path), _select_rules(select), package)[0].finalize()
 
 
 def build_project(
@@ -277,53 +225,31 @@ def build_project(
     return ProjectModel(summaries)
 
 
-#: Pseudo-rules are always reported regardless of ``--select``.
-_PSEUDO_RULES = frozenset({PARSE_ERROR, BAD_PRAGMA})
-
-
 def lint_paths(
     paths: Sequence[PathLike],
     *,
     select: Optional[Sequence[str]] = None,
     package: str = "repro",
-    cache: Optional["LintCache"] = None,
 ) -> LintResult:
     """Lint every Python file under ``paths``; the CLI's workhorse.
 
-    Runs the per-file rules (through the incremental ``cache`` when one is
-    given), then stitches the per-module summaries into a
-    :class:`ProjectModel` and runs the selected whole-program rules over
-    it.  ``select`` may name rules from either catalogue.
+    Each file is read, parsed, checked with the selected per-file rules
+    and summarized once, the way :func:`check_file` checks it.  The
+    summaries are then stitched into a :class:`ProjectModel` and the
+    selected whole-program rules run over it.  ``select`` may name
+    rules from either catalogue.
     """
     per_file_rules, wp_rules = split_selection(select)
-    selected_names = {r.name for r in per_file_rules} | _PSEUDO_RULES
     total = LintResult()
     summaries: List[ModuleSummary] = []
     pragmas_by_path: Dict[str, Suppressions] = {}
     for file_path in iter_python_files(paths):
-        entry = cache.lookup(file_path) if cache is not None else None
-        if entry is not None:
-            findings = entry.findings
-            suppressed = entry.suppressed
-            pragmas: List[Pragma] = entry.pragmas
-            summary = entry.summary
-        else:
-            findings, live_supp, summary = _lint_file_full(file_path, package)
-            suppressed = dict(live_supp.applied)
-            pragmas = list(live_supp.pragmas)
-            if cache is not None:
-                cache.store(file_path, findings, suppressed, pragmas, summary)
-        part = LintResult(files=1)
-        part.findings = [f for f in findings if f.rule in selected_names]
-        part.suppressed = {
-            name: count
-            for name, count in suppressed.items()
-            if name in selected_names
-        }
-        total.merge(part)
-        if summary is not None:
-            summaries.append(summary)
-            pragmas_by_path[summary.path] = Suppressions(pragmas=list(pragmas))
+        part, suppressions, ctx = _check_path(file_path, per_file_rules, package)
+        total.findings.extend(part.findings)
+        total.files += 1
+        if ctx is not None:
+            summaries.append(summarize_module(ctx.module, ctx.path, ctx.tree))
+            pragmas_by_path[ctx.path] = suppressions
     if wp_rules:
         model = ProjectModel(summaries)
         for wp_rule in wp_rules:
@@ -337,11 +263,10 @@ def lint_paths(
                         rule=wp_rule.name, message=message,
                     )
                 )
-        for supp in pragmas_by_path.values():
-            for name, count in supp.applied.items():
-                total.suppressed[name] = total.suppressed.get(name, 0) + count
-    if cache is not None:
-        cache.save()
+    # Counted last, so a pragma a whole-program rule used is counted too.
+    for supp in pragmas_by_path.values():
+        for name, count in supp.applied.items():
+            total.suppressed[name] = total.suppressed.get(name, 0) + count
     return total.finalize()
 
 

@@ -1,9 +1,8 @@
-"""The finding record every rule yields and every reporter renders."""
+"""The finding record every rule yields and the report renders."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
 
 
 @dataclass(frozen=True, order=True)
@@ -23,16 +22,6 @@ class Finding:
     def location(self) -> str:
         """``path:line:col`` — the clickable prefix of a report line."""
         return f"{self.path}:{self.line}:{self.col}"
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-reporter payload for this finding."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "message": self.message,
-        }
 
 
 __all__ = ["Finding"]

@@ -1,6 +1,6 @@
 """Whole-program project model for the analysis engine.
 
-``summarize_module`` distills one parsed module into a JSON-serializable
+``summarize_module`` distills one parsed module into a
 :class:`ModuleSummary` — functions and the calls they make, instance
 attribute writes, task/thread/process spawn sites, lock usage, wire-op
 tables and emissions, error-code definitions and uses, and fault-hook
@@ -9,17 +9,15 @@ an import graph, a name-resolved approximate call graph, and an
 execution-context map (loop / thread / process) that whole-program rules
 (`repro.analysis.rules.protocol`, `async_races`, `fault_hooks`) consume.
 
-Summaries are deliberately flat dataclasses of primitives so the
-incremental lint cache can persist them without re-parsing unchanged
-files.  This module must not import ``repro.analysis.engine`` (the
-engine imports us); ``build_project`` lives there.
+This module must not import ``repro.analysis.engine`` (the engine
+imports us); ``build_project`` lives there.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .astutils import (
     dotted,
@@ -86,25 +84,6 @@ class CallSite:
     args: Tuple[str, ...] = ()
     bare_stmt: bool = False
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "callee": self.callee,
-            "line": self.line,
-            "col": self.col,
-            "args": list(self.args),
-            "bare_stmt": self.bare_stmt,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CallSite":
-        return cls(
-            callee=data["callee"],
-            line=data["line"],
-            col=data["col"],
-            args=tuple(data["args"]),
-            bare_stmt=data["bare_stmt"],
-        )
-
 
 @dataclass(frozen=True)
 class FunctionInfo:
@@ -126,31 +105,6 @@ class FunctionInfo:
     def name(self) -> str:
         return self.qualname.rsplit(".", 1)[-1]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "cls": self.cls,
-            "line": self.line,
-            "is_async": self.is_async,
-            "trampoline": self.trampoline,
-            "calls": [c.to_dict() for c in self.calls],
-            "params": list(self.params),
-            "reads_ops": self.reads_ops,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FunctionInfo":
-        return cls(
-            qualname=data["qualname"],
-            cls=data["cls"],
-            line=data["line"],
-            is_async=data["is_async"],
-            trampoline=data["trampoline"],
-            calls=tuple(CallSite.from_dict(c) for c in data["calls"]),
-            params=tuple(data["params"]),
-            reads_ops=data.get("reads_ops", False),
-        )
-
 
 @dataclass(frozen=True)
 class AttrWrite:
@@ -165,22 +119,6 @@ class AttrWrite:
     guarded: bool
     in_init: bool
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "cls": self.cls,
-            "attr": self.attr,
-            "func": self.func,
-            "line": self.line,
-            "col": self.col,
-            "kind": self.kind,
-            "guarded": self.guarded,
-            "in_init": self.in_init,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "AttrWrite":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class SpawnSite:
@@ -193,20 +131,6 @@ class SpawnSite:
     col: int
     retained: bool
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "target": self.target,
-            "func": self.func,
-            "line": self.line,
-            "col": self.col,
-            "retained": self.retained,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SpawnSite":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class LockAttr:
@@ -216,13 +140,6 @@ class LockAttr:
     attr: str
     sync: bool
     line: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"cls": self.cls, "attr": self.attr, "sync": self.sync, "line": self.line}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "LockAttr":
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -234,19 +151,6 @@ class LockedAwait:
     lock_attr: str
     line: int
     col: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "cls": self.cls,
-            "func": self.func,
-            "lock_attr": self.lock_attr,
-            "line": self.line,
-            "col": self.col,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "LockedAwait":
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -260,21 +164,6 @@ class OpTable:
     def op_names(self) -> Set[str]:
         return {op for op, _, _, _ in self.ops}
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "cls": self.cls,
-            "is_router": self.is_router,
-            "ops": [list(entry) for entry in self.ops],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "OpTable":
-        return cls(
-            cls=data["cls"],
-            is_router=data["is_router"],
-            ops=tuple((o[0], o[1], o[2], o[3]) for o in data["ops"]),
-        )
-
 
 @dataclass(frozen=True)
 class OpEmit:
@@ -286,19 +175,6 @@ class OpEmit:
     line: int
     col: int
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "op": self.op,
-            "channel": self.channel,
-            "func": self.func,
-            "line": self.line,
-            "col": self.col,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "OpEmit":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class ResponseRead:
@@ -307,13 +183,6 @@ class ResponseRead:
     key: str
     line: int
     col: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"key": self.key, "line": self.line, "col": self.col}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ResponseRead":
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -326,25 +195,6 @@ class ErrorClass:
     col: int
     bases: Tuple[str, ...]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "code": self.code,
-            "line": self.line,
-            "col": self.col,
-            "bases": list(self.bases),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ErrorClass":
-        return cls(
-            name=data["name"],
-            code=data["code"],
-            line=data["line"],
-            col=data["col"],
-            bases=tuple(data["bases"]),
-        )
-
 
 @dataclass(frozen=True)
 class HookSite:
@@ -354,13 +204,6 @@ class HookSite:
     func: str
     line: int
     col: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"site": self.site, "func": self.func, "line": self.line, "col": self.col}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "HookSite":
-        return cls(**data)
 
 
 @dataclass
@@ -392,53 +235,6 @@ class ModuleSummary:
 
     def segments(self) -> Tuple[str, ...]:
         return tuple(self.module.split("."))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "imports": dict(self.imports),
-            "functions": {k: f.to_dict() for k, f in self.functions.items()},
-            "attr_writes": [w.to_dict() for w in self.attr_writes],
-            "spawns": [s.to_dict() for s in self.spawns],
-            "locks": [lk.to_dict() for lk in self.locks],
-            "locked_awaits": [la.to_dict() for la in self.locked_awaits],
-            "op_tables": [t.to_dict() for t in self.op_tables],
-            "op_emits": [e.to_dict() for e in self.op_emits],
-            "response_reads": [r.to_dict() for r in self.response_reads],
-            "str_keys": sorted(self.str_keys),
-            "error_classes": [e.to_dict() for e in self.error_classes],
-            "code_kwargs": sorted(self.code_kwargs),
-            "code_compares": [list(c) for c in self.code_compares],
-            "catalog_sites": {k: list(v) for k, v in self.catalog_sites.items()},
-            "hook_sites": [h.to_dict() for h in self.hook_sites],
-            "classes": {k: list(v) for k, v in self.classes.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            module=data["module"],
-            path=data["path"],
-            imports=dict(data["imports"]),
-            functions={
-                k: FunctionInfo.from_dict(f) for k, f in data["functions"].items()
-            },
-            attr_writes=[AttrWrite.from_dict(w) for w in data["attr_writes"]],
-            spawns=[SpawnSite.from_dict(s) for s in data["spawns"]],
-            locks=[LockAttr.from_dict(lk) for lk in data["locks"]],
-            locked_awaits=[LockedAwait.from_dict(la) for la in data["locked_awaits"]],
-            op_tables=[OpTable.from_dict(t) for t in data["op_tables"]],
-            op_emits=[OpEmit.from_dict(e) for e in data["op_emits"]],
-            response_reads=[ResponseRead.from_dict(r) for r in data["response_reads"]],
-            str_keys=set(data["str_keys"]),
-            error_classes=[ErrorClass.from_dict(e) for e in data["error_classes"]],
-            code_kwargs=set(data["code_kwargs"]),
-            code_compares=[(c[0], c[1], c[2]) for c in data["code_compares"]],
-            catalog_sites={k: (v[0], v[1]) for k, v in data["catalog_sites"].items()},
-            hook_sites=[HookSite.from_dict(h) for h in data["hook_sites"]],
-            classes={k: tuple(v) for k, v in data["classes"].items()},
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -1008,7 +804,7 @@ class _Summarizer:
 
 
 def summarize_module(module: str, path: str, tree: ast.Module) -> ModuleSummary:
-    """Distill one parsed module into a cacheable summary."""
+    """Distill one parsed module into its summary."""
     return _Summarizer(module, path, tree).run()
 
 

@@ -5,17 +5,43 @@ registered under a stable kebab-case name; the engine turns the yielded
 pairs into :class:`~repro.analysis.findings.Finding` records and applies
 pragma suppressions.  Names double as pragma targets
 (``# anclint: disable=<name> — reason``) and ``--select`` arguments.
+
+Some rules derive what they check from the package's own sources (the
+engine's mutators, the snapshot slots, the array backend's overrides).
+:func:`parse_package_source` reads those; when it cannot, it raises
+:class:`RuleSourceError`, which stops the run: a rule checking against
+a list it guessed would pass code it should flag.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import FileContext
     from .project import ProjectModel
+
+#: The ``repro`` package directory the derived rules read from.
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
+
+
+class RuleSourceError(Exception):
+    """A rule could not derive what it checks from the package sources."""
+
+
+def parse_package_source(rule_name: str, relpath: str) -> ast.Module:
+    """Parse ``relpath`` under :data:`PACKAGE_ROOT` for ``rule_name``."""
+    path = PACKAGE_ROOT / relpath
+    try:
+        return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    except (OSError, SyntaxError) as exc:
+        raise RuleSourceError(
+            f"{rule_name}: cannot derive its registry from {path}: {exc}"
+        ) from exc
+
 
 CheckFn = Callable[["FileContext"], Iterable[Tuple[ast.AST, str]]]
 
@@ -120,12 +146,15 @@ def split_selection(
 
 __all__ = [
     "CheckFn",
+    "PACKAGE_ROOT",
     "Rule",
+    "RuleSourceError",
     "WholeProgramCheckFn",
     "WholeProgramRule",
     "all_rules",
     "all_whole_program_rules",
     "get_rule",
+    "parse_package_source",
     "rule",
     "split_selection",
     "whole_program_rule",

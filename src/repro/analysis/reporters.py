@@ -1,12 +1,8 @@
-"""Render a :class:`~repro.analysis.engine.LintResult` as text, JSON or SARIF."""
+"""Render a :class:`~repro.analysis.engine.LintResult` as the text report."""
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, List
-
-from .engine import BAD_PRAGMA, PARSE_ERROR, LintResult
-from .registry import all_rules, all_whole_program_rules
+from .engine import LintResult
 
 
 def render_text(result: LintResult) -> str:
@@ -30,85 +26,4 @@ def render_text(result: LintResult) -> str:
     return "\n".join(lines)
 
 
-def render_json(result: LintResult) -> str:
-    """The machine report (stable keys, sorted findings)."""
-    payload: Dict[str, Any] = {
-        "files": result.files,
-        "findings": [f.to_dict() for f in result.findings],
-        "suppressed": dict(sorted(result.suppressed.items())),
-        "ok": result.ok,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _sarif_rules() -> List[Dict[str, Any]]:
-    """Rule metadata for the SARIF tool.driver block: both catalogues
-    plus the always-on pseudo-rules and the baseline pseudo-rule."""
-    meta: List[Dict[str, Any]] = []
-    for name, summary in sorted(
-        [(r.name, r.summary) for r in all_rules()]
-        + [(r.name, r.summary) for r in all_whole_program_rules()]
-        + [
-            (PARSE_ERROR, "file does not parse"),
-            (BAD_PRAGMA, "exemption pragma without a reason"),
-            ("stale-baseline", "baseline entry matching no current finding"),
-        ]
-    ):
-        meta.append(
-            {
-                "id": name,
-                "shortDescription": {"text": summary},
-            }
-        )
-    return meta
-
-
-def render_sarif(result: LintResult) -> str:
-    """SARIF 2.1.0 — the interchange format CI systems annotate PRs from."""
-    results: List[Dict[str, Any]] = []
-    for f in result.findings:
-        results.append(
-            {
-                "ruleId": f.rule,
-                "level": "error",
-                "message": {"text": f.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {
-                                "uri": f.path.replace("\\", "/"),
-                            },
-                            "region": {
-                                "startLine": max(f.line, 1),
-                                "startColumn": f.col + 1,
-                            },
-                        }
-                    }
-                ],
-            }
-        )
-    doc: Dict[str, Any] = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-            "Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-anc-lint",
-                        "informationUri": (
-                            "https://example.invalid/repro/docs/static-analysis.md"
-                        ),
-                        "rules": _sarif_rules(),
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-__all__ = ["render_json", "render_sarif", "render_text"]
+__all__ = ["render_text"]

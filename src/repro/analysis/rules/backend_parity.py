@@ -23,8 +23,8 @@ exactly the discipline the rule name demands: write hot state through
 an interface both backends implement, or implement it twice.
 
 The override sets are **derived from the array sources** at lint time
-(parsed once per process); a hard-coded fallback keeps the rule alive
-on partial checkouts.  Escape hatch: ``# anclint:
+(parsed once per process); a source that cannot be read, or lacks its
+array class, stops the run.  Escape hatch: ``# anclint:
 disable=backend-parity-discipline — reason`` on the offending method.
 """
 
@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import ast
 from functools import lru_cache
-from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
 from ..engine import FileContext
-from ..registry import rule
+from ..registry import RuleSourceError, parse_package_source, rule
 
 #: Dict-container method calls that mutate in place.
 MUTATING_CONTAINER_METHODS = frozenset(
@@ -68,22 +67,6 @@ TRACKED: Mapping[str, Tuple[str, FrozenSet[str], str, str]] = {
     ),
 }
 
-#: Known overrides, used only if deriving from the sources fails.
-FALLBACK_OVERRIDES: Mapping[str, FrozenSet[str]] = {
-    "ArrayEdgeValues": frozenset(
-        {"anchored", "set_anchored", "add_anchored", "set_actual",
-         "_absorb", "items_anchored"}
-    ),
-    "ArrayActiveSimilarity": frozenset(
-        {"_rebuild_strengths", "on_activation_delta", "on_rescale",
-         "sigma", "role"}
-    ),
-    "ArrayPyramidIndex": frozenset(
-        {"_store_weight", "update_edge_weight", "on_rescale",
-         "set_all_weights"}
-    ),
-}
-
 
 def _methods_of(tree: ast.Module, class_name: str) -> FrozenSet[str]:
     for node in tree.body:
@@ -99,18 +82,14 @@ def _methods_of(tree: ast.Module, class_name: str) -> FrozenSet[str]:
 @lru_cache(maxsize=1)
 def array_overrides() -> Mapping[str, FrozenSet[str]]:
     """array class -> its method names, derived from the array sources."""
-    package_root = Path(__file__).resolve().parents[2]
+    name = "backend-parity-discipline"
     derived: Dict[str, FrozenSet[str]] = {}
-    try:
-        for _module, (_base, _containers, rel, cls) in TRACKED.items():
-            source = (package_root / rel).read_text(encoding="utf-8")
-            methods = _methods_of(ast.parse(source), cls)
-            if not methods:
-                raise ValueError(f"no methods found for {cls} in {rel}")
-            derived[cls] = methods
-        return derived
-    except (OSError, SyntaxError, ValueError):
-        return FALLBACK_OVERRIDES
+    for _module, (_base, _containers, rel, cls) in TRACKED.items():
+        methods = _methods_of(parse_package_source(name, rel), cls)
+        if not methods:
+            raise RuleSourceError(f"{name}: no methods found for {cls} in {rel}")
+        derived[cls] = methods
+    return derived
 
 
 def _is_self_container(node: ast.AST, containers: FrozenSet[str]) -> bool:
@@ -161,9 +140,7 @@ def check(ctx: FileContext) -> Iterable[Tuple[ast.AST, str]]:
     if tracked is None:
         return
     base_class, containers, array_module, array_class = tracked
-    overrides = array_overrides().get(
-        array_class, FALLBACK_OVERRIDES[array_class]
-    )
+    overrides = array_overrides()[array_class]
     for node in ctx.tree.body:
         if not (isinstance(node, ast.ClassDef) and node.name == base_class):
             continue
@@ -186,7 +163,6 @@ def check(ctx: FileContext) -> Iterable[Tuple[ast.AST, str]]:
 
 
 __all__ = [
-    "FALLBACK_OVERRIDES",
     "MUTATING_CONTAINER_METHODS",
     "TRACKED",
     "array_overrides",

@@ -14,33 +14,21 @@ never edited.  This rule flags, anywhere in the tree:
   ``state.clusters_by_level[5].append(...)``.
 
 The slot list is derived from ``PublishedState.__slots__`` in the
-service source, with a hard-coded fallback, so the rule tracks the
-class as it evolves.  ``self.<slot>`` assignments in *other* classes
-are deliberately not flagged: names like ``t`` or ``stats`` are common
-and those objects are not snapshots.
+service source, so the rule tracks the class as it evolves; a source
+without them stops the run.  ``self.<slot>`` assignments in *other*
+classes are deliberately not flagged: names like ``t`` or ``stats`` are
+common and those objects are not snapshots.
 """
 
 from __future__ import annotations
 
 import ast
 from functools import lru_cache
-from pathlib import Path
 from typing import FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from ..astutils import enclosing_class, enclosing_function, str_constants
 from ..engine import FileContext
-from ..registry import rule
-
-FALLBACK_SLOTS = (
-    "seq",
-    "t",
-    "activations",
-    "num_levels",
-    "sqrt_level",
-    "clusters_by_level",
-    "membership_by_level",
-    "stats",
-)
+from ..registry import RuleSourceError, parse_package_source, rule
 
 #: Slots holding containers, for the mutating-call/item checks
 #: (``activations`` is a plain int and is covered by the assignment check).
@@ -70,25 +58,22 @@ MUTATING_METHODS = frozenset(
 @lru_cache(maxsize=1)
 def published_slots() -> FrozenSet[str]:
     """``PublishedState.__slots__``, read from the service source."""
-    path = Path(__file__).resolve().parents[2] / "service" / "engine_host.py"
-    try:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in tree.body:
-            if not (isinstance(node, ast.ClassDef) and node.name == "PublishedState"):
+    name = "snapshot-immutability"
+    tree = parse_package_source(name, "service/engine_host.py")
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef) and node.name == "PublishedState"):
+            continue
+        for item in node.body:
+            if not isinstance(item, ast.Assign):
                 continue
-            for item in node.body:
-                if not isinstance(item, ast.Assign):
-                    continue
-                targets = [
-                    t.id for t in item.targets if isinstance(t, ast.Name)
-                ]
-                if "__slots__" in targets:
-                    slots = str_constants(item.value)
-                    if slots:
-                        return frozenset(slots)
-    except (OSError, SyntaxError):
-        pass
-    return frozenset(FALLBACK_SLOTS)
+            targets = [t.id for t in item.targets if isinstance(t, ast.Name)]
+            if "__slots__" in targets:
+                slots = str_constants(item.value)
+                if slots:
+                    return frozenset(slots)
+    raise RuleSourceError(
+        f"{name}: no PublishedState.__slots__ found in service/engine_host.py"
+    )
 
 
 def _is_self(node: ast.AST) -> bool:
@@ -189,7 +174,6 @@ def check(ctx: FileContext) -> Iterable[Tuple[ast.AST, str]]:
 
 __all__ = [
     "CONTAINER_SLOTS",
-    "FALLBACK_SLOTS",
     "MUTATING_METHODS",
     "check",
     "published_slots",

@@ -20,8 +20,8 @@ sets of :class:`~repro.core.anc.ANCEngineBase` and its subclasses, of
 :class:`~repro.index.pyramid.PyramidIndex`, and the module-level update
 functions of :mod:`repro.index.dynamic`, minus an explicit read-only
 allowlist — so a mutator added to the engine later is covered without
-touching this rule.  A hard-coded fallback keeps the rule alive if that
-derivation ever fails (e.g. the linter running on a partial checkout).
+touching this rule.  If a source cannot be read or yields no mutators,
+the run stops (:class:`~repro.analysis.registry.RuleSourceError`).
 ``close`` is deliberately excluded: the name is too generic (file
 handles, clients, executors) to flag without drowning in false
 positives, and closing is a lifecycle action, not a state mutation.
@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import ast
 from functools import lru_cache
-from pathlib import Path
 from typing import FrozenSet, Iterable, Iterator, Tuple
 
 from ..astutils import dotted
 from ..engine import FileContext
-from ..registry import rule
+from ..registry import RuleSourceError, parse_package_source, rule
 
 #: Service/shard modules allowed to drive engine mutation.  The shard
 #: worker hosts a full in-process ``ANCServer`` (its own writer thread);
@@ -79,26 +78,6 @@ READ_ONLY_METHODS = frozenset(
 #: it from ``__init__`` by design.
 EXCLUDED_METHODS = frozenset({"close", "attach_obs"})
 
-FALLBACK_METHOD_MUTATORS = frozenset(
-    {
-        # ANCEngineBase and subclasses
-        "process",
-        "process_batch",
-        "process_stream",
-        "on_batch_end",
-        "refresh",
-        # PyramidIndex
-        "update_edge_weight",
-        "set_all_weights",
-        "rebuild",
-        "on_rescale",
-    }
-)
-
-FALLBACK_FUNCTION_MUTATORS = frozenset(
-    {"insert_edge_into_index", "register_edge_in_metric", "add_relation_edge"}
-)
-
 #: Classes whose public methods (minus the allowlist) are mutators.
 _ENGINE_CLASSES = frozenset({"ANCEngineBase", "ANCO", "ANCOR", "ANCF"})
 _INDEX_CLASSES = frozenset({"PyramidIndex"})
@@ -132,34 +111,25 @@ def _module_functions(tree: ast.Module) -> Iterator[str]:
             yield node.name
 
 
-def _parse(path: Path) -> ast.Module:
-    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-
-
 @lru_cache(maxsize=1)
 def mutator_registry() -> Tuple[FrozenSet[str], FrozenSet[str]]:
     """(method mutators, function mutators), derived from the sources."""
-    package_root = Path(__file__).resolve().parents[2]
-    try:
-        methods = set()
-        methods.update(
-            _class_methods(_parse(package_root / "core" / "anc.py"), _ENGINE_CLASSES)
+    name = "writer-discipline"
+    methods = set(
+        _class_methods(parse_package_source(name, "core/anc.py"), _ENGINE_CLASSES)
+    )
+    methods.update(
+        _class_methods(parse_package_source(name, "index/pyramid.py"), _INDEX_CLASSES)
+    )
+    functions = set(_module_functions(parse_package_source(name, "index/dynamic.py")))
+    methods -= READ_ONLY_METHODS | EXCLUDED_METHODS
+    functions -= READ_ONLY_METHODS | EXCLUDED_METHODS
+    if not methods or not functions:
+        raise RuleSourceError(
+            f"{name}: no mutators found in core/anc.py, index/pyramid.py "
+            f"and index/dynamic.py"
         )
-        methods.update(
-            _class_methods(
-                _parse(package_root / "index" / "pyramid.py"), _INDEX_CLASSES
-            )
-        )
-        functions = set(
-            _module_functions(_parse(package_root / "index" / "dynamic.py"))
-        )
-        methods -= READ_ONLY_METHODS | EXCLUDED_METHODS
-        functions -= READ_ONLY_METHODS | EXCLUDED_METHODS
-        if not methods or not functions:
-            raise ValueError("derived mutator registry is empty")
-        return frozenset(methods), frozenset(functions)
-    except (OSError, SyntaxError, ValueError):
-        return FALLBACK_METHOD_MUTATORS, FALLBACK_FUNCTION_MUTATORS
+    return frozenset(methods), frozenset(functions)
 
 
 @rule(
@@ -194,8 +164,6 @@ def check(ctx: FileContext) -> Iterable[Tuple[ast.AST, str]]:
 
 __all__ = [
     "EXCLUDED_METHODS",
-    "FALLBACK_FUNCTION_MUTATORS",
-    "FALLBACK_METHOD_MUTATORS",
     "READ_ONLY_METHODS",
     "WRITER_MODULES",
     "check",

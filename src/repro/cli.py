@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import IO, TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import IO, TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
 from .core.anc import ANCF, ANCParams, make_engine
 from .graph.io import read_edge_list, read_temporal_edge_list
@@ -54,6 +54,7 @@ from .graph.traversal import connected_components
 
 if TYPE_CHECKING:
     from .service.server import ServerConfig
+    from .service.wire import FrontEnd
 
 __all__ = [
     "cmd_info",
@@ -385,17 +386,38 @@ def _parse_endpoint(spec: str) -> "Tuple[str, int]":
     return host, int(port)
 
 
-def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
+def _serve(build: Callable[[], FrontEnd], out: IO[str]) -> int:
+    """Build a front end and serve it in this process until it stops.
+
+    ``build`` runs after logging is set up, so a server's recovery is
+    logged.  A ``shutdown`` op, SIGTERM or SIGINT stops the node cleanly
+    (exit 0); a server whose writer failed exits 1, and an interrupt
+    before the loop runs exits 130.
+    """
     import asyncio
     import logging
-
-    from .service.server import ANCServer
 
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
+
+    async def main() -> None:
+        front.stop_on_signals()
+        await front.run(announce=lambda line: print(line, file=out, flush=True))
+
+    try:
+        front = build()
+        asyncio.run(main())
+    except KeyboardInterrupt:
+        return 130
+    return 1 if front.crashed else 0
+
+
+def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
+    from .service.server import ANCServer
+
     primary_host, primary_port = None, 0
     if args.role == "follower":
         if args.primary is None:
@@ -415,66 +437,42 @@ def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
         audit_interval=args.audit_interval,
         profile=args.profile,
     )
-    server = ANCServer(graph, names, config=config, params=_params_from(args))
-    try:
-        asyncio.run(
-            server.run(announce=lambda line: print(line, file=out, flush=True))
-        )
-    except KeyboardInterrupt:
-        return 130
-    # A failed writer hard-stops the server; that is no clean exit.
-    return 1 if server.crashed else 0
+    return _serve(
+        lambda: ANCServer(graph, names, config=config, params=_params_from(args)),
+        out,
+    )
 
 
 def cmd_shard_serve(args: argparse.Namespace, out: IO[str]) -> int:
-    import asyncio
-    import logging
-
     from .shard import RouterConfig, ShardDeployment, ShardRouter
 
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-    )
     if args.shards < 1:
         print("error: --shards must be >= 1", file=out)
         return 2
     graph, names = read_edge_list(args.edgelist)
-    deployment = ShardDeployment(
-        graph,
-        names,
-        shards=args.shards,
-        seed=args.map_seed,
-        params=_params_from(args),
-        config=_server_config(args),
-    )
     config = RouterConfig(
         host=args.host,
         port=args.port,
         fanout_timeout=args.fanout_timeout,
     )
-    router = ShardRouter(deployment, config=config)
-    try:
-        asyncio.run(
-            router.run(announce=lambda line: print(line, file=out, flush=True))
+
+    def build() -> ShardRouter:
+        deployment = ShardDeployment(
+            graph,
+            names,
+            shards=args.shards,
+            seed=args.map_seed,
+            params=_params_from(args),
+            config=_server_config(args),
         )
-    except KeyboardInterrupt:
-        return 130
-    return 0
+        return ShardRouter(deployment, config=config)
+
+    return _serve(build, out)
 
 
 def cmd_read_serve(args: argparse.Namespace, out: IO[str]) -> int:
-    import asyncio
-    import logging
-
     from .readpath import ReadRouter, ReadRouterConfig
 
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-    )
     config = ReadRouterConfig(
         host=args.host,
         port=args.port,
@@ -484,18 +482,14 @@ def cmd_read_serve(args: argparse.Namespace, out: IO[str]) -> int:
         primary_read_rate=args.primary_read_rate,
         primary_read_burst=args.primary_read_burst,
     )
-    router = ReadRouter(
-        _parse_endpoint(args.primary),
-        followers=[_parse_endpoint(spec) for spec in args.follower],
-        config=config,
+    return _serve(
+        lambda: ReadRouter(
+            _parse_endpoint(args.primary),
+            followers=[_parse_endpoint(spec) for spec in args.follower],
+            config=config,
+        ),
+        out,
     )
-    try:
-        asyncio.run(
-            router.run(announce=lambda line: print(line, file=out, flush=True))
-        )
-    except KeyboardInterrupt:
-        return 130
-    return 0
 
 
 def cmd_shardmap(args: argparse.Namespace, out: IO[str]) -> int:
@@ -539,21 +533,13 @@ def cmd_datasets(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def cmd_lint(args: argparse.Namespace, out: IO[str]) -> int:
-    from pathlib import Path
-
     from .analysis import (
-        LintCache,
+        RuleSourceError,
         all_rules,
         all_whole_program_rules,
-        apply_baseline,
         build_project,
         lint_paths,
-        load_baseline,
-        render_json,
-        render_sarif,
         render_text,
-        rules_digest,
-        save_baseline,
     )
 
     if args.list_rules:
@@ -589,50 +575,14 @@ def cmd_lint(args: argparse.Namespace, out: IO[str]) -> int:
             for name in chunk.split(",")
             if name.strip()
         ]
-    cache = None
-    if args.cache is not None:
-        names = [r.name for r in all_rules()]
-        names += [r.name for r in all_whole_program_rules()]
-        cache = LintCache(Path(args.cache), rules_digest(names))
     try:
-        result = lint_paths(args.paths, select=select, cache=cache)
-    except KeyError as exc:
+        result = lint_paths(args.paths, select=select)
+    except (KeyError, RuleSourceError) as exc:
+        # An unknown --select name, or a rule that cannot read the
+        # sources it derives its checks from: the run cannot judge.
         print(f"error: {exc.args[0]}", file=out)
         return 2
-    baseline_note = ""
-    if args.update_baseline:
-        if args.baseline is None:
-            print("error: --update-baseline requires --baseline FILE", file=out)
-            return 2
-        save_baseline(Path(args.baseline), result)
-        baseline_note = (
-            f"baseline updated: {len(result.findings)} accepted findings "
-            f"written to {args.baseline}"
-        )
-        result.findings = []
-    elif args.baseline is not None:
-        try:
-            baseline = load_baseline(Path(args.baseline))
-        except ValueError as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-        result, matched, stale = apply_baseline(result, baseline)
-        matched_total = sum(matched.values())
-        if matched_total or stale:
-            baseline_note = (
-                f"baseline: {matched_total} finding"
-                f"{'' if matched_total == 1 else 's'} suppressed"
-                + (f", {len(stale)} stale entries" if stale else "")
-            )
-    if args.format == "json":
-        rendered = render_json(result)
-    elif args.format == "sarif":
-        rendered = render_sarif(result)
-    else:
-        rendered = render_text(result)
-        if baseline_note:
-            rendered += f"\n{baseline_note}"
-    print(rendered, file=out)
+    print(render_text(result), file=out)
     return 0 if result.ok else 1
 
 
@@ -982,10 +932,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     p_lint.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="report format",
-    )
-    p_lint.add_argument(
         "--select", action="append", default=None, metavar="RULE",
         help="run only these rules (repeatable, comma-separable; "
         "default: all rules)",
@@ -997,18 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--list-ops", action="store_true",
         help="print the protocol-op inventory table and exit",
-    )
-    p_lint.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="suppress findings recorded in FILE; stale entries fail",
-    )
-    p_lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite --baseline FILE from the current findings",
-    )
-    p_lint.add_argument(
-        "--cache", default=None, metavar="FILE",
-        help="incremental cache file (mtime+hash keyed)",
     )
     p_lint.set_defaults(func=cmd_lint)
 

@@ -572,6 +572,45 @@ class ReadRouter(FrontEnd):
             },
         }
 
+    async def _op_trace_fetch(self, request: Dict) -> Dict[str, object]:
+        """Every fleet node's span buffer, merged-ready (fleet tracing).
+
+        Returns ``{"processes": [...]}`` as the shard router does: this
+        router's own buffer, then each upstream's ``trace_fetch``
+        answer.  An upstream that does not answer is left out.
+        """
+        drain = bool(request.get("drain", False))
+        answers = await asyncio.gather(
+            *(
+                self._fetch_spans(up, drain)
+                for _key, up in sorted(self._upstreams.items())
+            )
+        )
+        processes = [self._trace_entry("readpath-router", drain)]
+        processes.extend(answer for answer in answers if answer is not None)
+        return {"processes": processes}
+
+    async def _fetch_spans(
+        self, up: FleetNode, drain: bool
+    ) -> Optional[Dict[str, object]]:
+        """``up``'s ``trace_fetch`` entry; ``None`` when it does not answer
+        (a failed exchange counts against ``up`` as any other does)."""
+        try:
+            answer = await up.request(
+                {"op": "trace_fetch", "drain": drain},
+                timeout=self.config.forward_timeout,
+            )
+        except TRANSPORT_ERRORS as exc:
+            self._note_down(up, Unavailable(f"trace_fetch from {up.key} {_failed(exc)}"))
+            return None
+        if not answer.get("ok", False):
+            return None
+        return {
+            "pid": answer.get("pid"),
+            "process": answer.get("process", up.key),
+            "spans": answer.get("spans", []),
+        }
+
     _OPS: Dict[str, Handler] = {
         "clusters": _op_read,
         "local": _op_read,
@@ -579,6 +618,7 @@ class ReadRouter(FrontEnd):
         "metrics": FrontEnd._op_metrics,
         "metrics_text": FrontEnd._op_metrics_text,
         "route_status": _op_route_status,
+        "trace_fetch": _op_trace_fetch,
         "shutdown": FrontEnd._op_shutdown,
     }
 

@@ -34,7 +34,7 @@ import logging
 from typing import Dict, List, Optional, Tuple
 
 from ..core.activation import Activation
-from ..obs.propagate import TraceContext, new_span_id
+from ..obs.propagate import RootSampler, TraceContext
 from ..service.snapshots import WalRecord
 from ..service.wire import TRANSPORT_ERRORS, Upstream
 
@@ -122,10 +122,8 @@ class ReplicationLink:
         self._last_audit = 0.0
         self._primary_entries = 0
         # Deterministic trace roots for the replication lane: one
-        # context per fetch, sampled by the follower tracer's fraction
-        # through an error-diffusion accumulator (no PRNG).
-        self._trace_seq = 0
-        self._trace_acc = 0.0
+        # context per fetch, sampled by the follower tracer's fraction.
+        self._trace_roots = RootSampler(f"{replica_id}:wal")
         m = server.metrics
         self._c_applied = m.counter("replica_records_applied")
         self._c_refetches = m.counter("replica_refetches")
@@ -208,13 +206,7 @@ class ReplicationLink:
         tracer = self.server.tracer
         if not tracer.enabled:
             return None
-        self._trace_seq += 1
-        self._trace_acc += tracer.sample
-        sampled = self._trace_acc >= 1.0 - 1e-12
-        if sampled:
-            self._trace_acc -= 1.0
-        trace_id = f"{self.replica_id}:wal:{self._trace_seq:x}"
-        return TraceContext(trace_id, new_span_id(), sampled)
+        return self._trace_roots.mint(tracer.sample)
 
     async def _fetch_once(self) -> None:
         """Fetch + apply one chunk (parks on the primary when caught up)."""

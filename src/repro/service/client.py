@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.export import span_dicts
-from ..obs.propagate import TraceContext, current_context, new_span_id
+from ..obs.propagate import RootSampler, TraceContext, current_context
 from ..obs.trace import Tracer
 
 __all__ = [
@@ -283,8 +283,7 @@ class ServiceClient:
         self._batch_seq = 0
         self._session = f"{os.getpid()}-{next(_CLIENT_IDS)}"
         self._trace_sample = trace_sample
-        self._trace_seq = 0
-        self._trace_acc = 0.0
+        self._trace_roots = RootSampler(self._session)
         #: Client-side span buffer; sampled requests record their
         #: ``client.<op>`` root spans here (the client lane of a fleet
         #: trace — see :meth:`trace_spans`).
@@ -420,21 +419,13 @@ class ServiceClient:
     def _mint_trace(self) -> Optional[TraceContext]:
         """The next request's root trace context (None = tracing off).
 
-        Both halves are deterministic: the trace id derives from the
-        client session and a request counter, and the sampled flag
-        follows an error-diffusion accumulator — ``trace_sample=0.25``
-        samples exactly requests 4, 8, 12, ... with no PRNG, so a test
-        (or an incident replay) sees the same traces every run.
+        Deterministic: the trace id numbers the request within the
+        client session, and ``trace_sample=0.25`` samples exactly
+        requests 4, 8, 12, ... (:class:`~repro.obs.propagate.RootSampler`).
         """
         if self._trace_sample <= 0.0:
             return None
-        self._trace_seq += 1
-        self._trace_acc += self._trace_sample
-        sampled = self._trace_acc >= 1.0 - 1e-12
-        if sampled:
-            self._trace_acc -= 1.0
-        trace_id = f"{self._session}:{self._trace_seq:x}"
-        return TraceContext(trace_id, new_span_id(), sampled)
+        return self._trace_roots.mint(self._trace_sample)
 
     def request(
         self,

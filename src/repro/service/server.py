@@ -42,7 +42,6 @@ import asyncio
 import contextlib
 import itertools
 import logging
-import os
 import re
 import tempfile
 import time
@@ -64,7 +63,6 @@ from typing import (
 from ..core.activation import Activation
 from ..core.anc import ANCParams
 from ..graph.graph import Graph, edge_key
-from ..obs.export import span_dicts
 from ..obs.profiler import SamplingProfiler
 from .engine_host import EngineHost
 from .errors import Diverged, Fenced, Overloaded, ReadOnly, Stale
@@ -944,21 +942,12 @@ class ANCServer(FrontEnd):
         anchor), so buffers from different processes land on one shared
         timeline without clock negotiation.
         """
-        spans = (
-            self.tracer.drain()
-            if bool(request.get("drain", False))
-            else self.tracer.spans()
-        )
         name = (
             f"shard-{self.config.shard_id}"
             if self.config.shard_id is not None
             else self.role
         )
-        return {
-            "pid": os.getpid(),
-            "process": name,
-            "spans": span_dicts(spans, epoch_unix=self.tracer.epoch_unix),
-        }
+        return self._trace_entry(name, bool(request.get("drain", False)))
 
     async def _op_profile(self, request: Dict) -> Dict[str, object]:
         """Drive the sampling profiler: start / stop / status / report."""

@@ -23,7 +23,10 @@ import asyncio
 import json
 import logging
 import math
+import os
+import signal
 import sys
+import threading
 import time
 from typing import (
     Awaitable,
@@ -39,7 +42,7 @@ from typing import (
     TypeVar,
 )
 
-from ..obs.export import render_prometheus, trace_op
+from ..obs.export import render_prometheus, span_dicts, trace_op
 from ..obs.instruments import MetricsRegistry
 from ..obs.propagate import TraceContext, current_context
 from ..obs.trace import Observability, Tracer
@@ -327,6 +330,16 @@ class FrontEnd:
     async def _op_trace(self, request: Dict[str, object]) -> Dict[str, object]:
         return trace_op(self.tracer, request)
 
+    def _trace_entry(self, process: str, drain: bool) -> Dict[str, object]:
+        """This process's span buffer as one ``trace_fetch`` entry
+        (``{pid, process, spans}``); ``drain`` empties the buffer."""
+        spans = self.tracer.drain() if drain else self.tracer.spans()
+        return {
+            "pid": os.getpid(),
+            "process": process,
+            "spans": span_dicts(spans, epoch_unix=self.tracer.epoch_unix),
+        }
+
     # -- lifecycle --------------------------------------------------------
 
     async def start(self) -> None:
@@ -371,6 +384,25 @@ class FrontEnd:
     def request_stop(self) -> None:
         """Ask the front end to stop (idempotent, safe from handlers)."""
         self._stop.set()
+
+    def stop_on_signals(self) -> None:
+        """Make SIGTERM and SIGINT call :meth:`request_stop`.
+
+        Call it on the running loop: when that loop runs on the main
+        thread, either signal stops the node as a ``shutdown`` op does,
+        final checkpoint included.  Elsewhere it does nothing, since
+        only the main thread handles signals.
+        """
+        if threading.current_thread() is not threading.main_thread():
+            return
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(signum, self.request_stop)
+
+    @property
+    def crashed(self) -> bool:
+        """True when the node hard-stopped instead of stopping cleanly."""
+        return False
 
     async def stop(self) -> None:
         """Request and await the stop."""

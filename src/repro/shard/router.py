@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from ..index.pyramid import levels_for
-from ..obs.export import span_dicts, trace_op
+from ..obs.export import trace_op
 from ..obs.federate import (
     Source,
     federate_snapshots,
@@ -596,14 +596,7 @@ class ShardRouter(FrontEnd):
         answers = await self._scatter(
             "trace_fetch", {"op": "trace_fetch", "drain": drain}
         )
-        spans = self.tracer.drain() if drain else self.tracer.spans()
-        processes: List[Dict[str, object]] = [
-            {
-                "pid": os.getpid(),
-                "process": "router",
-                "spans": span_dicts(spans, epoch_unix=self.tracer.epoch_unix),
-            }
-        ]
+        processes = [self._trace_entry("router", drain)]
         for shard in sorted(answers):
             answer = answers[shard]
             processes.append(

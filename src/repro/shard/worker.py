@@ -107,6 +107,8 @@ def worker_main(spec: WorkerSpec, ready: "multiprocessing.queues.Queue[WorkerAnn
         raise
 
     async def _main() -> None:
+        # ``ShardWorker.stop`` escalates to SIGTERM: stop cleanly on it.
+        server.stop_on_signals()
         try:
             await server.start()
         except Exception as exc:
@@ -211,6 +213,11 @@ class ShardWorker:
         if proc.is_alive():
             log.warning("shard %d worker ignored shutdown; terminating", self.shard_id)
             proc.terminate()
+            proc.join(timeout=5.0)
+        if proc.is_alive():
+            # SIGTERM is a clean stop, which a wedged loop never runs.
+            log.warning("shard %d worker ignored SIGTERM; killing", self.shard_id)
+            proc.kill()
             proc.join(timeout=5.0)
         self._proc = None
 

@@ -6,7 +6,6 @@ check that ``src/repro`` itself lints clean.
 """
 
 import io
-import json
 import shutil
 import subprocess
 import sys
@@ -17,19 +16,16 @@ import pytest
 
 import repro
 from repro.analysis import (
-    LintCache,
     all_rules,
     all_whole_program_rules,
-    apply_baseline,
     build_project,
     lint_paths,
     lint_source,
-    load_baseline,
     parse_pragmas,
-    rules_digest,
-    save_baseline,
+    registry,
 )
 from repro.analysis.engine import BAD_PRAGMA, PARSE_ERROR, module_name_for
+from repro.analysis.rules import backend_parity
 from repro.analysis.rules.snapshot_immutability import published_slots
 from repro.analysis.rules.writer_discipline import mutator_registry
 from repro.cli import main
@@ -665,16 +661,6 @@ def test_cli_lint_true_positive_exits_nonzero(tmp_path):
     assert "mutable-default-arg" in out.getvalue()
 
 
-def test_cli_lint_json_format(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("def f(xs=[]):\n    return xs\n")
-    out = io.StringIO()
-    assert main(["lint", "--format", "json", str(bad)], out) == 1
-    payload = json.loads(out.getvalue())
-    assert payload["ok"] is False
-    assert payload["findings"][0]["rule"] == "mutable-default-arg"
-
-
 def test_cli_lint_select_and_list_rules(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("def f(xs=[]):\n    return xs\n")
@@ -689,8 +675,7 @@ def test_cli_lint_select_and_list_rules(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Whole-program analysis: ProjectModel, the three cross-file rules,
-# baselines, the incremental cache, SARIF.
+# Whole-program analysis: ProjectModel and the cross-file rules.
 # ----------------------------------------------------------------------
 
 WP_RULE_NAMES = {
@@ -1347,137 +1332,6 @@ def test_annotated_op_table_is_extracted(tmp_path):
     assert ["SpanServer._op_fetch" in f.message for f in findings] == [True]
 
 
-def test_baseline_roundtrip_and_stale(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("def f(xs=[]):\n    return xs\n")
-    result = lint_paths([bad])
-    assert len(result.findings) == 1
-    base = tmp_path / "base.json"
-    save_baseline(base, result)
-    filtered, matched, stale = apply_baseline(result, load_baseline(base))
-    assert filtered.findings == [] and filtered.ok
-    assert matched == {"mutable-default-arg": 1} and stale == []
-    # Fix the code: the baseline entry goes stale and that is a finding.
-    bad.write_text("def f(xs=None):\n    return xs\n")
-    filtered, matched, stale = apply_baseline(
-        lint_paths([bad]), load_baseline(base)
-    )
-    assert len(stale) == 1
-    assert [f.rule for f in filtered.findings] == ["stale-baseline"]
-    assert not filtered.ok
-
-
-def test_cli_baseline_gates_on_regressions(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("def f(xs=[]):\n    return xs\n")
-    base = tmp_path / "base.json"
-    out = io.StringIO()
-    assert main(
-        ["lint", str(bad), "--baseline", str(base), "--update-baseline"], out
-    ) == 0
-    # Baseline-suppressed findings exit 0 ...
-    out = io.StringIO()
-    assert main(["lint", str(bad), "--baseline", str(base)], out) == 0
-    assert "1 finding suppressed" in out.getvalue()
-    # ... a new finding still exits 1 ...
-    bad.write_text("def f(xs=[]):\n    return xs\n\n\ndef g(ys={}):\n    return ys\n")
-    out = io.StringIO()
-    assert main(["lint", str(bad), "--baseline", str(base)], out) == 1
-    assert "g()" in out.getvalue()
-    # ... and a stale entry fails the run (the baseline must stay exact).
-    bad.write_text("def h():\n    return 1\n")
-    out = io.StringIO()
-    assert main(["lint", str(bad), "--baseline", str(base)], out) == 1
-    assert "stale-baseline" in out.getvalue()
-
-
-def test_checked_in_baseline_is_exact():
-    # CI runs against lint-baseline.json; the repo must match it exactly
-    # (no unbaselined findings, no stale entries).
-    result = lint_paths([SRC])
-    filtered, _matched, stale = apply_baseline(
-        result, load_baseline(REPO_ROOT / "lint-baseline.json")
-    )
-    assert filtered.findings == [] and stale == [], "\n".join(
-        f"{f.location()}: {f.rule}: {f.message}" for f in filtered.findings
-    )
-
-
-def test_incremental_cache_hit_and_invalidation(tmp_path):
-    write_fixture_tree(tmp_path, bad_client_op=True)
-    cache_path = tmp_path / "cache.json"
-    names = [r.name for r in all_rules()] + [r.name for r in all_whole_program_rules()]
-
-    def run():
-        cache = LintCache(cache_path, rules_digest(names))
-        result = lint_paths(
-            [tmp_path / "pkg"], select=sorted(WP_RULE_NAMES), package="pkg"
-        )
-        # Route through lint_paths with the cache for the real flow:
-        cache_result = lint_paths(
-            [tmp_path / "pkg"],
-            select=sorted(WP_RULE_NAMES),
-            package="pkg",
-            cache=cache,
-        )
-        assert [f.to_dict() for f in cache_result.findings] == [
-            f.to_dict() for f in result.findings
-        ]
-        return cache_result, cache
-
-    first, cache1 = run()
-    assert cache1.stats()[1] > 0  # cold: misses
-    second, cache2 = run()
-    assert cache2.stats() == (cache2.hits, 0) and cache2.hits > 0  # warm: all hits
-    assert [f.to_dict() for f in first.findings] == [
-        f.to_dict() for f in second.findings
-    ]
-    # Editing a file invalidates only it — and changes the verdict.
-    client = tmp_path / "pkg" / "service" / "client.py"
-    client.write_text(client.read_text().replace('self.request("nope")', '"fixed"'))
-    cache = LintCache(cache_path, rules_digest(names))
-    result = lint_paths(
-        [tmp_path / "pkg"], select=sorted(WP_RULE_NAMES), package="pkg", cache=cache
-    )
-    assert result.findings == []
-    assert cache.misses == 1  # only the edited file re-linted
-
-
-def test_cache_rule_digest_invalidates(tmp_path):
-    bad = tmp_path / "ok.py"
-    bad.write_text("def f():\n    return 1\n")
-    cache_path = tmp_path / "cache.json"
-    cache = LintCache(cache_path, rules_digest(["a"]))
-    lint_paths([bad], cache=cache)
-    assert cache.misses == 1
-    # Same digest: warm.
-    cache = LintCache(cache_path, rules_digest(["a"]))
-    lint_paths([bad], cache=cache)
-    assert cache.hits == 1 and cache.misses == 0
-    # New rule set: everything re-lints.
-    cache = LintCache(cache_path, rules_digest(["a", "b"]))
-    lint_paths([bad], cache=cache)
-    assert cache.misses == 1
-
-
-def test_sarif_output_well_formed(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("def f(xs=[]):\n    return xs\n")
-    out = io.StringIO()
-    assert main(["lint", "--format", "sarif", str(bad)], out) == 1
-    doc = json.loads(out.getvalue())
-    assert doc["version"] == "2.1.0"
-    run = doc["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro-anc-lint"
-    rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert RULE_NAMES | WP_RULE_NAMES <= rule_ids
-    result = run["results"][0]
-    assert result["ruleId"] == "mutable-default-arg"
-    loc = result["locations"][0]["physicalLocation"]
-    assert loc["region"]["startLine"] == 1
-    assert loc["region"]["startColumn"] >= 1
-
-
 def test_cli_select_commas_compose_with_wp_rules(tmp_path):
     write_fixture_tree(tmp_path, bad_client_op=True)
     # Comma-joined single argument, mixing per-file and whole-program.
@@ -1626,3 +1480,41 @@ def test_backend_parity_overrides_derived_from_sources():
     assert "set_anchored" in overrides["ArrayEdgeValues"]
     assert "_rebuild_strengths" in overrides["ArrayActiveSimilarity"]
     assert "_store_weight" in overrides["ArrayPyramidIndex"]
+
+
+# ----------------------------------------------------------------------
+# Derived registries: a source the derivation cannot read stops the run
+# ----------------------------------------------------------------------
+
+#: rule -> (its derivation, a fixture module the rule derives for).
+DERIVED = {
+    "writer-discipline": (mutator_registry, "service/handler.py"),
+    "snapshot-immutability": (published_slots, "service/handler.py"),
+    "backend-parity-discipline": (backend_parity.array_overrides, "core/decay.py"),
+}
+
+
+@pytest.fixture
+def fresh_derivations():
+    """Derive again in the test, and again from the real sources after it."""
+    for derive, _ in DERIVED.values():
+        derive.cache_clear()
+    yield
+    for derive, _ in DERIVED.values():
+        derive.cache_clear()
+
+
+@pytest.mark.parametrize("rule_name", sorted(DERIVED))
+def test_unreadable_derivation_source_stops_the_lint(
+    rule_name, tmp_path, monkeypatch, fresh_derivations
+):
+    _, fixture = DERIVED[rule_name]
+    target = tmp_path / "repro" / fixture
+    target.parent.mkdir(parents=True)
+    target.write_text("def f():\n    return 1\n")
+    monkeypatch.setattr(registry, "PACKAGE_ROOT", tmp_path / "missing")
+    out = io.StringIO()
+    code = main(["lint", str(tmp_path / "repro"), "--select", rule_name], out)
+    assert code == 2
+    assert out.getvalue().startswith(f"error: {rule_name}: cannot derive")
+    assert str(tmp_path / "missing") in out.getvalue()

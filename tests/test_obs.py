@@ -48,6 +48,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.obs.instruments import BUCKET_BOUNDS, Histogram
+from repro.obs.propagate import RootSampler
 from test_service import make_stream, rpc, run_server_scenario
 
 # ----------------------------------------------------------------------
@@ -595,6 +596,15 @@ class TestPropagation:
         ctx = TraceContext.from_wire({"id": "t", "span": 42, "sampled": 1})
         assert ctx is not None
         assert ctx.span_id == "" and ctx.sampled is True
+
+    def test_root_sampler_is_deterministic(self):
+        """A quarter samples exactly requests 4, 8, 12, ...; ids number
+        every request, sampled or not."""
+        roots = RootSampler("s")
+        minted = [roots.mint(0.25) for _ in range(12)]
+        assert [i for i, ctx in enumerate(minted, 1) if ctx.sampled] == [4, 8, 12]
+        assert [ctx.trace_id for ctx in minted[::5]] == ["s:1", "s:6", "s:b"]
+        assert all(RootSampler("t").mint(1.0).sampled for _ in range(3))
 
     def test_child_keeps_trace_id_and_sampling(self):
         child = TraceContext("t", "p.1", True).child("p.2")

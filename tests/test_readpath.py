@@ -32,6 +32,7 @@ from repro.core.anc import make_engine
 from repro.faults import ServerThread, engine_signature
 from repro.faults.chaos import QUICK_PARAMS, ReadRouterThread
 from repro.graph.generators import planted_partition
+from repro.obs import fleet_trace_summary
 from repro.readpath import ReadRouterConfig
 from repro.replica import promote, replication_status
 from repro.service.client import RetryPolicy, ServiceClient, ServiceError
@@ -328,6 +329,53 @@ class TestReadRouter:
                         assert f"127.0.0.1:{follower.port}" in status["upstreams"]
                     finally:
                         client.close()
+
+    def test_trace_fetch_gathers_the_fleet(self, tmp_path):
+        """The router answers ``trace_fetch`` with its own spans and each
+        upstream's: a traced read served by a follower is one connected
+        trace across the router and the follower."""
+        graph, stream = make_workload(15)
+        with serve(graph, data_dir=tmp_path / "p") as primary:
+            with serve(
+                graph, data_dir=tmp_path / "f", **follower_kwargs(primary.port)
+            ) as follower:
+                fkey = f"127.0.0.1:{follower.port}"
+                with ReadRouterThread(
+                    ("127.0.0.1", primary.port),
+                    followers=[("127.0.0.1", follower.port)],
+                    config=router_config(),
+                ) as rt:
+                    client = ServiceClient(rt.host, rt.port, timeout=5.0)
+                    reader = ServiceClient(
+                        rt.host, rt.port, timeout=5.0, trace_sample=1.0
+                    )
+                    try:
+                        client.ingest_batch(
+                            [(a.u, a.v, a.t) for a in stream[:20]], key="tf-0"
+                        )
+                        total = client.sync()
+                        wait_for(lambda: caught_up(follower, total), what="catch-up")
+                        wait_for(
+                            lambda: client.request("route_status")["upstreams"][
+                                fkey
+                            ]["lag"] == 0,
+                            what="the router to see the follower caught up",
+                        )
+                        assert reader.clusters_info()["served_by"] == fkey
+                        processes = client.trace_fetch()["processes"]
+                    finally:
+                        client.close()
+                        reader.close()
+        # The router's own lane first, then its upstreams in key order.
+        assert processes[0]["process"] == "readpath-router"
+        assert sorted(p["process"] for p in processes[1:]) == ["follower", "primary"]
+        traced = {
+            p["process"] for p in processes if any("trace" in s for s in p["spans"])
+        }
+        assert traced == {"readpath-router", "follower"}
+        (info,) = fleet_trace_summary(processes).values()
+        assert info["connected"]
+        assert info["roots"] == ["readpath.clusters"]
 
     def test_budget_exhaustion_is_typed_retry_after(self, tmp_path):
         """Followers down + primary budget spent ends the ladder in a

@@ -1056,7 +1056,7 @@ class TestServerProtocol:
 # Full server subprocess: kill -9 and recover
 # ----------------------------------------------------------------------
 
-def start_server_subprocess(edgelist, data_dir):
+def start_server_subprocess(edgelist, data_dir, *, stderr=subprocess.DEVNULL):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.Popen(
         [
@@ -1067,7 +1067,7 @@ def start_server_subprocess(edgelist, data_dir):
             "--checkpoint-every", "100", "--metrics-interval", "0",
         ],
         stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
+        stderr=stderr,
         env=env,
         text=True,
     )
@@ -1253,6 +1253,47 @@ class TestServerSubprocess:
         assert after["t"] == before["t"]
         assert after["applied"] == before["applied"]
         assert after["clusters"] == before["clusters"]
+
+    def test_sigterm_is_a_clean_stop(self, tmp_path):
+        """``kill -TERM`` stops ``repro-anc serve`` cleanly: exit 0 and a
+        final checkpoint, so a restart replays nothing from the WAL."""
+        graph, labels = planted_partition(60, 4, p_in=0.5, p_out=0.02, seed=11)
+        edgelist = tmp_path / "graph.txt"
+        edgelist.write_text("".join(f"n{u} n{v}\n" for u, v in graph.edges()))
+        data_dir = tmp_path / "data"
+        acts = make_stream(graph, labels, timestamps=30, seed=2)[:150]
+        items = [[f"n{a.u}", f"n{a.v}", a.t] for a in acts]
+
+        proc, host, port = start_server_subprocess(edgelist, data_dir)
+        try:
+            with ServiceClient(host, port) as client:
+                client.ingest_batch(items)
+                assert client.sync() == len(items)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+
+        log = tmp_path / "restart.log"
+        with open(log, "w") as stderr:
+            proc, host, port = start_server_subprocess(
+                edgelist, data_dir, stderr=stderr
+            )
+            try:
+                with ServiceClient(host, port) as client:
+                    assert client.stats()["applied"] == len(items)
+                proc.send_signal(signal.SIGINT)
+                assert proc.wait(timeout=30) == 0
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=10)
+        assert (
+            f"recovered engine at {len(items)} activations (0 replayed from WAL"
+            in log.read_text()
+        )
 
     def test_client_error_surface(self, tmp_path):
         graph, _ = planted_partition(30, 3, p_in=0.6, p_out=0.05, seed=1)

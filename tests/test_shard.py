@@ -15,6 +15,9 @@ import pytest
 
 import os
 import signal
+import socket
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -251,6 +254,59 @@ class TestShardmapCli:
         out = io.StringIO()
         assert cli_main(["shardmap"], out=out) == 2
         assert "edge list or --from" in out.getvalue()
+
+
+class TestShardServeSignals:
+    def test_sigterm_stops_workers_and_removes_the_throwaway_root(self, tmp_path):
+        """``kill -TERM`` of ``repro-anc shard-serve --shards 2`` without
+        ``--data-dir`` is a clean stop: exit 0, both worker ports refuse
+        connections, and ``$TMPDIR`` is empty again."""
+        graph = _disjoint_blocks(blocks=2, size=8)
+        path = tmp_path / "g.txt"
+        write_edge_list(graph, path)
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), TMPDIR=str(scratch))
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "shard-serve", str(path),
+                "--shards", "2", "--port", "0", "--rep", "1", "--pyramids", "2",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=env,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            line = proc.stdout.readline()
+            while line and not line.startswith("SERVING "):
+                line = proc.stdout.readline()
+            assert line.startswith("SERVING "), "shard-serve never announced"
+            port = int(line.split()[2])
+            edges = list(graph.edges())[:12]
+            items = [[str(u), str(v), float(i + 1)] for i, (u, v) in enumerate(edges)]
+            with ServiceClient("127.0.0.1", port, timeout=30) as client:
+                client.request("ingest_batch", items=items, key="sigterm")
+                assert client.sync() == len(items)
+                workers = client.request("shard_map")["shard_map"]["workers"]
+            worker_ports = [w["port"] for w in workers.values()]
+            assert len(worker_ports) == 2
+            assert [p.name[:11] for p in scratch.iterdir()] == ["anc-shards-"]
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+        finally:
+            # A failed stop must not leak its workers: kill the group.
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(timeout=10)
+        assert list(scratch.iterdir()) == []
+        for worker_port in worker_ports:
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(("127.0.0.1", worker_port), timeout=5)
 
 
 # ----------------------------------------------------------------------
