@@ -1,11 +1,11 @@
-"""Lint-speed benchmark — a full-repo lint and the CI gate's ``src`` lint.
+"""Lint-speed benchmark — the CI gate's full-repo lint and a ``src`` lint.
 
 The static-analysis gate (docs/static-analysis.md) runs on every PR and
 is meant to be cheap enough for a pre-commit hook: parse each file once,
 run the per-file rules over the same tree, then the whole-program pass
 over the stitched summaries.  This bench times a full lint of ``src``,
-``tests``, ``benchmarks`` and ``examples``, then one lint of ``src``
-(what CI runs), and asserts the repository itself is clean (the same
+``tests``, ``benchmarks`` and ``examples`` (what CI runs), then one
+lint of ``src``, and asserts the repository itself is clean (the same
 invariant ``tests/test_analysis.py`` pins): the full lint under 30 s,
 the ``src`` lint under 10 s.
 """

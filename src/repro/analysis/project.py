@@ -301,17 +301,6 @@ def _qualname_of(node: ast.AST) -> Tuple[str, Optional[str]]:
     return ".".join(reversed(parts)), cls
 
 
-def _enclosing_def(
-    node: ast.AST,
-) -> Optional[ast.AST]:
-    cur = _parent(node)
-    while cur is not None:
-        if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return cur
-        cur = _parent(cur)
-    return None
-
-
 def _is_guarded(node: ast.AST, boundary: ast.AST) -> bool:
     """True when a sync ``with`` whose item names a lock encloses node."""
     cur = _parent(node)

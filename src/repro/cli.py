@@ -12,9 +12,10 @@ Installed as the ``repro-anc`` console script (also runnable as
   and answering local queries; ``--trace-out`` / ``--metrics-out``
   capture a Chrome trace and a metrics snapshot of the replay
   (``docs/observability.md``);
-* ``stats`` — fetch a running server's metrics in Prometheus text (or
-  JSON) over the service protocol; ``--fleet`` scrapes a router's
-  federated, per-shard-labeled exposition (``docs/observability.md``);
+* ``stats`` — fetch a running node's own Prometheus scrape (or its
+  stats + metrics JSON) over the service protocol; against a shard
+  router, every sample is labeled with its source
+  (``docs/observability.md``);
 * ``trace`` — assemble a merged multi-process Chrome trace from a live
   deployment's span buffers (``--follow`` keeps collecting; ``--probe``
   sends traced read-only requests first so an idle fleet still yields
@@ -231,23 +232,26 @@ def cmd_stream(args: argparse.Namespace, out: IO[str]) -> int:
                 )
             ck += 1
     if obs is not None:
-        if args.trace_out:
-            from .obs.export import write_chrome_trace
+        import json
 
-            write_chrome_trace(args.trace_out, obs.tracer)
+        if args.trace_out:
+            import os
+
+            from .obs.export import fleet_chrome_trace, span_dicts
+
+            lane = {"pid": os.getpid(), "process": "stream", "spans": span_dicts(obs.tracer)}
+            with open(args.trace_out, "w", encoding="utf-8") as fh:
+                json.dump(fleet_chrome_trace([lane]), fh)
+                fh.write("\n")
             print(
                 f"wrote Chrome trace ({len(obs.tracer)} spans, "
                 f"{obs.tracer.recorded} recorded) to {args.trace_out}",
                 file=out,
             )
         if args.metrics_out:
-            import json
-
-            from .obs.export import render_json
-
             with open(args.metrics_out, "w", encoding="utf-8") as fh:
                 json.dump(
-                    render_json(obs.registry), fh, indent=2, sort_keys=True
+                    obs.registry.snapshot(rate_key=None), fh, indent=2, sort_keys=True
                 )
                 fh.write("\n")
             print(f"wrote metrics snapshot to {args.metrics_out}", file=out)
@@ -264,23 +268,12 @@ def cmd_stats(args: argparse.Namespace, out: IO[str]) -> int:
 
                 doc = {"stats": client.stats(), "metrics": client.metrics()}
                 print(json.dumps(doc, indent=2, sort_keys=True), file=out)
-            elif args.fleet:
-                # The pure federated scrape (against a router: every
-                # source labeled shard="N"/role, gauges never summed) —
-                # no client-side samples appended, so the output is
-                # exactly what a Prometheus scraper would ingest.
-                text = str(
-                    client.request("metrics_text", namespace=args.namespace)[
-                        "text"
-                    ]
-                )
-                print(text, end="", file=out)
             else:
-                print(
-                    client.metrics_text(namespace=args.namespace),
-                    end="",
-                    file=out,
-                )
+                # The node's own scrape, exactly what a Prometheus
+                # scraper would ingest: a one-shot client's own counters
+                # are always 0, so none are appended.
+                text = client.request("metrics_text", namespace=args.namespace)["text"]
+                print(text, end="", file=out)
     except (OSError, ServiceError) as exc:
         print(f"error: {exc}", file=out)
         return 1
@@ -886,10 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_stats.add_argument("--namespace", default=None,
                          help="metric name prefix (default: anc)")
-    p_stats.add_argument("--fleet", action="store_true",
-                         help="print the pure federated scrape (per-shard "
-                              "labels, no client-side samples); meaningful "
-                              "against a shard router")
     p_stats.add_argument("--timeout", type=float, default=10.0,
                          help="connection timeout in seconds")
     p_stats.set_defaults(func=cmd_stats)

@@ -394,15 +394,6 @@ class ArrayActiveSimilarity(ActiveSimilarity):
         self._ggen += 1
 
     # -- marker slots ----------------------------------------------------
-    def _slot_of(self, a: int) -> int:
-        if self._mk_node[0] == a:
-            self._mk_lru = 1
-            return 0
-        if self._mk_node[1] == a:
-            self._mk_lru = 0
-            return 1
-        return -1
-
     def _load_marker(self, a: int) -> int:
         s = self._mk_lru
         prev = self._mk_node[s]

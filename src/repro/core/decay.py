@@ -210,10 +210,6 @@ class AnchoredEdgeValues:
         """Set the current value; stored anchored."""
         self._values[edge_key(u, v)] = self.to_anchored(value)
 
-    def add_actual(self, u: int, v: int, delta: float) -> float:
-        """Add ``delta`` in actual space; returns the new *actual* value."""
-        return self.to_actual(self.add_anchored(u, v, self.to_anchored(delta)))
-
     # -- conversions ------------------------------------------------------
     def to_actual(self, anchored_value: float) -> float:
         """Map an anchored value to its current value under ``g(t, t*)``."""

@@ -267,14 +267,6 @@ class SimilarityFunction:
         """Current reciprocal weight ``S_t^{-1}(e)`` (NegM, Lemma 10)."""
         return 1.0 / self.value(u, v)
 
-    def weight_anchored(self, u: int, v: int) -> float:
-        """Anchored reciprocal weight ``1 / S*_t(e)``.
-
-        All shortest-path *comparisons* are invariant under the uniform
-        ``1/g`` scaling, so the index works in this anchored weight space.
-        """
-        return 1.0 / self.similarity.anchored(u, v)
-
     def weight_fn(self) -> Callable[[int, int], float]:
         """Symmetric anchored-weight function for the traversal module."""
 

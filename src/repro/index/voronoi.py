@@ -133,10 +133,6 @@ class VoronoiPartition:
             head += 1
         return out
 
-    def partition_of(self, v: int) -> int:
-        """Seed owning ``v`` (-1 if unreachable from every seed)."""
-        return self.seed[v]
-
     def cells(self) -> Dict[int, List[int]]:
         """The partition as ``{seed: sorted members}`` (diagnostics/tests)."""
         out: Dict[int, List[int]] = {}

@@ -9,8 +9,9 @@ service, CLI, bench harness — see ``docs/observability.md``):
   timings, bounded ring buffer, deterministic sampling) plus the
   :class:`Observability` bundle components share, and the sanctioned
   ``perf_counter`` timing facade for engine code;
-* :mod:`~repro.obs.export` — JSON and Prometheus text exposition of a
-  registry, and Chrome ``trace_event`` dumps of a span buffer.
+* :mod:`~repro.obs.export` — Prometheus text and fleet JSON of labeled
+  registry snapshots, and Chrome ``trace_event`` documents of
+  ``trace_fetch`` span buffers.
 
 Everything is disabled by default: an engine without an attached
 :class:`Observability` pays one attribute check per instrumented phase.
@@ -19,16 +20,13 @@ Everything is disabled by default: an engine without an attached
 from __future__ import annotations
 
 from .export import (
-    chrome_trace,
+    federate_snapshots,
     fleet_chrome_trace,
     fleet_trace_summary,
     phase_breakdown,
-    render_json,
     render_prometheus,
     span_dicts,
-    write_chrome_trace,
 )
-from .federate import federate_snapshots, render_prometheus_federated
 from .instruments import BUCKET_BOUNDS, Counter, Gauge, Histogram, MetricsRegistry
 from .profiler import SamplingProfiler
 from .propagate import TraceContext, bind_context, current_context, new_span_id
@@ -55,7 +53,6 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "bind_context",
-    "chrome_trace",
     "current_context",
     "federate_snapshots",
     "fleet_chrome_trace",
@@ -63,9 +60,6 @@ __all__ = [
     "new_span_id",
     "perf_counter",
     "phase_breakdown",
-    "render_json",
     "render_prometheus",
-    "render_prometheus_federated",
     "span_dicts",
-    "write_chrome_trace",
 ]

@@ -1,15 +1,16 @@
-"""Exposition: registries as JSON / Prometheus text, spans as Chrome traces.
+"""Exposition: one Prometheus renderer, one Chrome-trace writer.
 
-Three consumers, three formats:
+Every node, router, client and CLI command goes through these:
 
-* :func:`render_json` — the registry snapshot dict (what the server's
-  ``metrics`` op and the CLI's ``--metrics-out`` serve);
-* :func:`render_prometheus` — the Prometheus text exposition format
-  (``metrics_text`` op, ``repro-anc stats``): counters as ``_total``,
-  gauges verbatim, histograms as summaries with quantile labels;
-* :func:`chrome_trace` — a span buffer as Chrome ``trace_event`` JSON
-  ("X" complete events, microsecond timestamps), loadable in
-  ``chrome://tracing`` / Perfetto to see one activation's nested phases.
+* :func:`render_prometheus` — labeled registry snapshots as Prometheus
+  text exposition (``metrics_text`` op, ``repro-anc stats``): counters
+  as ``_total``, gauges verbatim, each histogram as a summary of its
+  own source's window, every sample carrying its source's labels;
+* :func:`federate_snapshots` — the same labeled snapshots as one fleet
+  JSON document (the shard router's ``metrics`` op);
+* :func:`fleet_chrome_trace` — ``trace_fetch`` span buffers as one
+  Chrome ``trace_event`` document, one pid lane per process, loadable
+  in ``chrome://tracing`` / Perfetto.
 
 :func:`phase_breakdown` aggregates a span list into per-phase
 count/total/mean/max — the compact form the bench harness folds into
@@ -18,25 +19,25 @@ every ``bench_results/*.json``.
 
 from __future__ import annotations
 
-import json
 import re
-from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .instruments import MetricsRegistry
 from .trace import Span, Tracer
 
 __all__ = [
-    "chrome_trace",
+    "Source",
+    "federate_snapshots",
     "fleet_chrome_trace",
     "fleet_trace_summary",
     "phase_breakdown",
-    "render_json",
     "render_prometheus",
     "span_dicts",
     "trace_op",
-    "write_chrome_trace",
 ]
+
+#: One exposition input: (source labels, ``MetricsRegistry.snapshot()``
+#: document).  A single node renders itself as ``({}, snapshot)``.
+Source = Tuple[Mapping[str, str], Mapping[str, Any]]
 
 _NAME_SANITIZER = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -59,80 +60,90 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def render_json(
-    registry: MetricsRegistry, *, rate_key: Optional[str] = None
-) -> Dict[str, object]:
-    """The registry snapshot as a JSON-able dict (read-only by default)."""
-    return registry.snapshot(rate_key=rate_key)
+def _label_str(labels: Mapping[str, str]) -> str:
+    """Labels as the canonical ``k="v",...`` string (sorted, stable)."""
+    return ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
 
 
-def render_prometheus(registry: MetricsRegistry, *, namespace: str = "") -> str:
-    """The registry in the Prometheus text exposition format (version 0.0.4).
+def _braced(*parts: str) -> str:
+    """``{a,b}`` of the non-empty label strings (empty when none)."""
+    joined = ",".join(part for part in parts if part)
+    return f"{{{joined}}}" if joined else ""
 
-    Counters get the conventional ``_total`` suffix; histograms render as
-    summaries over their sliding window (quantile-labelled samples plus
-    the exact lifetime ``_sum`` / ``_count``).  Reading instruments is
-    the only side effect — no rate window is touched.
+
+def render_prometheus(sources: Sequence[Source], *, namespace: str = "") -> str:
+    """Labeled registry snapshots as Prometheus text exposition 0.0.4.
+
+    Counters get the conventional ``_total`` suffix and gauges render
+    as-is.  Each histogram becomes a summary of its own source's window
+    (quantiles 0.5 / 0.9 / 0.99) plus its exact lifetime ``_sum`` and
+    ``_count``; nothing merges across sources, so a scraper sees the
+    same series as if it had scraped every process itself (and can sum
+    ``_sum`` / ``_count`` over sources for a fleet mean).  Every sample
+    carries its source's labels, and all samples of one metric follow
+    its single ``# TYPE`` line, in first-seen order.
     """
-    lines: List[str] = []
-    for name, counter in registry.counters().items():
-        metric = _metric_name(name, namespace) + "_total"
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {_fmt(counter.value)}")
-    for name, gauge in registry.gauges().items():
-        metric = _metric_name(name, namespace)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {_fmt(gauge.value)}")
-    for name, hist in registry.histograms().items():
-        metric = _metric_name(name, namespace)
-        lines.append(f"# TYPE {metric} summary")
-        for quantile, _ in _QUANTILES:
-            value = hist.percentile(quantile * 100.0)
-            lines.append(f'{metric}{{quantile="{quantile:g}"}} {_fmt(value)}')
-        lines.append(f"{metric}_sum {_fmt(hist.sum)}")
-        lines.append(f"{metric}_count {_fmt(float(hist.count))}")
-    return "\n".join(lines) + "\n" if lines else ""
+    blocks: Dict[str, List[str]] = {}
+    for section, kind in (
+        ("counters", "counter"),
+        ("gauges", "gauge"),
+        ("histograms", "summary"),
+    ):
+        for labels, snapshot in sources:
+            label_str = _label_str(labels)
+            plain = _braced(label_str)
+            for name, value in (snapshot.get(section) or {}).items():
+                metric = _metric_name(name, namespace)
+                if kind == "counter":
+                    metric += "_total"
+                lines = blocks.get(metric)
+                if lines is None:
+                    lines = blocks[metric] = [f"# TYPE {metric} {kind}"]
+                if kind != "summary":
+                    lines.append(f"{metric}{plain} {_fmt(value)}")
+                    continue
+                for quantile, key in _QUANTILES:
+                    labeled = _braced(label_str, f'quantile="{quantile:g}"')
+                    lines.append(f"{metric}{labeled} {_fmt(value[key])}")
+                lines.append(f"{metric}_sum{plain} {_fmt(value['sum'])}")
+                lines.append(f"{metric}_count{plain} {_fmt(value['count'])}")
+    text = "\n".join(line for lines in blocks.values() for line in lines)
+    return text + "\n" if text else ""
 
 
-def chrome_trace(
-    spans: Union[Tracer, Iterable[Span]], *, pid: int = 0
-) -> Dict[str, object]:
-    """A span buffer as a Chrome ``trace_event`` JSON document.
+def federate_snapshots(sources: Sequence[Source]) -> Dict[str, object]:
+    """Labeled registry snapshots as one fleet JSON document.
 
-    Every span becomes one "X" (complete) event with microsecond
-    ``ts``/``dur``; the nesting depth rides along in ``args`` so flat
-    viewers can reconstruct the hierarchy.  Accepts a tracer (reads its
-    buffer without draining) or any span iterable.
+    Returns ``{sources, counters, gauges, histograms}``: counters are
+    fleet sums (events are events), while every gauge and histogram
+    maps its source's canonical label string to that source's value —
+    a queue depth of 6 + 1 describes no real queue, and two windows'
+    quantiles do not combine into a fleet quantile.
     """
-    if isinstance(spans, Tracer):
-        spans = spans.spans()
-    events: List[Dict[str, object]] = []
-    for span in spans:
-        args: Dict[str, object] = {**span.args, "depth": span.depth}
-        if span.trace_id is not None:
-            args["trace_id"] = span.trace_id
-            args["span_id"] = span.span_id
-            args["parent_id"] = span.parent_id
-        events.append(
-            {
-                "name": span.name,
-                "ph": "X",
-                "pid": pid,
-                "tid": span.tid,
-                "ts": span.start * 1e6,
-                "dur": span.duration * 1e6,
-                "args": args,
-            }
-        )
-    events.sort(key=lambda e: (e["tid"], e["ts"]))  # type: ignore[index]
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    counters: Dict[str, float] = {}
+    gauges: Dict[str, Dict[str, float]] = {}
+    histograms: Dict[str, Dict[str, object]] = {}
+    for labels, snapshot in sources:
+        key = _label_str(labels)
+        for name, value in (snapshot.get("counters") or {}).items():
+            counters[name] = counters.get(name, 0.0) + float(value)
+        for name, value in (snapshot.get("gauges") or {}).items():
+            gauges.setdefault(name, {})[key] = float(value)
+        for name, doc in (snapshot.get("histograms") or {}).items():
+            histograms.setdefault(name, {})[key] = doc
+    return {
+        "sources": [dict(labels) for labels, _ in sources],
+        "counters": {name: counters[name] for name in sorted(counters)},
+        "gauges": {name: gauges[name] for name in sorted(gauges)},
+        "histograms": {name: histograms[name] for name in sorted(histograms)},
+    }
 
 
 def trace_op(tracer: Tracer, request: Mapping[str, Any]) -> Dict[str, object]:
-    """Apply one ``trace`` wire op to ``tracer``; returns the answer.
+    """Apply one ``trace`` wire op to ``tracer``; returns its status.
 
-    ``action`` is start (optional ``sample``) / stop / clear / status, or
-    dump (optional ``drain``, default true) for the Chrome trace.
+    ``action`` is start (optional ``sample``) / stop / clear / status.
+    Spans leave a live node only through ``trace_fetch``.
     """
     action = str(request.get("action", "status"))
     if action == "start":
@@ -144,24 +155,11 @@ def trace_op(tracer: Tracer, request: Mapping[str, Any]) -> Dict[str, object]:
         tracer.disable()
     elif action == "clear":
         tracer.drain()
-    elif action == "dump":
-        spans = tracer.drain() if bool(request.get("drain", True)) else tracer.spans()
-        return {"trace": chrome_trace(spans), **tracer.status()}
     elif action != "status":
         raise ValueError(
-            f"unknown trace action {action!r}; expected start/stop/status/dump/clear"
+            f"unknown trace action {action!r}; expected start/stop/status/clear"
         )
     return dict(tracer.status())
-
-
-def write_chrome_trace(
-    path: Union[str, Path], spans: Union[Tracer, Iterable[Span]], *, pid: int = 0
-) -> Path:
-    """Dump :func:`chrome_trace` to ``path``; returns the path."""
-    target = Path(path)
-    with open(target, "w", encoding="utf-8") as fh:
-        json.dump(chrome_trace(spans, pid=pid), fh, indent=2, sort_keys=True)
-    return target
 
 
 def span_dicts(
@@ -202,7 +200,7 @@ def fleet_chrome_trace(
     """Merge per-process span buffers into one Chrome trace document.
 
     ``processes`` is what the router's ``trace_fetch`` gather returns:
-    each entry holds a display ``name`` (``client`` / ``router`` /
+    each entry holds its ``process`` name (``client`` / ``router`` /
     ``shard-0`` / ``replica:<id>``), the OS ``pid``, and
     :func:`span_dicts`-encoded ``spans``.  The merged document gives
     every process its own pid lane (named via ``process_name`` metadata
@@ -230,7 +228,7 @@ def fleet_chrome_trace(
     slice_of: Dict[str, Dict[str, object]] = {}
     for index, proc in enumerate(procs):
         pid = int(proc.get("pid", index))  # type: ignore[arg-type]
-        name = str(proc.get("name", f"process-{index}"))
+        name = str(proc.get("process", f"process-{index}"))
         events.append(
             {
                 "name": "process_name",

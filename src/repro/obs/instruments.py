@@ -5,8 +5,8 @@ Every instrument is cheap to update on the hot path — a counter is one
 float add, a histogram observation is one deque append — and the
 registry renders everything into a plain JSON-able dict on demand, which
 the server exposes through the ``metrics`` op, the Prometheus
-``metrics_text`` op (:func:`repro.obs.export.render_prometheus`) and a
-periodic log line.
+``metrics_text`` op (:func:`repro.obs.export.render_prometheus` renders
+that dict) and a periodic log line.
 
 Histograms keep a bounded window of recent observations (default 8192)
 rather than full reservoir sampling: percentiles answer "what is query
@@ -31,9 +31,8 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 __all__ = ["BUCKET_BOUNDS", "Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 #: Shared log-scale histogram bucket upper bounds (seconds): 1 µs up to
-#: ~18 minutes in powers of 4.  Fixed and global so histograms snapshotted
-#: in different processes merge bucket-wise with no negotiation — the
-#: property metrics federation (:mod:`repro.obs.federate`) relies on.
+#: ~18 minutes in powers of 4.  Fixed and global, so two snapshots of one
+#: histogram subtract bucket-wise into the observations between them.
 BUCKET_BOUNDS: Tuple[float, ...] = tuple(1e-6 * 4.0**i for i in range(16))
 
 
@@ -141,7 +140,7 @@ class Histogram:
 
         One slot per :data:`BUCKET_BOUNDS` entry (``value <= bound``)
         plus a final +Inf overflow slot.  Counts are per-bucket, not
-        cumulative, so federating N processes is element-wise addition.
+        cumulative, so two snapshots subtract element-wise.
         """
         counts = [0.0] * (len(BUCKET_BOUNDS) + 1)
         with self._lock:
@@ -151,7 +150,8 @@ class Histogram:
         return counts
 
     def summary(self) -> Dict[str, float]:
-        """count / mean / p50 / p90 / p99 / max of the current window.
+        """Lifetime count / sum / mean, and p50 / p90 / p99 / max of the
+        current window.
 
         One lock acquisition: every field derives from a single
         consistent (window, count, sum) view.
@@ -162,6 +162,7 @@ class Histogram:
             total = self._sum
         out = {
             "count": float(count),
+            "sum": total,
             "mean": total / count if count else 0.0,
         }
         if data:

@@ -18,7 +18,8 @@ bounded ring buffer.  The design constraints, in order:
 
 Spans carry start times relative to the tracer's epoch, a nesting depth
 and the recording thread id, which is exactly what the Chrome
-``trace_event`` export (:func:`repro.obs.export.chrome_trace`) needs.
+``trace_event`` export (:func:`repro.obs.export.fleet_chrome_trace`)
+needs.
 
 This module also re-exports :func:`time.perf_counter` as **the timing
 facade for engine code**: ``repro.core`` / ``repro.index`` must never

@@ -58,7 +58,7 @@ import time
 from dataclasses import dataclass
 from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..obs.export import span_dicts
+from ..obs.export import render_prometheus, span_dicts
 from ..obs.propagate import RootSampler, TraceContext, current_context
 from ..obs.trace import Tracer
 
@@ -589,9 +589,9 @@ class ServiceClient:
     def client_metrics_text(self, *, namespace: str = "anc") -> str:
         """Client resilience counters in Prometheus text format.
 
-        Rendered in the same style as the server's
-        :func:`~repro.obs.export.render_prometheus` output so the two
-        concatenate into one scrape body (see :meth:`metrics_text`).
+        Rendered as one unlabeled source by the nodes' own renderer
+        (:func:`~repro.obs.export.render_prometheus`), so it
+        concatenates with a node's scrape (see :meth:`metrics_text`).
         Breaker state encodes as 0 = closed, 1 = open, 2 = half-open.
         """
         states = {
@@ -599,21 +599,20 @@ class ServiceClient:
             CircuitBreaker.OPEN: 1.0,
             CircuitBreaker.HALF_OPEN: 2.0,
         }
-        prefix = f"{namespace}_client" if namespace else "client"
-        samples: List[Tuple[str, str, float]] = [
-            ("retries_total", "counter", float(self.retries)),
-            ("reconnects_total", "counter", float(self.reconnects)),
-            ("failovers_total", "counter", float(self.failovers)),
-            ("last_epoch", "gauge", float(self.last_epoch)),
-            ("breaker_opened_total", "counter", float(self.breaker.opened_total)),
-            ("breaker_failures", "gauge", float(self.breaker.failures)),
-            ("breaker_state", "gauge", states.get(self.breaker.state, -1.0)),
-        ]
-        lines: List[str] = []
-        for name, kind, value in samples:
-            lines.append(f"# TYPE {prefix}_{name} {kind}")
-            lines.append(f"{prefix}_{name} {value:g}")
-        return "\n".join(lines) + "\n"
+        snapshot = {
+            "counters": {
+                "client_retries": self.retries,
+                "client_reconnects": self.reconnects,
+                "client_failovers": self.failovers,
+                "client_breaker_opened": self.breaker.opened_total,
+            },
+            "gauges": {
+                "client_last_epoch": self.last_epoch,
+                "client_breaker_failures": self.breaker.failures,
+                "client_breaker_state": states.get(self.breaker.state, -1.0),
+            },
+        }
+        return render_prometheus([({}, snapshot)], namespace=namespace)
 
     # -- convenience ops ---------------------------------------------------
     def ping(self) -> Dict[str, object]:
@@ -721,19 +720,15 @@ class ServiceClient:
         )
 
     def trace(
-        self,
-        action: str = "status",
-        *,
-        sample: Optional[float] = None,
-        drain: Optional[bool] = None,
+        self, action: str = "status", *, sample: Optional[float] = None
     ) -> Dict[str, object]:
         """Drive the server-side engine tracer (docs/observability.md).
 
-        ``action``: ``start`` / ``stop`` / ``status`` / ``dump`` /
-        ``clear``; ``dump`` returns a Chrome ``trace_event`` document
-        under ``"trace"``.
+        ``action``: ``start`` / ``stop`` / ``status`` / ``clear``; each
+        answers the tracer's status.  The spans come out through
+        :meth:`trace_fetch`.
         """
-        return self.request("trace", action=action, sample=sample, drain=drain)
+        return self.request("trace", action=action, sample=sample)
 
     def trace_spans(self, *, drain: bool = False) -> List[Dict[str, object]]:
         """This client's own recorded spans in wire form.

@@ -325,7 +325,8 @@ class FrontEnd:
 
     async def _op_metrics_text(self, request: Dict[str, object]) -> Dict[str, object]:
         namespace = str(request.get("namespace", "anc"))
-        return {"text": render_prometheus(self.metrics, namespace=namespace)}
+        snapshot = self.metrics.snapshot(rate_key=None)
+        return {"text": render_prometheus([({}, snapshot)], namespace=namespace)}
 
     async def _op_trace(self, request: Dict[str, object]) -> Dict[str, object]:
         return trace_op(self.tracer, request)

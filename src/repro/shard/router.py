@@ -43,12 +43,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from ..index.pyramid import levels_for
-from ..obs.export import trace_op
-from ..obs.federate import (
-    Source,
-    federate_snapshots,
-    render_prometheus_federated,
-)
+from ..obs.export import Source, federate_snapshots, render_prometheus, trace_op
 from ..service.errors import (
     BadRequest,
     Overloaded,
@@ -534,9 +529,9 @@ class ShardRouter(FrontEnd):
         """Labeled registry snapshots of the whole fleet (router first).
 
         The labels are what makes the federation sound: each worker's
-        gauges stay distinct series (``shard="0"``, ``shard="1"``)
-        instead of collapsing into a meaningless sum — see
-        :mod:`repro.obs.federate`.
+        gauges and histograms stay distinct series (``shard="0"``,
+        ``shard="1"``) instead of collapsing into a meaningless sum —
+        see :func:`repro.obs.export.federate_snapshots`.
         """
         answers = await self._scatter(
             "metrics",
@@ -567,12 +562,10 @@ class ShardRouter(FrontEnd):
         }
 
     async def _op_metrics_text(self, request: Dict) -> Dict[str, object]:
-        """One federated Prometheus scrape for the whole fleet."""
+        """One Prometheus scrape for the whole fleet, every source labeled."""
         namespace = str(request.get("namespace", "anc"))
         sources, _ = await self._metric_sources(request.get("rate_key"))
-        return {
-            "text": render_prometheus_federated(sources, namespace=namespace)
-        }
+        return {"text": render_prometheus(sources, namespace=namespace)}
 
     async def _op_trace(self, request: Dict) -> Dict[str, object]:
         answer = trace_op(self.tracer, request)

@@ -173,10 +173,6 @@ class ShardMap:
             raise ValueError(f"shard {shard} out of range for {self.shards}")
         return Graph(self.n, self.shard_edges[shard])
 
-    def home_nodes(self, shard: int) -> List[int]:
-        """Nodes whose home is ``shard`` (sorted)."""
-        return [v for v, s in enumerate(self.assignment) if s == shard]
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

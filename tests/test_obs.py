@@ -7,12 +7,13 @@ Covers the PR's required surface:
 * the span tracer — nesting, deterministic sampling, ring-buffer bound,
   and the disabled no-op fast path;
 * exposition goldens — Prometheus text (validated with a test-side
-  parser) and Chrome ``trace_event`` JSON;
+  parser) and the fleet Chrome ``trace_event`` JSON;
 * engine integration — phase spans, per-level repair accounting, query
   latency histograms, watcher refresh cost, and the guarantee that
   tracing does not perturb results;
 * the service surface — ``metrics_text`` and ``trace`` ops end to end;
-* the CLI — ``stream --trace-out/--metrics-out`` artifacts.
+* the CLI — ``stream --trace-out/--metrics-out`` artifacts and the
+  ``stats`` scrape.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.core.anc import ANCO, ANCOR, ANCParams
+from repro.core.anc import ANCO, ANCOR
+from repro.faults.chaos import ServerThread
 from repro.monitor import ClusterWatcher
 from repro.obs import (
     DISABLED_OBS,
@@ -36,19 +38,18 @@ from repro.obs import (
     SamplingProfiler,
     TraceContext,
     Tracer,
-    chrome_trace,
     current_context,
     federate_snapshots,
     fleet_chrome_trace,
     fleet_trace_summary,
     phase_breakdown,
     render_prometheus,
-    render_prometheus_federated,
     span_dicts,
-    write_chrome_trace,
 )
-from repro.obs.instruments import BUCKET_BOUNDS, Histogram
+from repro.obs.instruments import Histogram
 from repro.obs.propagate import RootSampler
+from repro.service.client import ServiceClient
+from repro.service.server import ServerConfig
 from test_service import make_stream, rpc, run_server_scenario
 
 # ----------------------------------------------------------------------
@@ -219,8 +220,8 @@ class TestHistogram:
     def test_empty_summary(self):
         summary = Histogram("lat").summary()
         assert summary == {
-            "count": 0.0, "mean": 0.0, "p50": 0.0, "p90": 0.0, "p99": 0.0,
-            "max": 0.0,
+            "count": 0.0, "sum": 0.0, "mean": 0.0, "p50": 0.0, "p90": 0.0,
+            "p99": 0.0, "max": 0.0,
         }
 
 
@@ -315,7 +316,9 @@ class TestExposition:
         hist = registry.histogram("latency_seconds")
         for v in (0.1, 0.2, 0.3):
             hist.observe(v)
-        text = render_prometheus(registry, namespace="anc")
+        text = render_prometheus(
+            [({}, registry.snapshot(rate_key=None))], namespace="anc"
+        )
         samples, typed = parse_prometheus(text)
         assert samples["anc_acts_ingested_total"] == 7.0
         assert typed["anc_acts_ingested_total"] == "counter"
@@ -325,28 +328,33 @@ class TestExposition:
         assert samples["anc_latency_seconds_sum"] == pytest.approx(0.6)
         assert samples["anc_latency_seconds_count"] == 3.0
 
-    def test_prometheus_empty_registry(self):
-        assert render_prometheus(MetricsRegistry()) == ""
+    def test_single_node_text_is_golden(self):
+        """A node's scrape is one unlabeled source: one TYPE line per
+        metric, counters, then gauges, then summaries."""
+        registry = MetricsRegistry()
+        registry.counter("acts").inc(2)
+        registry.gauge("depth").set(1.5)
+        hist = registry.histogram("lat")
+        for v in (0.25, 0.5):
+            hist.observe(v)
+        text = render_prometheus(
+            [({}, registry.snapshot(rate_key=None))], namespace="anc"
+        )
+        assert text == (
+            "# TYPE anc_acts_total counter\n"
+            "anc_acts_total 2.0\n"
+            "# TYPE anc_depth gauge\n"
+            "anc_depth 1.5\n"
+            "# TYPE anc_lat summary\n"
+            'anc_lat{quantile="0.5"} 0.25\n'
+            'anc_lat{quantile="0.9"} 0.5\n'
+            'anc_lat{quantile="0.99"} 0.5\n'
+            "anc_lat_sum 0.75\n"
+            "anc_lat_count 2.0\n"
+        )
 
-    def test_chrome_trace_document(self, tmp_path):
-        tracer = Tracer(enabled=True)
-        with tracer.span("batch", size=2):
-            with tracer.span("activation"):
-                pass
-        doc = chrome_trace(tracer)
-        json.loads(json.dumps(doc))  # strictly JSON-able
-        events = doc["traceEvents"]
-        assert doc["displayTimeUnit"] == "ms"
-        assert [e["name"] for e in events] == ["batch", "activation"]
-        batch, activation = events
-        assert all(e["ph"] == "X" for e in events)
-        assert batch["args"] == {"size": 2, "depth": 0}
-        assert activation["args"]["depth"] == 1
-        # Microsecond layout: the child lies inside the parent.
-        assert batch["ts"] <= activation["ts"]
-        assert activation["ts"] + activation["dur"] <= batch["ts"] + batch["dur"] + 1e-3
-        path = write_chrome_trace(tmp_path / "trace.json", tracer)
-        assert json.loads(path.read_text())["traceEvents"] == events
+    def test_prometheus_empty_registry(self):
+        assert render_prometheus([({}, MetricsRegistry().snapshot(rate_key=None))]) == ""
 
     def test_phase_breakdown(self):
         tracer = Tracer(enabled=True)
@@ -503,25 +511,30 @@ class TestServiceObservability:
             await rpc(reader, writer, op="ingest_batch", items=items)
             await rpc(reader, writer, op="sync")
             await rpc(reader, writer, op="clusters")
-            dump = await rpc(reader, writer, op="trace", action="dump")
-            drained = await rpc(reader, writer, op="trace", action="status")
+            fetched = await rpc(reader, writer, op="trace_fetch")
+            kept = await rpc(reader, writer, op="trace", action="status")
+            cleared = await rpc(reader, writer, op="trace", action="clear")
             stopped = await rpc(reader, writer, op="trace", action="stop")
+            dump = await rpc(reader, writer, op="trace", action="dump")
             bad = await rpc(reader, writer, op="trace", action="bogus")
-            return off, started, dump, drained, stopped, bad
+            return off, started, fetched, kept, cleared, stopped, dump, bad
 
-        off, started, dump, drained, stopped, bad = run_server_scenario(
+        off, started, fetched, kept, cleared, stopped, dump, bad = run_server_scenario(
             scenario, graph_and_labels=small_planted, params=quick_params
         )
         assert off["enabled"] is False
         assert started["enabled"] is True
-        events = dump["trace"]["traceEvents"]
-        names = {e["name"] for e in events}
+        spans = fetched["spans"]
+        names = {span["name"] for span in spans}
         # The writer drives the engine per activation (deterministic
         # batch hooks), so the engine phases nest under "activation".
         assert {"activation", "index_repair", "query_clusters"} <= names
-        assert {e["args"]["depth"] for e in events} >= {0, 1}
-        assert drained["buffered"] == 0  # dump drains by default
+        assert {span["depth"] for span in spans} >= {0, 1}
+        assert kept["buffered"] >= len(spans)  # a fetch drains only on request
+        assert cleared["buffered"] == 0
         assert stopped["enabled"] is False
+        # Spans leave a node only through trace_fetch.
+        assert dump["ok"] is False and dump["error_type"] == "BAD_REQUEST"
         assert bad["ok"] is False and "unknown trace action" in bad["error"]
 
     def test_metrics_op_is_read_only_by_default(self, small_planted, quick_params):
@@ -552,7 +565,8 @@ class TestServiceObservability:
 # ----------------------------------------------------------------------
 
 class TestCliTracing:
-    def test_stream_trace_and_metrics_out(self, tmp_path):
+    def _replay(self, tmp_path):
+        """``stream --trace-out --metrics-out``: (trace doc, metrics doc, output)."""
         edgelist = tmp_path / "stream.tsv"
         edgelist.write_text(
             "a b 1\nb c 1\na c 2\nc d 2\nd a 3\na b 3\nb c 4\n"
@@ -569,13 +583,52 @@ class TestCliTracing:
             out,
         )
         assert code == 0
-        doc = json.loads(trace_path.read_text())
-        names = {e["name"] for e in doc["traceEvents"]}
+        return (
+            json.loads(trace_path.read_text()),
+            json.loads(metrics_path.read_text()),
+            out.getvalue(),
+        )
+
+    def test_stream_trace_and_metrics_out(self, tmp_path):
+        doc, metrics, out = self._replay(tmp_path)
+        slices = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        names = {e["name"] for e in slices}
         assert {"process_batch", "activation", "index_repair"} <= names
-        assert {e["args"]["depth"] for e in doc["traceEvents"]} >= {0, 1, 2}
-        metrics = json.loads(metrics_path.read_text())
+        assert {e["args"]["depth"] for e in slices} >= {0, 1, 2}
         assert metrics["gauges"]["engine_activations"] == 7.0
-        assert "wrote Chrome trace" in out.getvalue()
+        assert "wrote Chrome trace" in out
+
+    def test_stream_trace_is_one_named_lane(self, tmp_path):
+        """The replay's trace comes from the fleet writer: one lane,
+        named ``stream``, holding every span of the engine's nesting."""
+        doc, _, _ = self._replay(tmp_path)
+        events = doc["traceEvents"]
+        lanes = [e for e in events if e["ph"] == "M" and e["name"] == "process_name"]
+        assert [lane["args"]["name"] for lane in lanes] == ["stream"]
+        slices = [e for e in events if e["ph"] == "X"]
+        assert {e["pid"] for e in slices} == {lanes[0]["pid"]}
+        assert max(e["args"]["depth"] for e in slices) == 2
+
+
+class TestCliStats:
+    def test_stats_prints_the_node_scrape(self, small_planted, quick_params):
+        """``repro-anc stats`` prints the node's own scrape: the same
+        metrics as a ``metrics_text`` request, and no client samples."""
+        graph, _ = small_planted
+        config = ServerConfig(port=0, engine="anco", metrics_interval=0.0)
+        with ServerThread(graph, config=config, params=quick_params) as handle:
+            out = io.StringIO()
+            assert main(["stats", "--port", str(handle.port)], out) == 0
+            with ServiceClient("127.0.0.1", handle.port) as client:
+                scrape = client.request("metrics_text")["text"]
+        printed = out.getvalue()
+        samples, _ = parse_prometheus(printed)
+
+        def type_lines(text):
+            return [line for line in text.splitlines() if line.startswith("# TYPE")]
+
+        assert type_lines(printed) and type_lines(printed) == type_lines(scrape)
+        assert not [name for name in samples if name.startswith("anc_client_")]
 
 # ----------------------------------------------------------------------
 # Cross-process trace propagation
@@ -702,27 +755,33 @@ class TestFederation:
         }
         assert 7.0 not in gauges.values()
 
-    def test_histograms_merge_bucket_wise(self):
+    def test_histograms_stay_per_source(self):
         doc = federate_snapshots(self._sources())
-        merged = doc["histograms"]["ingest_latency"]
-        assert merged["count"] == 8.0
-        assert sum(merged["buckets"]) == 8.0
-        # Quantiles come from the merged distribution: p50 lands in the
-        # 1 ms region, p99 in the 4 ms region.
-        assert merged["p50"] <= 0.004 <= merged["p99"] * 4.001
+        per_source = doc["histograms"]["ingest_latency"]
+        assert sorted(per_source) == [
+            'role="worker",shard="0"',
+            'role="worker",shard="1"',
+        ]
+        # Each source keeps its own window's quantiles — the observed
+        # 1 ms and 4 ms, not the upper bound of a merged bucket.
+        assert per_source['role="worker",shard="0"']["p50"] == 0.001
+        assert per_source['role="worker",shard="1"']["p99"] == 0.004
+        assert per_source['role="worker",shard="1"']["count"] == 4.0
 
     def test_federated_prometheus_is_valid_and_grouped(self):
-        text = render_prometheus_federated(self._sources(), namespace="anc")
+        text = render_prometheus(self._sources(), namespace="anc")
         samples, typed = parse_prometheus(text)
         assert samples['anc_queue_depth{role="worker",shard="0"}'] == 6.0
         assert samples['anc_queue_depth{role="worker",shard="1"}'] == 1.0
         assert 'anc_queue_depth 7.0' not in text  # no summed gauge sample
         assert typed["anc_queue_depth"] == "gauge"
         assert typed["anc_activations_applied_total"] == "counter"
-        assert typed["anc_ingest_latency"] == "histogram"
+        assert typed["anc_ingest_latency"] == "summary"
         # Exposition grouping: one TYPE block per metric, all of a
         # metric's samples contiguous beneath it (the 0.0.4 contract).
-        for metric in ("anc_queue_depth", "anc_activations_applied_total"):
+        for metric in (
+            "anc_queue_depth", "anc_activations_applied_total", "anc_ingest_latency",
+        ):
             assert text.count(f"# TYPE {metric} ") == 1
         lines = [l for l in text.splitlines() if l]
         block = None
@@ -732,16 +791,48 @@ class TestFederation:
                 continue
             name = line.split("{", 1)[0].split(" ", 1)[0]
             stripped = name
-            for suffix in ("_bucket", "_sum", "_count"):
+            for suffix in ("_sum", "_count"):
                 if block and name == block + suffix:
                     stripped = block
             assert stripped == block, f"{line!r} outside its TYPE block"
-        # Histogram buckets are cumulative and end at +Inf == _count.
-        inf = samples['anc_ingest_latency_bucket{le="+Inf"}']
-        assert inf == samples["anc_ingest_latency_count"] == 8.0
+        # Each source's summary: its own window quantiles and lifetime
+        # totals, under its own labels.
+        shard0 = 'role="worker",shard="0"'
+        assert samples[f'anc_ingest_latency{{{shard0},quantile="0.5"}}'] == 0.001
+        assert samples[f"anc_ingest_latency_count{{{shard0}}}"] == 4.0
+        assert samples[f"anc_ingest_latency_sum{{{shard0}}}"] == pytest.approx(0.004)
+        assert samples['anc_ingest_latency{role="worker",shard="1",quantile="0.99"}'] == 0.004
+
+    def test_scrape_stays_valid_after_a_window_wraps(self):
+        """A histogram keeps its last 8,192 observations; its summary
+        still reports the lifetime count beside the window's quantiles,
+        and no bucket series exists to fall when the window moves."""
+
+        def source(labels, values):
+            registry = MetricsRegistry()
+            hist = registry.histogram("ingest_latency")
+            for value in values:
+                hist.observe(value)
+            return labels, registry.snapshot(rate_key=None)
+
+        wrapped = {"role": "worker", "shard": "0"}
+        sources = [
+            source(wrapped, [0.001] * 10_000),
+            source({"role": "worker", "shard": "1"}, [0.002, 0.003]),
+        ]
+        text = render_prometheus(sources, namespace="anc")
+        samples, typed = parse_prometheus(text)
+        assert typed["anc_ingest_latency"] == "summary"
+        label = 'role="worker",shard="0"'
+        assert samples[f"anc_ingest_latency_count{{{label}}}"] == 10000.0
+        for quantile in ("0.5", "0.9", "0.99"):
+            key = f'anc_ingest_latency{{{label},quantile="{quantile}"}}'
+            assert samples[key] == 0.001
+        assert samples['anc_ingest_latency_count{role="worker",shard="1"}'] == 2.0
+        assert "_bucket" not in text
 
     def test_empty_sources(self):
-        assert render_prometheus_federated([]) == ""
+        assert render_prometheus([]) == ""
         doc = federate_snapshots([])
         assert doc["counters"] == {} and doc["gauges"] == {}
 
@@ -819,7 +910,7 @@ class TestFleetExport:
         # client -> router -> worker, hand-rolled in trace_fetch shape.
         return [
             {
-                "pid": 100, "name": "client",
+                "pid": 100, "process": "client",
                 "spans": [
                     {"name": "client.clusters", "start": 10.0, "dur": 0.5,
                      "depth": 0, "tid": 1, "args": {},
@@ -827,7 +918,7 @@ class TestFleetExport:
                 ],
             },
             {
-                "pid": 200, "name": "router",
+                "pid": 200, "process": "router",
                 "spans": [
                     {"name": "router.clusters", "start": 10.1, "dur": 0.3,
                      "depth": 0, "tid": 1, "args": {},
@@ -835,7 +926,7 @@ class TestFleetExport:
                 ],
             },
             {
-                "pid": 300, "name": "shard-0",
+                "pid": 300, "process": "shard-0",
                 "spans": [
                     {"name": "server.clusters", "start": 10.2, "dur": 0.1,
                      "depth": 0, "tid": 1, "args": {},
@@ -859,6 +950,22 @@ class TestFleetExport:
         # Two parent->child links, one "s" + one "f" each.
         assert len(flows) == 4
         assert {f["id"] for f in flows} == {"c.1->r.1", "r.1->w.1"}
+
+    def test_lanes_are_named_by_process(self):
+        """Lanes take the ``process`` name every ``trace_fetch`` entry
+        carries, not a positional placeholder."""
+        doc = fleet_chrome_trace(
+            [
+                {"pid": 11, "process": "router", "spans": []},
+                {"pid": 12, "process": "shard-0", "spans": []},
+            ]
+        )
+        lanes = {
+            e["pid"]: e["args"]["name"]
+            for e in doc["traceEvents"]
+            if e["name"] == "process_name"
+        }
+        assert lanes == {11: "router", 12: "shard-0"}
 
     def test_trace_id_filter_drops_engine_spans(self):
         doc = fleet_chrome_trace(self._processes(), trace_id="t1")

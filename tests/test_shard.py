@@ -9,11 +9,8 @@ engine over the whole graph and the whole stream would say.
 from __future__ import annotations
 
 import io
-import random
-
-import pytest
-
 import os
+import random
 import signal
 import socket
 import subprocess
@@ -21,13 +18,15 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main as cli_main
 from repro.core.anc import make_engine
 from repro.faults.chaos import (
     SHARD_PARAMS,
-    build_shard_workload,
     RouterThread,
     ServerThread,
+    build_shard_workload,
 )
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.graph.generators import barbell_graph, planted_partition

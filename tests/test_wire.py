@@ -8,6 +8,8 @@ line — are driven deterministically.  The front-end tests put a real
 stop an :class:`ANCServer` the same way.
 """
 
+# anclint: disable=protocol-conformance — the scripted Peer answers a test-only protocol (echo, slow, never, big, eof, list) that exists to drive Upstream's failure paths, not the fleet's ops
+
 from __future__ import annotations
 
 import asyncio
