@@ -30,7 +30,7 @@ def start_server(edgelist: Path, data_dir: Path) -> subprocess.Popen:
             sys.executable, "-m", "repro.cli", "serve", str(edgelist),
             "--port", "0", "--data-dir", str(data_dir),
             "--rep", "1", "--pyramids", "2", "--batch-size", "32",
-            "--checkpoint-every", "200", "--metrics-interval", "0",
+            "--checkpoint-every", "200",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,

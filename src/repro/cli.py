@@ -250,9 +250,7 @@ def cmd_stream(args: argparse.Namespace, out: IO[str]) -> int:
             )
         if args.metrics_out:
             with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                json.dump(
-                    obs.registry.snapshot(rate_key=None), fh, indent=2, sort_keys=True
-                )
+                json.dump(obs.registry.snapshot(), fh, indent=2, sort_keys=True)
                 fh.write("\n")
             print(f"wrote metrics snapshot to {args.metrics_out}", file=out)
     return 0
@@ -422,7 +420,6 @@ def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
         args,
         host=args.host,
         port=args.port,
-        metrics_interval=args.metrics_interval,
         role=args.role,
         primary_host=primary_host,
         primary_port=primary_port,
@@ -758,8 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "when the server stops")
     p_serve.add_argument("--checkpoint-every", type=int, default=2000,
                          help="checkpoint after this many applied activations")
-    p_serve.add_argument("--metrics-interval", type=float, default=30.0,
-                         help="metrics log-line period in seconds (0 = off)")
     p_serve.add_argument(
         "--role", choices=("primary", "follower"), default="primary",
         help="primary = writable; follower = warm standby replicating "

@@ -974,10 +974,7 @@ def _await(check: Callable[[], bool], *, timeout: float, what: str) -> None:
 
 
 def _counters(served: FrontEnd) -> Dict[str, float]:
-    return {
-        name: float(counter.value)
-        for name, counter in served.metrics.counters().items()
-    }
+    return served.metrics.snapshot()["counters"]  # type: ignore[return-value]
 
 
 def _retry(scenario: Scenario, seed: int) -> RetryPolicy:
@@ -1087,7 +1084,6 @@ class _Fleet:
         self, name: str, plan: Optional[FaultPlan], **role: object
     ) -> ServingThread[ANCServer]:
         config = ServerConfig(
-            metrics_interval=0.0,
             data_dir=self.cell.path / name,
             checkpoint_every=CHECKPOINT_EVERY,
             faults=plan,

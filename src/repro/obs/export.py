@@ -77,11 +77,14 @@ def render_prometheus(sources: Sequence[Source], *, namespace: str = "") -> str:
     Counters get the conventional ``_total`` suffix and gauges render
     as-is.  Each histogram becomes a summary of its own source's window
     (quantiles 0.5 / 0.9 / 0.99) plus its exact lifetime ``_sum`` and
-    ``_count``; nothing merges across sources, so a scraper sees the
-    same series as if it had scraped every process itself (and can sum
-    ``_sum`` / ``_count`` over sources for a fleet mean).  Every sample
-    carries its source's labels, and all samples of one metric follow
-    its single ``# TYPE`` line, in first-seen order.
+    ``_count``; a histogram that was never observed has no quantiles,
+    so they read ``NaN`` (as Prometheus client libraries write them)
+    rather than a 0 s latency.  Nothing merges across sources, so a
+    scraper sees the same series as if it had scraped every process
+    itself (and can sum ``_sum`` / ``_count`` over sources for a fleet
+    mean).  Every sample carries its source's labels, and all samples
+    of one metric follow its single ``# TYPE`` line, in first-seen
+    order.
     """
     blocks: Dict[str, List[str]] = {}
     for section, kind in (
@@ -102,9 +105,11 @@ def render_prometheus(sources: Sequence[Source], *, namespace: str = "") -> str:
                 if kind != "summary":
                     lines.append(f"{metric}{plain} {_fmt(value)}")
                     continue
+                observed = value["count"] > 0
                 for quantile, key in _QUANTILES:
                     labeled = _braced(label_str, f'quantile="{quantile:g}"')
-                    lines.append(f"{metric}{labeled} {_fmt(value[key])}")
+                    sample = _fmt(value[key]) if observed else "NaN"
+                    lines.append(f"{metric}{labeled} {sample}")
                 lines.append(f"{metric}_sum{plain} {_fmt(value['sum'])}")
                 lines.append(f"{metric}_count{plain} {_fmt(value['count'])}")
     text = "\n".join(line for lines in blocks.values() for line in lines)

@@ -4,27 +4,25 @@ Stdlib-only on purpose (no layer of this repo adds dependencies).
 Every instrument is cheap to update on the hot path — a counter is one
 float add, a histogram observation is one deque append — and the
 registry renders everything into a plain JSON-able dict on demand, which
-the server exposes through the ``metrics`` op, the Prometheus
+the server exposes through the ``metrics`` op and the Prometheus
 ``metrics_text`` op (:func:`repro.obs.export.render_prometheus` renders
-that dict) and a periodic log line.
+that dict).
 
 Histograms keep a bounded window of recent observations (default 8192)
 rather than full reservoir sampling: percentiles answer "what is query
 latency *now*", which is what an operator watching a live service wants,
 and the bound keeps memory flat regardless of uptime.
 
-Rates are **per-consumer**: every snapshot caller names the rate window
-it owns (``rate_key``), so the operator log line, a polling dashboard
-and an ad-hoc ``metrics`` op never reset each other's deltas.  Passing
-``rate_key=None`` takes a fully read-only snapshot whose rates are
-lifetime averages (no window state is touched at all).
+Reading is pure: :meth:`MetricsRegistry.snapshot` changes nothing, so
+any number of readers can poll one registry.  Rates are the reader's to
+derive, from the deltas of two snapshots (Prometheus does it from the
+``_total`` series).
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
-import time
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -79,12 +77,13 @@ class Gauge:
 
 
 class Histogram:
-    """Sliding-window distribution with percentile queries.
+    """Sliding-window distribution with lifetime totals.
 
-    Tracks the lifetime count/sum exactly; percentiles are computed over
-    the most recent ``window`` observations.  All read paths (``count``,
-    ``mean``, ``sum``, :meth:`summary`) take the lock, so a reader racing
-    an :meth:`observe` never sees a count/sum pair from two different
+    Tracks the lifetime count/sum exactly; :meth:`summary` computes
+    nearest-rank percentiles over the most recent ``window``
+    observations.  All read paths (``count``, ``mean``, ``sum``,
+    :meth:`summary`) take the lock, so a reader racing an
+    :meth:`observe` never sees a count/sum pair from two different
     observations.
     """
 
@@ -119,21 +118,6 @@ class Histogram:
     def mean(self) -> float:
         with self._lock:
             return self._sum / self._count if self._count else 0.0
-
-    def percentile(self, p: float) -> float:
-        """The ``p``-th percentile (0..100) of the recent window (0.0 when empty).
-
-        Nearest-rank on the sorted window — exact for the data it holds,
-        no interpolation surprises in the tails.
-        """
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        with self._lock:
-            data = sorted(self._window)
-        if not data:
-            return 0.0
-        rank = max(0, min(len(data) - 1, int(round(p / 100.0 * (len(data) - 1)))))
-        return data[rank]
 
     def bucket_counts(self) -> List[float]:
         """Window observation counts per shared log-scale bucket.
@@ -177,22 +161,12 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named instruments plus snapshot/log-line rendering.
-
-    ``snapshot()`` additionally derives a ``*_per_s`` rate for every
-    counter from the delta since the *same consumer's* previous snapshot
-    (identified by ``rate_key``), so concurrent consumers — the periodic
-    operator log line, a polling client, the ``metrics`` op — never
-    corrupt each other's rate baselines.
-    """
+    """Named instruments and one pure read of them all (:meth:`snapshot`)."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._started = time.monotonic()
-        #: rate_key -> (last snapshot time, counter values at that time).
-        self._rate_windows: Dict[str, Tuple[float, Dict[str, float]]] = {}
 
     # -- instrument factories (idempotent by name) -----------------------
     def counter(self, name: str) -> Counter:
@@ -209,79 +183,29 @@ class MetricsRegistry:
             gauge._fn = fn
         return gauge
 
-    def histogram(self, name: str, *, window: int = 8192) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         hist = self._histograms.get(name)
         if hist is None:
-            hist = self._histograms[name] = Histogram(name, window=window)
+            hist = self._histograms[name] = Histogram(name)
         return hist
 
-    # -- instrument views (exposition renderers read these) ---------------
-    def counters(self) -> Dict[str, Counter]:
-        """Name-sorted view of the registered counters."""
-        return {name: self._counters[name] for name in sorted(self._counters)}
+    def snapshot(self) -> Dict[str, object]:
+        """Every instrument as one JSON-able ``{counters, gauges,
+        histograms}`` dict, each section sorted by name.
 
-    def gauges(self) -> Dict[str, Gauge]:
-        """Name-sorted view of the registered gauges."""
-        return {name: self._gauges[name] for name in sorted(self._gauges)}
-
-    def histograms(self) -> Dict[str, Histogram]:
-        """Name-sorted view of the registered histograms."""
-        return {name: self._histograms[name] for name in sorted(self._histograms)}
-
-    # -- rendering --------------------------------------------------------
-    def snapshot(self, *, rate_key: Optional[str] = "default") -> Dict[str, object]:
-        """One JSON-able dict of everything, with per-counter rates.
-
-        ``rate_key`` names the rate window this caller owns: the
-        ``*_per_s`` figures are deltas since the previous snapshot taken
-        *with the same key*, and only that window is advanced.  Pass
-        ``None`` for a read-only snapshot (rates become lifetime
-        averages; no registry state changes at all).
+        A pure read: two snapshots with no instrument change between
+        them are equal.  Each histogram is its :meth:`Histogram.summary`
+        plus its window's ``buckets``.
         """
-        now = time.monotonic()
-        doc: Dict[str, object] = {"uptime_s": now - self._started}
-        counters: Dict[str, float] = {
-            name: counter.value for name, counter in sorted(self._counters.items())
+        return {
+            "counters": {
+                name: counter.value for name, counter in sorted(self._counters.items())
+            },
+            "gauges": {
+                name: gauge.value for name, gauge in sorted(self._gauges.items())
+            },
+            "histograms": {
+                name: {**hist.summary(), "buckets": hist.bucket_counts()}
+                for name, hist in sorted(self._histograms.items())
+            },
         }
-        if rate_key is None:
-            last_at, last_values = self._started, {}
-        else:
-            last_at, last_values = self._rate_windows.get(
-                rate_key, (self._started, {})
-            )
-        elapsed = max(1e-9, now - last_at)
-        rates: Dict[str, float] = {
-            name + "_per_s": (value - last_values.get(name, 0.0)) / elapsed
-            for name, value in counters.items()
-        }
-        if rate_key is not None:
-            self._rate_windows[rate_key] = (now, dict(counters))
-        doc["counters"] = counters
-        doc["rates"] = rates
-        doc["gauges"] = {
-            name: gauge.value for name, gauge in sorted(self._gauges.items())
-        }
-        doc["histograms"] = {
-            name: {**hist.summary(), "buckets": hist.bucket_counts()}
-            for name, hist in sorted(self._histograms.items())
-        }
-        return doc
-
-    def log_line(self) -> str:
-        """A compact one-line rendering for the periodic operator log.
-
-        Owns its own rate window (``"log"``), so clients snapshotting the
-        registry never skew the logged ``*_per_s`` figures.
-        """
-        doc = self.snapshot(rate_key="log")
-        parts: List[str] = [f"up={doc['uptime_s']:.0f}s"]
-        for name, rate in doc["rates"].items():  # type: ignore[union-attr]
-            parts.append(f"{name}={rate:.1f}")
-        for name, value in doc["gauges"].items():  # type: ignore[union-attr]
-            parts.append(f"{name}={value:g}")
-        for name, summary in doc["histograms"].items():  # type: ignore[union-attr]
-            parts.append(
-                f"{name}[p50={summary['p50'] * 1e3:.1f}ms "
-                f"p99={summary['p99'] * 1e3:.1f}ms]"
-            )
-        return " ".join(parts)

@@ -708,9 +708,9 @@ class ServiceClient:
     def stats(self) -> Dict[str, object]:
         return self.request("stats")["stats"]  # type: ignore[return-value]
 
-    def metrics(self, *, rate_key: Optional[str] = None) -> Dict[str, object]:
-        """The metrics snapshot (read-only unless a ``rate_key`` is given)."""
-        return self.request("metrics", rate_key=rate_key)["metrics"]  # type: ignore[return-value]
+    def metrics(self) -> Dict[str, object]:
+        """The node's registry snapshot: ``{counters, gauges, histograms}``."""
+        return self.request("metrics")["metrics"]  # type: ignore[return-value]
 
     def metrics_text(self, *, namespace: Optional[str] = None) -> str:
         """Server Prometheus exposition plus this client's own samples."""

@@ -12,7 +12,7 @@ Wiring (one of everything):
                          │                                    │
                          └──────── queries ◄── PublishedState ┘
     WAL append on ingest; periodic checkpoints through the host's
-    writer thread; periodic metrics log line.
+    writer thread.
 
 Every server is durable.  On startup it first recovers from its data
 directory: newest complete checkpoint + WAL tail replay (see
@@ -212,8 +212,6 @@ class ServerConfig:
     data_dir: Optional[Union[str, Path]] = None
     #: Checkpoint after this many applied activations (0 = only on shutdown).
     checkpoint_every: int = 2000
-    #: Period of the metrics log line (0 = disabled).
-    metrics_interval: float = 30.0
     #: Queue depth at which ingest *sheds* with a typed ``RETRY_AFTER``
     #: instead of delaying the acknowledgement (0 = never shed).
     shed_watermark: int = 0
@@ -400,16 +398,11 @@ class ANCServer(FrontEnd):
     # Front-end steps
     # ------------------------------------------------------------------
     async def _on_start(self) -> None:
-        """Start the writer, the metrics log line and, on a follower, the
-        replication link."""
+        """Start the writer and, on a follower, the replication link."""
         if self.config.profile:
             self.profiler.start()
         self._run_task = asyncio.create_task(self.host.run())
         self._run_task.add_done_callback(self._writer_done)
-        if self.config.metrics_interval > 0:
-            self._background.append(
-                asyncio.create_task(self._metrics_loop(self.config.metrics_interval))
-            )
         if self.role == "follower" and self.config.primary_host is not None:
             # Deferred import: repro.replica builds on this module.
             from ..replica.link import ReplicationLink
@@ -489,11 +482,6 @@ class ANCServer(FrontEnd):
             return
         log.error("the writer failed", exc_info=task.exception())
         self._crash()
-
-    async def _metrics_loop(self, interval: float) -> None:
-        while True:
-            await asyncio.sleep(interval)
-            log.info("metrics %s", self.metrics.log_line())
 
     # -- connection hooks: fault sites, crash, degraded accounting -----
     async def _on_connect(self) -> None:

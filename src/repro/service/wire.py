@@ -313,19 +313,11 @@ class FrontEnd:
         return {"stopping": True}
 
     async def _op_metrics(self, request: Dict[str, object]) -> Dict[str, object]:
-        # Read-only by default: a polling client must not reset anyone
-        # else's rate window (notably the operator log line's).  Clients
-        # that want delta rates pass their own ``rate_key``.
-        rate_key = request.get("rate_key")
-        return {
-            "metrics": self.metrics.snapshot(
-                rate_key=str(rate_key) if rate_key is not None else None
-            )
-        }
+        return {"metrics": self.metrics.snapshot()}
 
     async def _op_metrics_text(self, request: Dict[str, object]) -> Dict[str, object]:
         namespace = str(request.get("namespace", "anc"))
-        snapshot = self.metrics.snapshot(rate_key=None)
+        snapshot = self.metrics.snapshot()
         return {"text": render_prometheus([({}, snapshot)], namespace=namespace)}
 
     async def _op_trace(self, request: Dict[str, object]) -> Dict[str, object]:

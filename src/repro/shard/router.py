@@ -40,7 +40,7 @@ import itertools
 import os
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 from ..index.pyramid import levels_for
 from ..obs.export import Source, federate_snapshots, render_prometheus, trace_op
@@ -225,13 +225,12 @@ class ShardRouter(FrontEnd):
         """One routed worker call; raises the mapped typed fault on error."""
         start = time.monotonic()
         op = str(payload.get("op"))
-        with self.tracer.span("router.forward", shard=shard, op=op):
-            # Propagate the request's trace context into the worker hop:
-            # a sampled context records a ``router.forward`` wire span
-            # and the stamped child makes the worker's ``server.<op>``
-            # span its child; an unsampled one propagates ids only.
-            with self.tracer.wire_span("router.forward", op=op, shard=shard):
-                response = await self._request(shard, payload, action)
+        # Propagate the request's trace context into the worker hop: a
+        # sampled context records a ``router.forward`` wire span and the
+        # stamped child makes the worker's ``server.<op>`` span its
+        # child; an unsampled one propagates ids only.
+        with self.tracer.wire_span("router.forward", op=op, shard=shard):
+            response = await self._request(shard, payload, action)
         self._h_forward.observe(time.monotonic() - start)
         if not response.get("ok", False):
             raise self._worker_fault(shard, response)
@@ -318,7 +317,10 @@ class ShardRouter(FrontEnd):
 
         start = time.monotonic()
         timeout = self.config.fanout_timeout or None
-        with self.tracer.span("router.scatter", op=op, shards=self.shards):
+        # The arms are tasks created under the scatter's wire span, so
+        # each copies its bound context: every ``router.forward`` is a
+        # child of this ``router.scatter``.
+        with self.tracer.wire_span("router.scatter", op=op, shards=self.shards):
             tasks = [asyncio.create_task(arm(s)) for s in range(self.shards)]
             try:
                 answers = await asyncio.wait_for(asyncio.gather(*tasks), timeout)
@@ -523,9 +525,7 @@ class ShardRouter(FrontEnd):
         merged["shard_map_digest"] = self.shard_map.digest()
         return {"stats": merged}
 
-    async def _metric_sources(
-        self, rate_key: object
-    ) -> Tuple[List[Source], Dict[str, object]]:
+    async def _metric_sources(self) -> List[Source]:
         """Labeled registry snapshots of the whole fleet (router first).
 
         The labels are what makes the federation sound: each worker's
@@ -533,38 +533,21 @@ class ShardRouter(FrontEnd):
         ``shard="1"``) instead of collapsing into a meaningless sum —
         see :func:`repro.obs.export.federate_snapshots`.
         """
-        answers = await self._scatter(
-            "metrics",
-            {"op": "metrics", "rate_key": rate_key},
-        )
-        sources: List[Source] = [
-            (
-                {"role": "router"},
-                self.metrics.snapshot(
-                    rate_key=str(rate_key) if rate_key is not None else None
-                ),
-            )
-        ]
-        per_shard: Dict[str, object] = {}
+        answers = await self._scatter("metrics", {"op": "metrics"})
+        sources: List[Source] = [({"role": "router"}, self.metrics.snapshot())]
         for shard in sorted(answers):
             doc = answers[shard].get("metrics")
             if isinstance(doc, Mapping):
                 sources.append(({"role": "worker", "shard": str(shard)}, doc))
-                per_shard[str(shard)] = doc
-        return sources, per_shard
+        return sources
 
     async def _op_metrics(self, request: Dict) -> Dict[str, object]:
-        rate_key = request.get("rate_key")
-        sources, per_shard = await self._metric_sources(rate_key)
-        return {
-            "metrics": federate_snapshots(sources),
-            "per_shard": per_shard,
-        }
+        return {"metrics": federate_snapshots(await self._metric_sources())}
 
     async def _op_metrics_text(self, request: Dict) -> Dict[str, object]:
         """One Prometheus scrape for the whole fleet, every source labeled."""
         namespace = str(request.get("namespace", "anc"))
-        sources, _ = await self._metric_sources(request.get("rate_key"))
+        sources = await self._metric_sources()
         return {"text": render_prometheus(sources, namespace=namespace)}
 
     async def _op_trace(self, request: Dict) -> Dict[str, object]:

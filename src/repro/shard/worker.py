@@ -228,8 +228,7 @@ class ShardDeployment:
     ``config`` is every worker's :class:`ServerConfig`, read per worker:
     ``data_dir`` is the root each worker persists under (``shard-<i>``;
     ``None`` = a throwaway root, removed by :meth:`stop`), ``shard_id``
-    and a free port are filled in, the metrics log line is off (the
-    router federates worker metrics) and fault plans come from
+    and a free port are filled in, and fault plans come from
     ``fault_specs``.
     """
 
@@ -262,7 +261,6 @@ class ShardDeployment:
                 config,
                 port=0,
                 data_dir=str(Path(root) / f"shard-{shard}"),
-                metrics_interval=0.0,
                 shard_id=shard,
                 faults=None,
             )

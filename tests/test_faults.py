@@ -471,7 +471,7 @@ class TestCircuitBreaker:
 
 def serve(graph, plan=None, **config_kwargs):
     config = ServerConfig(
-        port=0, engine="anco", metrics_interval=0.0, faults=plan, **config_kwargs
+        port=0, engine="anco", faults=plan, **config_kwargs
     )
     return ServerThread(graph, config=config, params=QUICK_PARAMS)
 
@@ -542,7 +542,7 @@ class TestEndToEndResilience:
                 assert stats["degraded"] is True
             finally:
                 client.close()
-            counters = handle.server.metrics.snapshot(rate_key=None)["counters"]
+            counters = handle.server.metrics.snapshot()["counters"]
             assert counters["ingest_shed"] >= 1
 
     def test_shed_recovers_with_retrying_client(self):
@@ -587,7 +587,7 @@ class TestEndToEndResilience:
                 stats = client.stats()
             finally:
                 client.close()
-            counters = handle.server.metrics.snapshot(rate_key=None)["counters"]
+            counters = handle.server.metrics.snapshot()["counters"]
             assert counters["slow_reader_evictions"] == 1
             assert stats["degraded"] is True
 
@@ -602,7 +602,7 @@ class TestEndToEndResilience:
                 assert client.sync() == 15
             finally:
                 client.close()
-            counters = handle.server.metrics.snapshot(rate_key=None)["counters"]
+            counters = handle.server.metrics.snapshot()["counters"]
             assert counters["ingest_dedup_hits"] == 1
 
     def test_degraded_flag_clears(self, monkeypatch):

@@ -2,8 +2,8 @@
 
 Covers the PR's required surface:
 
-* instrument fixes — per-consumer rate windows (a polling reader no
-  longer corrupts the log line's deltas) and torn-read-free histograms;
+* instruments — a registry snapshot that is a pure read, and
+  torn-read-free histograms;
 * the span tracer — nesting, deterministic sampling, ring-buffer bound,
   and the disabled no-op fast path;
 * exposition goldens — Prometheus text (validated with a test-side
@@ -108,69 +108,23 @@ def drive(engine, graph, labels, *, timestamps=6):
 
 
 # ----------------------------------------------------------------------
-# Instruments: per-consumer rate windows (the snapshot-corruption fix)
+# Instruments
 # ----------------------------------------------------------------------
 
-class FakeTime:
-    """Stand-in for the ``time`` module with a controllable monotonic."""
-
-    def __init__(self, at=100.0):
-        self.at = at
-
-    def monotonic(self):
-        return self.at
-
-
-class TestRateWindows:
-    def _registry(self, monkeypatch):
-        from repro.obs import instruments
-
-        clock = FakeTime()
-        monkeypatch.setattr(instruments, "time", clock)
-        return MetricsRegistry(), clock
-
-    def test_each_consumer_owns_its_window(self, monkeypatch):
-        registry, clock = self._registry(monkeypatch)
-        counter = registry.counter("acts")
-        counter.inc(10)
-        clock.at = 101.0
-        assert registry.snapshot(rate_key="a")["rates"]["acts_per_s"] == 10.0
-        counter.inc(6)
-        clock.at = 103.0
-        # A different consumer sees the delta since *its* last snapshot
-        # (none -> registry start), not since consumer "a" looked.
-        assert registry.snapshot(rate_key="b")["rates"]["acts_per_s"] == pytest.approx(16 / 3)
-        # Consumer "a" still measures from t=101: (16-10)/(103-101).
-        assert registry.snapshot(rate_key="a")["rates"]["acts_per_s"] == 3.0
-
-    def test_read_only_snapshot_never_advances_windows(self, monkeypatch):
-        """The regression the PR fixes: a polling ``metrics`` op used to
-        reset the shared rate baseline, zeroing the operator log line's
-        deltas.  Read-only snapshots must leave every window untouched."""
-        registry, clock = self._registry(monkeypatch)
-        counter = registry.counter("acts")
-        counter.inc(8)
-        clock.at = 102.0
-        assert registry.snapshot(rate_key="log")["rates"]["acts_per_s"] == 4.0
-        counter.inc(4)
-        clock.at = 103.0
-        # Hammer the read-only path in between, as a polling client would.
-        for _ in range(5):
-            doc = registry.snapshot(rate_key=None)
-            # Lifetime average: 12 counts over 3 seconds of uptime.
-            assert doc["rates"]["acts_per_s"] == 4.0
-        clock.at = 104.0
-        # The log consumer's delta covers everything since *its* last
-        # snapshot at t=102 — the polling reads did not steal it.
-        assert registry.snapshot(rate_key="log")["rates"]["acts_per_s"] == 2.0
-
-    def test_log_line_uses_its_own_window(self, monkeypatch):
-        registry, clock = self._registry(monkeypatch)
-        registry.counter("acts").inc(5)
-        clock.at = 101.0
-        registry.snapshot(rate_key="client")  # someone else polls first
-        clock.at = 105.0
-        assert "acts_per_s=1.0" in registry.log_line()
+class TestRegistry:
+    def test_snapshot_is_a_pure_read(self):
+        """One read of the registry: exactly its three sections, and no
+        reader state, so reading twice with nothing observed in between
+        answers the same document."""
+        registry = MetricsRegistry()
+        registry.counter("acts").inc(3)
+        registry.gauge("depth").set(2.0)
+        registry.histogram("lat").observe(0.5)
+        first = registry.snapshot()
+        assert set(first) == {"counters", "gauges", "histograms"}
+        assert registry.snapshot() == first
+        registry.counter("acts").inc()
+        assert registry.snapshot()["counters"]["acts"] == 4.0
 
 
 class TestHistogram:
@@ -205,9 +159,9 @@ class TestHistogram:
         assert summary["count"] == 100.0
         assert summary["mean"] == pytest.approx(50.5)
         assert summary["p50"] == pytest.approx(50.0, abs=1.0)
+        assert summary["p90"] == 90.0  # nearest rank on the sorted window
+        assert summary["p99"] == 99.0
         assert summary["max"] == 100.0
-        assert hist.percentile(0) == 1.0
-        assert hist.percentile(100) == 100.0
 
     def test_window_bound_keeps_lifetime_totals(self):
         hist = Histogram("lat", window=4)
@@ -215,7 +169,9 @@ class TestHistogram:
             hist.observe(v)
         assert hist.count == 6
         assert hist.sum == 21.0
-        assert hist.percentile(0) == 3.0  # 1.0 and 2.0 fell off the window
+        # 1.0 and 2.0 fell off the window: its median is 5.0 where all
+        # six observations' would be 3.0.
+        assert hist.summary()["p50"] == 5.0
 
     def test_empty_summary(self):
         summary = Histogram("lat").summary()
@@ -317,7 +273,7 @@ class TestExposition:
         for v in (0.1, 0.2, 0.3):
             hist.observe(v)
         text = render_prometheus(
-            [({}, registry.snapshot(rate_key=None))], namespace="anc"
+            [({}, registry.snapshot())], namespace="anc"
         )
         samples, typed = parse_prometheus(text)
         assert samples["anc_acts_ingested_total"] == 7.0
@@ -338,7 +294,7 @@ class TestExposition:
         for v in (0.25, 0.5):
             hist.observe(v)
         text = render_prometheus(
-            [({}, registry.snapshot(rate_key=None))], namespace="anc"
+            [({}, registry.snapshot())], namespace="anc"
         )
         assert text == (
             "# TYPE anc_acts_total counter\n"
@@ -354,7 +310,25 @@ class TestExposition:
         )
 
     def test_prometheus_empty_registry(self):
-        assert render_prometheus([({}, MetricsRegistry().snapshot(rate_key=None))]) == ""
+        assert render_prometheus([({}, MetricsRegistry().snapshot())]) == ""
+
+    def test_unobserved_histogram_scrapes_nan_quantiles(self):
+        """A path that never ran has no latency: its quantiles read NaN,
+        not 0.0, beside a zero ``_count`` (the JSON summary keeps 0.0)."""
+        registry = MetricsRegistry()
+        registry.histogram("lat")
+        text = render_prometheus([({}, registry.snapshot())], namespace="anc")
+        assert text == (
+            "# TYPE anc_lat summary\n"
+            'anc_lat{quantile="0.5"} NaN\n'
+            'anc_lat{quantile="0.9"} NaN\n'
+            'anc_lat{quantile="0.99"} NaN\n'
+            "anc_lat_sum 0.0\n"
+            "anc_lat_count 0.0\n"
+        )
+        samples, typed = parse_prometheus(text)
+        assert typed["anc_lat"] == "summary"
+        assert samples["anc_lat_count"] == 0.0
 
     def test_phase_breakdown(self):
         tracer = Tracer(enabled=True)
@@ -420,11 +394,11 @@ class TestEngineIntegration:
         obs = enabled_obs()
         engine = ANCO(graph, quick_params, obs=obs)
         acts = drive(engine, graph, labels, timestamps=4)
-        gauges = obs.registry.gauges()
-        assert gauges["engine_activations"].value == float(len(acts))
-        assert gauges["index_updates"].value == float(engine.index.update_count)
+        gauges = obs.registry.snapshot()["gauges"]
+        assert gauges["engine_activations"] == float(len(acts))
+        assert gauges["index_updates"] == float(engine.index.update_count)
         per_level = sum(
-            gauges[f"index_level{level}_touched"].value
+            gauges[f"index_level{level}_touched"]
             for level in range(1, engine.index.num_levels + 1)
         )
         assert per_level == float(engine.index.total_touched)
@@ -545,19 +519,30 @@ class TestServiceObservability:
             items = [[a.u, a.v, a.t] for a in acts]
             await rpc(reader, writer, op="ingest_batch", items=items)
             await rpc(reader, writer, op="sync")
-            for _ in range(3):
-                await rpc(reader, writer, op="metrics")
-            assert server.metrics._rate_windows == {}
-            keyed = await rpc(reader, writer, op="metrics", rate_key="mine")
-            assert "mine" in server.metrics._rate_windows
-            return keyed
+            answers = [await rpc(reader, writer, op="metrics") for _ in range(3)]
+            # The op reads no request field; an unknown one is ignored.
+            answers.append(await rpc(reader, writer, op="metrics", rate_key="mine"))
+            return [answer["metrics"] for answer in answers]
 
-        keyed = run_server_scenario(
+        docs = run_server_scenario(
             scenario, graph_and_labels=small_planted, params=quick_params
         )
-        assert keyed["metrics"]["counters"]["activations_ingested"] == float(
-            len(acts)
-        )
+        for doc in docs:
+            assert set(doc) == {"counters", "gauges", "histograms"}
+            assert doc["counters"]["activations_ingested"] == float(len(acts))
+        # Reading changes nothing but the request counter every request
+        # bumps: each answer is its predecessor plus one request (and a
+        # later reading of ``snapshot_age_s``, which is a clock).
+        def steady(gauges):
+            return {k: v for k, v in gauges.items() if k != "snapshot_age_s"}
+
+        for before, after in zip(docs, docs[1:]):
+            bumped = dict(before["counters"])
+            bumped["server_requests"] += 1.0
+            assert after["counters"] == bumped
+            assert set(after["gauges"]) == set(before["gauges"])
+            assert steady(after["gauges"]) == steady(before["gauges"])
+            assert after["histograms"] == before["histograms"]
 
 
 # ----------------------------------------------------------------------
@@ -615,7 +600,7 @@ class TestCliStats:
         """``repro-anc stats`` prints the node's own scrape: the same
         metrics as a ``metrics_text`` request, and no client samples."""
         graph, _ = small_planted
-        config = ServerConfig(port=0, engine="anco", metrics_interval=0.0)
+        config = ServerConfig(port=0, engine="anco")
         with ServerThread(graph, config=config, params=quick_params) as handle:
             out = io.StringIO()
             assert main(["stats", "--port", str(handle.port)], out) == 0
@@ -813,7 +798,7 @@ class TestFederation:
             hist = registry.histogram("ingest_latency")
             for value in values:
                 hist.observe(value)
-            return labels, registry.snapshot(rate_key=None)
+            return labels, registry.snapshot()
 
         wrapped = {"role": "worker", "shard": "0"}
         sources = [

@@ -55,7 +55,7 @@ def make_workload(seed=5, *, nodes=30, timestamps=8):
 
 def serve(graph, **config_kwargs):
     config = ServerConfig(
-        port=0, engine="anco", metrics_interval=0.0, **config_kwargs
+        port=0, engine="anco", **config_kwargs
     )
     return ServerThread(graph, config=config, params=QUICK_PARAMS)
 
@@ -99,14 +99,15 @@ def free_dead_port():
 def read_counts(rt, *followers):
     """The router's forwards and read counters, and the queries its
     followers served."""
-    router = rt.router.metrics
-    counters = router.counters()
+    router = rt.router.metrics.snapshot()
+    counters = router["counters"]
     return {
-        "forwards": router.histograms()["readpath_forward_seconds"].count,
-        "follower_reads": counters["readpath_follower_reads"].value,
-        "primary_reads": counters["readpath_primary_reads"].value,
+        "forwards": router["histograms"]["readpath_forward_seconds"]["count"],
+        "follower_reads": counters["readpath_follower_reads"],
+        "primary_reads": counters["readpath_primary_reads"],
         "queries_served": sum(
-            f.server.metrics.counters()["queries_served"].value for f in followers
+            f.server.metrics.snapshot()["counters"]["queries_served"]
+            for f in followers
         ),
     }
 

@@ -59,7 +59,7 @@ def make_workload(seed=3, *, nodes=30, timestamps=8):
 
 def serve(graph, plan=None, **config_kwargs):
     config = ServerConfig(
-        port=0, engine="anco", metrics_interval=0.0, faults=plan, **config_kwargs
+        port=0, engine="anco", faults=plan, **config_kwargs
     )
     return ServerThread(graph, config=config, params=QUICK_PARAMS)
 
@@ -88,7 +88,7 @@ def caught_up(handle, target):
 
 
 def counters(handle):
-    return handle.server.metrics.snapshot(rate_key=None)["counters"]
+    return handle.server.metrics.snapshot()["counters"]
 
 
 def batches_of(stream, size=25):
@@ -556,7 +556,7 @@ class TestLongPoll:
             server = ANCServer(
                 graph,
                 config=ServerConfig(
-                    port=0, metrics_interval=0.0, data_dir=tmp_path / "p"
+                    port=0, data_dir=tmp_path / "p"
                 ),
                 params=QUICK_PARAMS,
             )

@@ -195,19 +195,21 @@ class TestMetrics:
             h.observe(float(v))
         assert h.count == 100
         assert h.mean == pytest.approx(50.5)
-        assert h.percentile(0) == 1.0
-        assert h.percentile(100) == 100.0
-        assert 49.0 <= h.percentile(50) <= 52.0
         summary = h.summary()
+        assert 49.0 <= summary["p50"] <= 52.0
+        assert summary["p50"] <= summary["p90"] <= summary["p99"]
         assert summary["max"] == 100.0
-        assert summary["p99"] >= summary["p50"]
 
     def test_histogram_window_bounds_memory(self):
         h = Histogram("lat", window=10)
         for v in range(1000):
             h.observe(float(v))
         assert h.count == 1000  # lifetime count is exact
-        assert h.percentile(0) == 990.0  # window holds only the tail
+        summary = h.summary()
+        # The window holds only the tail, 990..999: the median of all
+        # 1,000 observations would be about 500.
+        assert 990.0 <= summary["p50"] <= summary["max"] == 999.0
+        assert sum(h.bucket_counts()) == 10.0
 
     def test_registry_snapshot_and_rates(self):
         registry = MetricsRegistry()
@@ -217,25 +219,14 @@ class TestMetrics:
         c.inc(10)
         doc = registry.snapshot()
         assert doc["counters"]["acts"] == 10.0
-        assert doc["rates"]["acts_per_s"] > 0
         assert doc["gauges"]["depth"] == 4.0
         assert doc["histograms"]["lat"]["count"] == 1.0
         json.dumps(doc)  # must be JSON-able as served by the metrics op
-        # Rates are deltas: a second snapshot with no increments is ~0.
-        assert registry.snapshot()["rates"]["acts_per_s"] == pytest.approx(0.0)
 
     def test_registry_idempotent_factories(self):
         registry = MetricsRegistry()
         assert registry.counter("x") is registry.counter("x")
         assert registry.histogram("h") is registry.histogram("h")
-
-    def test_log_line_mentions_instruments(self):
-        registry = MetricsRegistry()
-        registry.counter("acts").inc(5)
-        registry.histogram("flush").observe(0.01)
-        line = registry.log_line()
-        assert "acts_per_s" in line
-        assert "flush[p50=" in line
 
 
 # ----------------------------------------------------------------------
@@ -641,7 +632,7 @@ def run_server_scenario(scenario, *, names=None, config=None, params=None,
         server = ANCServer(
             graph,
             names,
-            config=config or ServerConfig(metrics_interval=0.0),
+            config=config or ServerConfig(),
             params=params or ANCParams(rep=1, k=2, seed=0),
         )
         await server.start()
@@ -1023,7 +1014,7 @@ class TestServerProtocol:
         graph, labels = small_planted
         acts = make_stream(graph, labels, timestamps=5)
         config = ServerConfig(
-            metrics_interval=0.0, data_dir=tmp_path, checkpoint_every=0
+            data_dir=tmp_path, checkpoint_every=0
         )
 
         async def scenario(reader, writer, server):
@@ -1064,7 +1055,7 @@ def start_server_subprocess(edgelist, data_dir, *, stderr=subprocess.DEVNULL):
             "--port", "0", "--data-dir", str(data_dir),
             "--rep", "1", "--pyramids", "2",
             "--batch-size", "32", "--max-latency", "0.02",
-            "--checkpoint-every", "100", "--metrics-interval", "0",
+            "--checkpoint-every", "100",
         ],
         stdout=subprocess.PIPE,
         stderr=stderr,
@@ -1109,7 +1100,7 @@ class TestWriterFailure:
 
         argv = [
             "serve", str(edgelist), "--port", "0", "--data-dir", str(data_dir),
-            "--rep", "1", "--pyramids", "2", "--metrics-interval", "0",
+            "--rep", "1", "--pyramids", "2",
         ]
         result = {}
         thread = threading.Thread(
@@ -1156,7 +1147,7 @@ items = [[u, v, float(i // 8)] for i, (u, v) in enumerate(graph.edges()[:64])]
 async def main():
     server = ANCServer(
         graph, None,
-        config=ServerConfig(data_dir=sys.argv[1], metrics_interval=0.0),
+        config=ServerConfig(data_dir=sys.argv[1]),
         params=ANCParams(rep=1, k=2, seed=0),
     )
     await server.start()

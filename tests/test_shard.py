@@ -353,7 +353,7 @@ class TestScatterGatherOracle:
         single = ServerThread(
             graph,
             names=names,
-            config=ServerConfig(metrics_interval=0.0),
+            config=ServerConfig(),
             params=SHARD_PARAMS,
         )
         with RouterThread(deployment) as router, single:
@@ -592,13 +592,17 @@ class TestFleetObservability:
                 assert fed["gauges"], "fleet document lost its gauges"
                 for name, series in fed["gauges"].items():
                     assert isinstance(series, dict), (name, series)
-                per_shard = doc["per_shard"]
-                expected_depths = {
-                    f'role="worker",shard="{shard}"': float(
-                        per_shard[shard]["gauges"]["queue_depth"]
-                    )
-                    for shard in ("0", "1")
-                }
+                # Each worker's series is that worker's own gauge: the
+                # federation carries every snapshot once, labeled.
+                assert "per_shard" not in doc
+                workers = client.request("shard_map")["shard_map"]["workers"]
+                expected_depths = {}
+                for shard in ("0", "1"):
+                    port = workers[shard]["port"]
+                    with ServiceClient("127.0.0.1", port, timeout=60) as worker:
+                        own = worker.metrics()
+                    label = f'role="worker",shard="{shard}"'
+                    expected_depths[label] = float(own["gauges"]["queue_depth"])
                 assert fed["gauges"]["queue_depth"] == expected_depths
 
                 # Counters *are* summed: events are events.
@@ -618,6 +622,43 @@ class TestFleetObservability:
                 assert 'anc_queue_depth{role="worker",shard="1"}' in text
                 assert text.count("# TYPE anc_queue_depth gauge") == 1
                 assert "\nanc_queue_depth " not in text
+
+    def test_router_records_each_hop_once_under_its_scatter(self, tmp_path):
+        """A sampled ``clusters`` leaves one ``router.scatter`` and one
+        ``router.forward`` per shard in the router's span buffer, all in
+        the request's trace, every forward a child of the scatter.
+
+        The router's tracer is started first (``trace start``): an
+        enabled tracer must not record a second, trace-less copy of a
+        hop, and the unsampled ``trace`` and ``trace_fetch`` scatters
+        must record nothing.
+        """
+        _, _, deployment = self._deploy(tmp_path)
+        with RouterThread(deployment) as router:
+            assert router.port is not None
+            with ServiceClient("127.0.0.1", router.port, timeout=60) as admin:
+                assert admin.trace("start")["enabled"] is True
+                with ServiceClient(
+                    "127.0.0.1", router.port, timeout=60, trace_sample=1.0
+                ) as traced:
+                    traced.clusters()
+                    [root] = [
+                        span for span in traced.trace_spans()
+                        if span["name"] == "client.clusters"
+                    ]
+                entry = admin.trace_fetch()["processes"][0]
+        assert entry["process"] == "router"
+        hops = [
+            span for span in entry["spans"]
+            if span["name"] in ("router.scatter", "router.forward")
+        ]
+        [scatter] = [span for span in hops if span["name"] == "router.scatter"]
+        forwards = [span for span in hops if span["name"] == "router.forward"]
+        assert scatter["args"]["op"] == "clusters"
+        assert sorted(span["args"]["shard"] for span in forwards) == [0, 1]
+        assert {span.get("trace") for span in hops} == {root["trace"]}
+        assert [span["parent"] for span in forwards] == [scatter["span"]] * 2
+        assert {span["depth"] for span in forwards} == {scatter["depth"] + 1}
 
     def test_traced_round_trip_spans_three_processes(self, tmp_path):
         """One traced ingest+clusters round-trip → one connected tree.
@@ -712,7 +753,6 @@ class TestFleetObservability:
             config = ServerConfig(
                 port=0,
                 engine="anco",
-                metrics_interval=0.0,
                 role="follower",
                 primary_host=host,
                 primary_port=port,

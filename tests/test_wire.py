@@ -198,7 +198,7 @@ def _front_end(kind, peer):
     graph, _ = planted_partition(12, 2, p_in=0.6, p_out=0.0, seed=3)
     return ANCServer(
         graph,
-        config=ServerConfig(metrics_interval=0.0),
+        config=ServerConfig(),
         params=ANCParams(rep=1, k=2, seed=0),
     )
 
