@@ -39,11 +39,13 @@ class ArrayPyramidIndex(PyramidIndex):
     """A :class:`PyramidIndex` whose repair hot path runs over flat arrays.
 
     The dict ``_weights`` table remains authoritative for persistence
-    (checkpoint bytes are produced from its insertion order), for the
-    partitions' weight closure (rebuild / consistency checks) and for
-    the parallel updater; ``_w`` is the eid-indexed mirror the inlined
-    repair reads.  :meth:`_store_weight` is the single mutation point
-    that keeps the two in lockstep.
+    (checkpoint bytes are produced from its insertion order) and for the
+    partitions' weight closure (rebuild / consistency checks); ``_w`` is
+    the eid-indexed mirror the inlined repair reads.
+    :meth:`_store_weight` is the single mutation point that keeps the
+    two in lockstep.  A dynamic edge insert repairs through the same
+    inlined loop: the edge is interned in the space, stored at +∞, then
+    decreased to its weight.
     """
 
     def __init__(
@@ -77,7 +79,7 @@ class ArrayPyramidIndex(PyramidIndex):
             self.partitions_with_levels()
         )
         # level -> partition count, ascending — the same key-creation
-        # order the base per-partition `_record_repair` loop produces
+        # order the base class's per-partition repair loop produces
         # (pyramid-major iteration meets each level in ascending order
         # on the first update), so the counter dicts stay key-order
         # identical across backends.

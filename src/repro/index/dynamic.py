@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 
 from ..core.metric import SimilarityFunction
 from ..graph.graph import edge_key
+from ..graph.traversal import INF
 from .pyramid import PyramidIndex
 
 __all__ = [
@@ -43,9 +44,11 @@ def insert_edge_into_index(
     """Add a new edge to a live pyramid index.
 
     The edge must already exist in ``index.graph`` (insert it there
-    first) and must not yet have a weight.  Every partition repairs via
-    Update-Decrease, since a new finite weight can only shorten paths.
-    Returns the total number of touched nodes across partitions.
+    first) and must not yet have a weight.  The key is stored at +∞ and
+    ``weight`` then goes through :meth:`PyramidIndex.update_edge_weight`:
+    a new finite weight can only shorten paths, so every partition
+    repairs via Update-Decrease.  Returns the total number of touched
+    nodes across partitions.
     """
     if weight <= 0:
         raise ValueError(f"weight must be positive, got {weight}")
@@ -54,16 +57,8 @@ def insert_edge_into_index(
     key = edge_key(u, v)
     if key in index._weights:
         raise ValueError(f"edge {key} already has a weight; use update_edge_weight")
-    index._store_weight(key, weight * index._scale)
-    touched = 0
-    for level, partition in index.partitions_with_levels():
-        moved = partition.update_decrease(u, v)
-        touched += moved
-        index._record_repair(level, moved)
-    index.total_touched += touched
-    index.update_count += 1
-    index.update_decreases += 1
-    return touched
+    index._store_weight(key, INF)
+    return index.update_edge_weight(u, v, weight)
 
 
 def register_edge_in_metric(metric: SimilarityFunction, u: int, v: int) -> float:

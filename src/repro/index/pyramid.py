@@ -8,9 +8,11 @@ that later act as a voting system.
 
 All ``k·⌈log₂ n⌉`` partitions share one edge-weight table (the anchored
 reciprocal similarities ``1/S*_t``); an activation updates the table once
-and then dispatches the bounded Update-Decrease / Update-Increase to every
-partition independently (Lemma 13 — embarrassingly parallel in the paper;
-sequential here, with per-partition touch counts preserved).
+and then runs the bounded Update-Decrease / Update-Increase on each
+partition in turn.  Lemma 13 is what makes that loop correct: the
+partitions share nothing but the weight table, so their repairs are
+independent.  A new edge takes the same path, as a decrease from +∞
+(:func:`repro.index.dynamic.insert_edge_into_index`).
 
 Index time is ``O(n log² n + m log n)`` and size ``O(n log² n)``
 (Lemma 7): ``log n`` levels × amortized Dijkstra cost per level, per
@@ -155,18 +157,13 @@ class PyramidIndex:
         #: level -> repair dispatches (k per level per update).
         self.repairs_by_level: Dict[int, int] = {}
 
-    def _record_repair(self, level: int, moved: int) -> None:
-        """Account one partition repair at ``level`` that moved ``moved`` nodes."""
-        self.touched_by_level[level] = self.touched_by_level.get(level, 0) + moved
-        self.repairs_by_level[level] = self.repairs_by_level.get(level, 0) + 1
-
     def _store_weight(self, key: Edge, value: float) -> None:
         """Write one weight-table entry.
 
         The single mutation point every weight write funnels through
-        (update path, dynamic insert, parallel updater) so that
-        array-backed subclasses can mirror the value into their flat
-        storage by overriding exactly one method.
+        (:meth:`update_edge_weight`, the +∞ placeholder of a dynamic
+        insert) so that array-backed subclasses can mirror the value into
+        their flat storage by overriding exactly one method.
         """
         self._weights[key] = value
 
@@ -245,10 +242,13 @@ class PyramidIndex:
             return 0
         self._store_weight(key, new_weight)
         touched = 0
+        tbl = self.touched_by_level
+        rbl = self.repairs_by_level
         for level, partition in self.partitions_with_levels():
             moved = partition.apply_weight_change(u, v, old, new_weight)
             touched += moved
-            self._record_repair(level, moved)
+            tbl[level] = tbl.get(level, 0) + moved
+            rbl[level] = rbl.get(level, 0) + 1
         self.total_touched += touched
         self.update_count += 1
         if new_weight > old:

@@ -81,8 +81,8 @@ class Histogram:
 
     Tracks the lifetime count/sum exactly; :meth:`summary` computes
     nearest-rank percentiles over the most recent ``window``
-    observations.  All read paths (``count``, ``mean``, ``sum``,
-    :meth:`summary`) take the lock, so a reader racing an
+    observations.  Both read paths (:meth:`summary`,
+    :meth:`bucket_counts`) take the lock, so a reader racing an
     :meth:`observe` never sees a count/sum pair from two different
     observations.
     """
@@ -103,21 +103,6 @@ class Histogram:
             self._window.append(value)
             self._count += 1
             self._sum += value
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def sum(self) -> float:
-        with self._lock:
-            return self._sum
-
-    @property
-    def mean(self) -> float:
-        with self._lock:
-            return self._sum / self._count if self._count else 0.0
 
     def bucket_counts(self) -> List[float]:
         """Window observation counts per shared log-scale bucket.

@@ -453,7 +453,10 @@ class ServiceClient:
         window when one exists.
         """
         body = {"op": op, **{k: v for k, v in fields.items() if v is not None}}
-        ctx = self._mint_trace()
+        # A trace_fetch goes untraced: each process reads its span buffer
+        # while the fetch's own spans are still open, so a traced fetch
+        # would leave spans no answer holds and a trace without a root.
+        ctx = None if op == "trace_fetch" else self._mint_trace()
         if ctx is None:
             return self._send(op, body, timeout=timeout, idempotent=idempotent)
         with self.tracer.wire_span(f"client.{op}", ctx, op=op):
@@ -740,7 +743,10 @@ class ServiceClient:
         return span_dicts(spans, epoch_unix=self.tracer.epoch_unix)
 
     def trace_fetch(self, *, drain: bool = False) -> Dict[str, object]:
-        """Fetch the server's (or, via a router, the fleet's) span buffers."""
+        """Fetch the server's (or, via a router, the fleet's) span buffers.
+
+        Always sent untraced (see :meth:`request`).
+        """
         return self.request("trace_fetch", drain=drain or None)
 
     def profile(

@@ -164,7 +164,6 @@ class EngineHost:
         self._ingested = engine.activations_processed
         self._last_t = engine.now
         self._applied_waiters: List[Tuple[int, asyncio.Future]] = []
-        self._publish_waiters: List[asyncio.Future] = []
         self._since_checkpoint = 0
         self._last_checkpoint_at = time.monotonic()
         self._closed = False
@@ -331,10 +330,6 @@ class EngineHost:
 
     def _publish(self, state: PublishedState) -> None:
         self.state = state
-        for future in self._publish_waiters:
-            if not future.done():
-                future.set_result(state)
-        self._publish_waiters.clear()
         remaining: List[Tuple[int, asyncio.Future]] = []
         for target, future in self._applied_waiters:
             if state.activations >= target:

@@ -80,17 +80,6 @@ class MicroBatcher:
         await self._queue.put(act)
         self.submitted += 1
 
-    def try_submit(self, act: Activation) -> bool:
-        """Non-blocking enqueue; returns False when the queue is full."""
-        if self._closed:
-            raise RuntimeError("batcher is closed")
-        try:
-            self._queue.put_nowait(act)
-        except asyncio.QueueFull:  # anclint: disable=service-exception-discipline — backpressure is this method's return value, not a failure; callers branch on False
-            return False
-        self.submitted += 1
-        return True
-
     async def close(self) -> None:
         """Stop accepting; the consumer drains what is queued, then ends."""
         if not self._closed:

@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.activation import Activation
 from repro.core.anc import ANCO, ANCParams
+from repro.core.arrays import EdgeSpace
 from repro.graph.graph import Graph
+from repro.index.array_index import ArrayPyramidIndex
 from repro.index.dynamic import (
     add_relation_edge,
     insert_edge_into_index,
@@ -16,6 +18,15 @@ QUICK = ANCParams(rep=1, k=2, seed=0, rescale_every=64, mu=2, eps=0.25)
 
 
 class TestInsertIntoIndex:
+    """Live insertion into the dict index (the reference oracle)."""
+
+    def build(self, graph, weights, **kwargs):
+        return PyramidIndex(graph, weights, **kwargs)
+
+    def grow(self, index, u, v):
+        """Add ``{u, v}`` to the index's graph, ready for insertion."""
+        index.graph.add_edge(u, v)
+
     def test_partitions_match_fresh_rebuild(self, medium_planted):
         graph, _ = medium_planted
         # Hold one edge back, build, then insert it live.
@@ -23,8 +34,8 @@ class TestInsertIntoIndex:
         held = edges[17]
         reduced = Graph(graph.n, [e for e in edges if e != held])
         weights = {e: 1.0 for e in reduced.edges()}
-        index = PyramidIndex(reduced, weights, k=2, seed=3)
-        reduced.add_edge(*held)
+        index = self.build(reduced, weights, k=2, seed=3)
+        self.grow(index, *held)
         insert_edge_into_index(index, *held, weight=1.0)
         fresh = PyramidIndex(reduced, index.weights_view(), k=2, seed=3)
         for p_new, p_ref in zip(index.partitions(), fresh.partitions()):
@@ -35,8 +46,8 @@ class TestInsertIntoIndex:
 
     def test_insert_can_connect_components(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        index = PyramidIndex(g, {e: 1.0 for e in g.edges()}, k=2, seed=0)
-        g.add_edge(1, 2)
+        index = self.build(g, {e: 1.0 for e in g.edges()}, k=2, seed=0)
+        self.grow(index, 1, 2)
         insert_edge_into_index(index, 1, 2, weight=1.0)
         # Every partition now reaches all nodes from its level-1 seed.
         for pyramid in index.pyramids:
@@ -45,11 +56,25 @@ class TestInsertIntoIndex:
         index.check_consistency()
 
     def test_validation(self, triangle):
-        index = PyramidIndex(triangle, {e: 1.0 for e in triangle.edges()}, k=1)
+        index = self.build(triangle, {e: 1.0 for e in triangle.edges()}, k=1)
         with pytest.raises(ValueError):
             insert_edge_into_index(index, 0, 1, weight=1.0)  # already weighted
         with pytest.raises(ValueError):
             insert_edge_into_index(index, 0, 1, weight=-1.0)
+
+
+class TestInsertIntoArrayIndex(TestInsertIntoIndex):
+    """The same insertions into the serving array index, which repairs
+    through its own inlined Update-Decrease.  As ``add_relation_edge``
+    does, a new edge is interned in the shared edge space before the
+    index sees it."""
+
+    def build(self, graph, weights, **kwargs):
+        return ArrayPyramidIndex(graph, weights, space=EdgeSpace(graph), **kwargs)
+
+    def grow(self, index, u, v):
+        super().grow(index, u, v)
+        index._space.ensure_edge(u, v)
 
 
 class TestRegisterInMetric:

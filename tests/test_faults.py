@@ -29,7 +29,7 @@ import zlib
 
 import pytest
 
-from repro.core.anc import ANCParams, make_engine
+from repro.core.anc import make_engine
 from repro.faults import (
     CATALOG,
     FaultPlan,

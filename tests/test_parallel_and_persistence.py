@@ -1,4 +1,4 @@
-"""Tests for the parallel updater (Lemma 13) and index persistence."""
+"""Tests for index persistence: save/load round trips and format checks."""
 
 import random
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.graph.generators import planted_partition
 from repro.graph.graph import Graph
-from repro.index.parallel import ParallelUpdater, build_index_parallel
 from repro.index.persistence import graph_fingerprint, load_index, save_index
 from repro.index.pyramid import PyramidIndex
 
@@ -16,85 +15,6 @@ def built_index(medium_planted):
     graph, _ = medium_planted
     weights = {e: 1.0 for e in graph.edges()}
     return graph, PyramidIndex(graph, weights, k=3, seed=4)
-
-
-class TestParallelUpdater:
-    def test_matches_sequential_updates(self, built_index):
-        """Lemma 13: partitions are independent — the concurrent repair
-        must produce exactly the sequential result."""
-        graph, parallel_index = built_index
-        sequential_index = PyramidIndex(
-            graph, parallel_index.weights_view(), k=3, seed=4
-        )
-        rng = random.Random(0)
-        edges = list(graph.edges())
-        with ParallelUpdater(parallel_index, workers=4) as updater:
-            for _ in range(40):
-                u, v = rng.choice(edges)
-                w = rng.choice([0.25, 0.5, 2.0, 4.0])
-                updater.update_edge_weight(u, v, w)
-                sequential_index.update_edge_weight(u, v, w)
-        for p_par, p_seq in zip(
-            parallel_index.partitions(), sequential_index.partitions()
-        ):
-            assert p_par.seed == p_seq.seed
-            for v in graph.nodes():
-                assert p_par.dist[v] == pytest.approx(p_seq.dist[v], rel=1e-9)
-        parallel_index.check_consistency()
-
-    def test_noop_on_equal_weight(self, built_index):
-        _, index = built_index
-        with ParallelUpdater(index, workers=2) as updater:
-            e = index.graph.edges()[0]
-            assert updater.update_edge_weight(*e, index.weight(*e)) == 0
-
-    def test_rejects_bad_weight(self, built_index):
-        _, index = built_index
-        with ParallelUpdater(index) as updater:
-            with pytest.raises(ValueError):
-                updater.update_edge_weight(0, 1, 0.0)
-
-    def test_rejects_bad_worker_count(self, built_index):
-        _, index = built_index
-        with pytest.raises(ValueError):
-            ParallelUpdater(index, workers=0)
-
-    def test_counters_maintained(self, built_index):
-        _, index = built_index
-        before = index.update_count
-        with ParallelUpdater(index, workers=2) as updater:
-            updater.update_edge_weight(*index.graph.edges()[3], 0.5)
-        assert index.update_count == before + 1
-        assert index.total_touched > 0
-
-
-class TestParallelBuild:
-    def test_identical_to_sequential_build(self, medium_planted):
-        graph, _ = medium_planted
-        weights = {e: 1.0 for e in graph.edges()}
-        sequential = PyramidIndex(graph, weights, k=3, seed=9)
-        concurrent = build_index_parallel(graph, weights, k=3, seed=9, workers=4)
-        for p_seq, p_par in zip(sequential.partitions(), concurrent.partitions()):
-            assert p_seq.seeds == p_par.seeds
-            assert p_seq.seed == p_par.seed
-            assert p_seq.dist == p_par.dist
-
-    def test_built_index_is_live(self, medium_planted):
-        graph, _ = medium_planted
-        weights = {e: 1.0 for e in graph.edges()}
-        index = build_index_parallel(graph, weights, k=2, seed=1, workers=2)
-        index.update_edge_weight(*graph.edges()[0], 0.5)
-        index.check_consistency()
-
-    def test_validation(self, medium_planted):
-        graph, _ = medium_planted
-        weights = {e: 1.0 for e in graph.edges()}
-        with pytest.raises(ValueError):
-            build_index_parallel(graph, weights, workers=0)
-        with pytest.raises(ValueError):
-            build_index_parallel(graph, {}, workers=1)
-        with pytest.raises(ValueError):
-            build_index_parallel(graph, weights, k=0, workers=1)
 
 
 class TestPersistence:

@@ -698,7 +698,12 @@ class TestFleetObservability:
                 assert seqs == list(range(2, requests + 1, 2))
 
                 # Assemble the fleet trace: router + workers off the
-                # wire, plus this client's own lane.
+                # wire, plus this client's own lane.  The fetch lands on
+                # a sampled sequence number, and it must still add no
+                # trace: the buffers are read while its spans are open.
+                if (requests + 1) % 2:
+                    client.request("stats")
+                    requests += 1
                 processes = list(client.trace_fetch()["processes"])
                 assert [p["process"] for p in processes] == [
                     "router",
@@ -709,10 +714,16 @@ class TestFleetObservability:
                     {
                         "pid": os.getpid(),
                         "process": "client",
-                        "spans": client_spans,
+                        "spans": client.trace_spans(),
                     }
                 )
                 summary = fleet_trace_summary(processes)
+                assert summary
+                assert all(info["connected"] for info in summary.values()), {
+                    tid: info["roots"]
+                    for tid, info in summary.items()
+                    if not info["connected"]
+                }
 
                 clusters_tid = next(
                     str(span["trace"])
