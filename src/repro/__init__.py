@@ -32,24 +32,31 @@ Quickstart::
     mine = engine.cluster_of(v=0)                # local query
 """
 
-from .core import (
-    ANCF,
-    ANCO,
-    ANCOR,
-    ANCParams,
-    Activation,
-    ActivationStream,
-    ActiveSimilarity,
-    Activeness,
-    DecayClock,
-    NodeRole,
-    SimilarityFunction,
-    ValueKind,
-    make_engine,
-)
-from .graph import Graph, GraphBuilder, edge_key
-from .index import ClusterQueryEngine, PyramidIndex, VoronoiPartition
-from .monitor import ClusterChange, ClusterWatcher
+from __future__ import annotations
+
+import importlib
+import sys
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+
+if TYPE_CHECKING:
+    from .core import (
+        ANCF,
+        ANCO,
+        ANCOR,
+        ANCParams,
+        Activation,
+        ActivationStream,
+        ActiveSimilarity,
+        Activeness,
+        DecayClock,
+        NodeRole,
+        SimilarityFunction,
+        ValueKind,
+        make_engine,
+    )
+    from .graph import Graph, GraphBuilder, edge_key
+    from .index import ClusterQueryEngine, PyramidIndex, VoronoiPartition
+    from .monitor import ClusterChange, ClusterWatcher
 
 __version__ = "1.0.0"
 
@@ -77,3 +84,49 @@ __all__ = [
     "ClusterWatcher",
     "__version__",
 ]
+
+
+def _lazy(package: str, exports: Mapping[str, Sequence[str]]) -> Callable[[str], object]:
+    """A PEP 562 module ``__getattr__`` for ``package``.
+
+    ``exports`` maps each submodule (relative to ``package``) to the
+    documented names it defines.  A name is imported on first use and
+    then bound on the package, so a process loads only the modules whose
+    names it touches: a read router never loads the engine.
+    """
+    where = {name: module for module, names in exports.items() for name in names}
+
+    def getattr_(name: str) -> object:
+        module = where.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module, package), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return getattr_
+
+
+__getattr__ = _lazy(
+    __name__,
+    {
+        ".core": (
+            "ANCF",
+            "ANCO",
+            "ANCOR",
+            "ANCParams",
+            "Activation",
+            "ActivationStream",
+            "ActiveSimilarity",
+            "Activeness",
+            "DecayClock",
+            "NodeRole",
+            "SimilarityFunction",
+            "ValueKind",
+            "make_engine",
+        ),
+        ".graph": ("Graph", "GraphBuilder", "edge_key"),
+        ".index": ("ClusterQueryEngine", "PyramidIndex", "VoronoiPartition"),
+        ".monitor": ("ClusterChange", "ClusterWatcher"),
+    },
+)

@@ -49,11 +49,10 @@ import argparse
 import sys
 from typing import IO, TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
-from .core.anc import ANCF, ANCParams, make_engine
-from .graph.io import read_edge_list, read_temporal_edge_list
-from .graph.traversal import connected_components
-
+# Each command imports what it runs: a ``read-serve`` router never loads
+# the engine, and a server never loads the blocking client.
 if TYPE_CHECKING:
+    from .core.anc import ANCParams
     from .service.server import ServerConfig
     from .service.wire import FrontEnd
 
@@ -88,6 +87,8 @@ def _add_anc_params(parser: argparse.ArgumentParser) -> None:
 
 
 def _params_from(args: argparse.Namespace) -> ANCParams:
+    from .core.anc import ANCParams
+
     return ANCParams(
         lam=args.lam,
         eps=args.eps,
@@ -127,6 +128,9 @@ def _print_clusters(clusters: Sequence[List[int]], names: Sequence[object], *,
 
 
 def cmd_info(args: argparse.Namespace, out: IO[str]) -> int:
+    from .graph.io import read_edge_list
+    from .graph.traversal import connected_components
+
     graph, names = read_edge_list(args.edgelist)
     comps = connected_components(graph)
     degrees = sorted((graph.degree(v) for v in graph.nodes()), reverse=True)
@@ -144,6 +148,8 @@ def cmd_cluster(args: argparse.Namespace, out: IO[str]) -> int:
     # The baselines pull in scipy; only this command needs them, so the
     # serving commands never pay for the import.
     from .baselines import attractor, louvain, scan
+    from .core.anc import ANCF
+    from .graph.io import read_edge_list
 
     graph, names = read_edge_list(args.edgelist)
     if args.method == "anc":
@@ -165,6 +171,10 @@ def cmd_cluster(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def cmd_stream(args: argparse.Namespace, out: IO[str]) -> int:
+    from .core.activation import ActivationStream
+    from .core.anc import make_engine
+    from .graph.io import read_temporal_edge_list
+
     graph, stream, names = read_temporal_edge_list(args.edgelist)
     if not stream:
         print("no activations in input", file=out)
@@ -200,8 +210,6 @@ def cmd_stream(args: argparse.Namespace, out: IO[str]) -> int:
           f"with {args.engine.upper()}", file=out)
     ck = 0
     batch: List[object] = []
-    from .core.activation import ActivationStream
-
     validated = ActivationStream(graph, stream)
     for t, batch in validated.batches_by_timestamp():
         if watcher is not None:
@@ -407,6 +415,7 @@ def _serve(build: Callable[[], FrontEnd], out: IO[str]) -> int:
 
 
 def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
+    from .graph.io import read_edge_list
     from .service.server import ANCServer
 
     primary_host, primary_port = None, 0
@@ -434,6 +443,7 @@ def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def cmd_shard_serve(args: argparse.Namespace, out: IO[str]) -> int:
+    from .graph.io import read_edge_list
     from .shard import RouterConfig, ShardDeployment, ShardRouter
 
     if args.shards < 1:
@@ -504,6 +514,8 @@ def cmd_shardmap(args: argparse.Namespace, out: IO[str]) -> int:
     if args.edgelist is None:
         print("error: provide an edge list or --from HOST:PORT", file=out)
         return 2
+    from .graph.io import read_edge_list
+
     graph, _names = read_edge_list(args.edgelist)
     smap = ShardMap.build(graph, args.shards, seed=args.map_seed)
     if args.format == "json":

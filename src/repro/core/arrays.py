@@ -76,6 +76,10 @@ __all__ = [
 #: with ``u < v`` and ``eid == len(space.edges) - 1`` at call time.
 GrowthListener = Callable[[int, int, int], None]
 
+#: An edge's cached common neighbors ``(xs, ea, eb)``: see
+#: ``ArrayActiveSimilarity._cn``.
+CommonNeighbors = Tuple[List[int], List[int], List[int]]
+
 
 class EdgeSpace:
     """Dense edge-id interning over one graph, shared by all array stores.
@@ -311,17 +315,16 @@ class ArrayActiveSimilarity(ActiveSimilarity):
         #: cached CN list stamped with ``sgen[a] + sgen[b]`` (monotone)
         #: is exact until then — activations and rescales never touch it.
         self._sgen = [0] * n
-        #: Per-eid cached CN structure: ``(xs, pairs)`` with ``xs`` the
-        #: ascending common neighbors of the canonical edge ``(a, b)``
-        #: and ``pairs[i] = (eid(a, xs[i]), eid(b, xs[i]))``.
-        self._cn: List[Optional[Tuple[List[int], List[Tuple[int, int]]]]] = (
-            [None] * m
-        )
+        #: Per-eid cached CN structure: ``(xs, ea, eb)`` with ``xs`` the
+        #: ascending common neighbors of the canonical edge ``(a, b)``,
+        #: ``ea[i] = eid(a, xs[i])`` and ``eb[i] = eid(b, xs[i])`` — two
+        #: parallel lists rather than a 2-tuple per common neighbor.
+        self._cn: List[Optional[CommonNeighbors]] = [None] * m
         self._cn_stamp: List[int] = [-1] * m
         #: Cached σ numerators with *explicit* invalidation: the edge
         #: (u, v) activation changes the numerator of exactly the edges
         #: joining a common neighbor to u or to v — the eids in (u, v)'s
-        #: CN pair list — so ``on_activation_delta`` bumps ``_ngen`` for
+        #: CN eid lists — so ``on_activation_delta`` bumps ``_ngen`` for
         #: just those.  Rescales, store edits and graph growth fold in
         #: through ``ggen``.  (A σ recompute whose numerator is still
         #: fresh only re-divides by the new strength sum.)
@@ -375,7 +378,7 @@ class ArrayActiveSimilarity(ActiveSimilarity):
             ng[x] += 1
         # Exact numerator invalidation: only the edges between a common
         # neighbor of (u, v) and one of the endpoints carry the changed
-        # a(u, v) as a numerator term — precisely the CN pair eids.
+        # a(u, v) as a numerator term — precisely the CN eids.
         key = (u, v) if u < v else (v, u)
         e = self._space.eid.get(key)
         if e is not None:
@@ -385,8 +388,9 @@ class ArrayActiveSimilarity(ActiveSimilarity):
             if cn is None or self._cn_stamp[e] != sg[a] + sg[b]:
                 cn = self._cn_build(e, a, b, b)
             eng = self._ngen
-            for pa, pb in cn[1]:
+            for pa in cn[1]:
                 eng[pa] += 1
+            for pb in cn[2]:
                 eng[pb] += 1
 
     def on_rescale(self, g: float) -> None:
@@ -428,9 +432,7 @@ class ArrayActiveSimilarity(ActiveSimilarity):
             return ActiveSimilarity.sigma(self, u, v)
         return self.sigma_eid(e, u, v)
 
-    def _cn_build(
-        self, e: int, a: int, b: int, prefer: int
-    ) -> Tuple[List[int], List[Tuple[int, int]]]:
+    def _cn_build(self, e: int, a: int, b: int, prefer: int) -> CommonNeighbors:
         """(Re)build the cached CN structure of canonical edge ``(a, b)``.
 
         ``prefer`` names the endpoint the *calling loop* holds fixed
@@ -457,7 +459,8 @@ class ArrayActiveSimilarity(ActiveSimilarity):
         mark = self._mk_eid[s]
         space = self._space
         xs: List[int] = []
-        pairs: List[Tuple[int, int]] = []
+        ea: List[int] = []
+        eb: List[int] = []
         # Scanning either endpoint's sorted adjacency yields the same
         # ascending common-neighbor sequence; the marker holds
         # eid(pinned, x), the scanned paired list supplies the other.
@@ -466,14 +469,16 @@ class ArrayActiveSimilarity(ActiveSimilarity):
                 m = mark[x]
                 if m >= 0:
                     xs.append(x)
-                    pairs.append((m, eo))
+                    ea.append(m)
+                    eb.append(eo)
         else:
             for x, eo in zip(space.nbr[a], space.neid[a]):
                 m = mark[x]
                 if m >= 0:
                     xs.append(x)
-                    pairs.append((eo, m))
-        cn = (xs, pairs)
+                    ea.append(eo)
+                    eb.append(m)
+        cn = (xs, ea, eb)
         self._cn[e] = cn
         self._cn_stamp[e] = self._sgen[a] + self._sgen[b]
         return cn
@@ -507,7 +512,7 @@ class ArrayActiveSimilarity(ActiveSimilarity):
                 # `a(u,x) + a(v,x)` per-step grouping as the dict merge;
                 # IEEE addition is commutative, so the canonical (a, b)
                 # orientation reproduces either call orientation bitwise.
-                for pa, pb in cn[1]:
+                for pa, pb in zip(cn[1], cn[2]):
                     num += vals[pa] + vals[pb]
                 self._num_val[e] = num
                 self._num_stamp[e] = nst
@@ -650,7 +655,7 @@ class ArrayLocalReinforcement(LocalReinforcement):
         cn = sig._cn[e]
         if cn is None or sig._cn_stamp[e] != sg[a] + sg[b]:
             cn = sig._cn_build(e, a, b, u)
-        xs, pairs = cn
+        xs, ea, eb = cn
         simvals = self._simvals
         sigma_eid = sig.sigma_eid
         sstamp = sig._sc_stamp
@@ -665,10 +670,10 @@ class ArrayLocalReinforcement(LocalReinforcement):
         su = strength[u]
         sqrt_ = sqrt
         total = 0.0
-        # pairs[i] is (eid(a, w), eid(b, w)); pick the (u, w) / (v, w)
-        # sides by orientation.  σ(w, u) lives on the (u, w) eid.
+        # ea[i] / eb[i] are eid(a, w) / eid(b, w); pick the (u, w) /
+        # (v, w) sides by orientation.  σ(w, u) lives on the (u, w) eid.
         if u == a:
-            for w, (ew_u, ew_v) in zip(xs, pairs):
+            for w, ew_u, ew_v in zip(xs, ea, eb):
                 fu = simvals[ew_u]
                 fv = simvals[ew_v]
                 if fu <= 0.0 or fv <= 0.0:
@@ -692,7 +697,7 @@ class ArrayLocalReinforcement(LocalReinforcement):
                         s_wu = sigma_eid(ew_u, w, u)
                 total += sqrt_(fu * fv) * s_wu
         else:
-            for w, (ew_v, ew_u) in zip(xs, pairs):
+            for w, ew_v, ew_u in zip(xs, ea, eb):
                 fu = simvals[ew_u]
                 fv = simvals[ew_v]
                 if fu <= 0.0 or fv <= 0.0:

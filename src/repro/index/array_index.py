@@ -13,12 +13,19 @@ probes through the weight closure.
 Bit-for-bit parity with :class:`~repro.index.voronoi.VoronoiPartition`
 is load-bearing (cluster assignments feed ``engine_signature``); the
 inlined loops below replicate the exact probe arithmetic, the
-``(dist, seed)`` lexicographic tie-breaks, the stale-pop skips, the
-heap push order, and — crucially — the ``_children`` *set mutation
-history*, because Update-Increase's subtree BFS iterates those sets and
-Python set iteration order depends on the sequence of adds and
-discards.  Any behavioral edit to ``voronoi.py`` must be mirrored here
-(the ``backend-parity-discipline`` anclint rule holds the line).
+``(dist, seed)`` lexicographic tie-breaks, the stale-pop skips and the
+heap push order.  Any behavioral edit to ``voronoi.py`` must be mirrored
+here (the ``backend-parity-discipline`` anclint rule holds the line).
+
+The forest's child sets follow the same rule as the partition's: a
+leaf holds ``None`` and a node's first child makes its set.  Their
+iteration order fixes only the order of Update-Increase's subtree walk,
+and that order reaches no result: the walk's nodes enter a heap ordered
+by ``(dist, seed, node)``, where equal entries are identical, so every
+pop sequence, distance, seed and touched count is the same whatever
+order they were pushed in.  That is also why :func:`~repro.index.persistence.load_index`
+may rebuild the sets in node order rather than in the order the
+repairs made them.
 """
 
 from __future__ import annotations
@@ -98,8 +105,11 @@ class ArrayPyramidIndex(PyramidIndex):
             self._w.append(0.0)
 
     def _store_weight(self, key: Edge, value: float) -> None:
+        # Resolve the eid first: an edge the space has not interned
+        # raises KeyError before either table holds the value.
+        e = self._space.eid[key]
         super()._store_weight(key, value)
-        self._w[self._space.eid[key]] = value
+        self._w[e] = value
 
     # ------------------------------------------------------------------
     # Batched repair (inlined Update-Decrease / Update-Increase)
@@ -227,9 +237,13 @@ class ArrayPyramidIndex(PyramidIndex):
                 old = parent[a_]
                 if old != b_:
                     if old >= 0:
-                        children[old].discard(a_)
+                        children[old].discard(a_)  # type: ignore[union-attr]
                     parent[a_] = b_
-                    children[b_].add(a_)
+                    ch = children[b_]
+                    if ch is None:
+                        children[b_] = {a_}
+                    else:
+                        ch.add(a_)
                 push(pq, (d, o, a_))
         nbr = space.nbr
         neid = space.neid
@@ -252,9 +266,13 @@ class ArrayPyramidIndex(PyramidIndex):
                     old = parent[y]
                     if old != x:
                         if old >= 0:
-                            children[old].discard(y)
+                            children[old].discard(y)  # type: ignore[union-attr]
                         parent[y] = x
-                        children[x].add(y)
+                        ch = children[x]
+                        if ch is None:
+                            children[x] = {y}
+                        else:
+                            ch.add(y)
                     push(pq, (dy, sx, y))
         part.last_touched = touched
         return touched
@@ -278,8 +296,9 @@ class ArrayPyramidIndex(PyramidIndex):
         impacted = [orphan]
         head = 0
         while head < len(impacted):
-            for c in children[impacted[head]]:
-                impacted.append(c)
+            ch = children[impacted[head]]
+            if ch:
+                impacted.extend(ch)
             head += 1
         impacted_set = set(impacted)
         nbr = space.nbr
@@ -290,7 +309,7 @@ class ArrayPyramidIndex(PyramidIndex):
             old = parent[x]
             if old != -1:
                 if old >= 0:
-                    children[old].discard(x)
+                    children[old].discard(x)  # type: ignore[union-attr]
                 parent[x] = -1
         pq: List[Tuple[float, int, int]] = []
         push = heappush
@@ -320,9 +339,13 @@ class ArrayPyramidIndex(PyramidIndex):
                     old = parent[y]
                     if old != x:
                         if old >= 0:
-                            children[old].discard(y)
+                            children[old].discard(y)  # type: ignore[union-attr]
                         parent[y] = x
-                        children[x].add(y)
+                        ch = children[x]
+                        if ch is None:
+                            children[x] = {y}
+                        else:
+                            ch.add(y)
                     touched += 1
                     push(pq, (dy, sx, y))
         part.last_touched = touched

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
 from ..graph.graph import Graph
 from ..graph.traversal import INF
 from .pyramid import Pyramid, PyramidIndex
-from .voronoi import VoronoiPartition
+from .voronoi import VoronoiPartition, child_sets
 
 if TYPE_CHECKING:  # hook-only dependency; repro.faults never imports us back
     from ..core.arrays import EdgeSpace
@@ -205,10 +205,7 @@ def load_index_resume(
             partition.seed = [int(s) for s in part_doc["seed"]]
             partition.parent = [int(p) for p in part_doc["parent"]]
             partition.last_touched = 0
-            partition._children = [set() for _ in range(graph.n)]
-            for v, p in enumerate(partition.parent):
-                if p >= 0:
-                    partition._children[p].add(v)
+            partition._children = child_sets(partition.parent)
             pyramid.levels[int(level_str)] = partition
         index.pyramids.append(pyramid)
     if space is not None:

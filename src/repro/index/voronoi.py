@@ -37,14 +37,33 @@ parent in another cell.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..graph.graph import Graph
 from ..graph.traversal import INF, multi_source_dijkstra
 
-__all__ = ["VoronoiPartition"]
+__all__ = ["VoronoiPartition", "child_sets"]
 
 WeightFn = Callable[[int, int], float]
+
+
+def child_sets(parent: Sequence[int]) -> List[Optional[Set[int]]]:
+    """The forest's child sets, inverted from ``parent`` in node order.
+
+    A leaf holds ``None``: most nodes of a shortest-path forest have no
+    child, and an empty ``set`` costs 216 bytes.  A set is made by its
+    node's first child, exactly as an ``add`` to an empty set would be,
+    so its iteration order is the same.
+    """
+    children: List[Optional[Set[int]]] = [None] * len(parent)
+    for v, p in enumerate(parent):
+        if p >= 0:
+            ch = children[p]
+            if ch is None:
+                children[p] = {v}
+            else:
+                ch.add(v)
+    return children
 
 
 class VoronoiPartition:
@@ -88,7 +107,7 @@ class VoronoiPartition:
         self.dist: List[float] = []
         self.seed: List[int] = []
         self.parent: List[int] = []
-        self._children: List[Set[int]] = []
+        self._children: List[Optional[Set[int]]] = []
         #: Nodes touched by the most recent update (observability, Fig 8).
         self.last_touched: int = 0
         self.rebuild()
@@ -101,10 +120,7 @@ class VoronoiPartition:
         self.dist, self.seed, self.parent = multi_source_dijkstra(
             self.graph, self.seeds, self.weight
         )
-        self._children = [set() for _ in range(self.graph.n)]
-        for v, p in enumerate(self.parent):
-            if p >= 0:
-                self._children[p].add(v)
+        self._children = child_sets(self.parent)
 
     # ------------------------------------------------------------------
     # Forest bookkeeping
@@ -114,22 +130,28 @@ class VoronoiPartition:
         if old == p:
             return
         if old >= 0:
-            self._children[old].discard(v)
+            self._children[old].discard(v)  # type: ignore[union-attr]  # a parent holds a set
         self.parent[v] = p
         if p >= 0:
-            self._children[p].add(v)
+            ch = self._children[p]
+            if ch is None:
+                self._children[p] = {v}
+            else:
+                ch.add(v)
 
-    def children(self, v: int) -> Set[int]:
+    def children(self, v: int) -> AbstractSet[int]:
         """Children of ``v`` in the shortest-path forest (read-only view)."""
-        return self._children[v]
+        return self._children[v] or frozenset()
 
     def subtree(self, root: int) -> List[int]:
         """All nodes in the forest subtree rooted at ``root`` (incl. root)."""
+        children = self._children
         out = [root]
         head = 0
         while head < len(out):
-            for c in self._children[out[head]]:
-                out.append(c)
+            ch = children[out[head]]
+            if ch:
+                out.extend(ch)
             head += 1
         return out
 
@@ -271,7 +293,7 @@ class VoronoiPartition:
         factors are a model, the growth in ``n`` and ``k`` is the claim.
         """
         n = self.graph.n
-        child_entries = sum(len(c) for c in self._children)
+        child_entries = sum(len(c) for c in self._children if c)
         return 8 * n + 4 * n + 4 * n + 4 * child_entries + 4 * len(self.seeds)
 
     def check_consistency(self, tol: float = 1e-9) -> None:
@@ -281,9 +303,22 @@ class VoronoiPartition:
         * every non-seed reachable node's dist equals its parent's dist
           plus the connecting edge weight, with matching seed;
         * no reachable node could improve through any neighbor (triangle
-          inequality of the Voronoi assignment).
+          inequality of the Voronoi assignment);
+        * the child sets are exactly the inverse of ``parent``, and a
+          leaf holds no set or an empty one.
         """
         seeds = set(self.seeds)
+        assert len(self._children) == len(self.parent), (
+            f"{len(self._children)} child sets for {len(self.parent)} nodes"
+        )
+        for x, p in enumerate(self.parent):
+            if p >= 0:
+                assert x in self.children(p), f"node {x} missing from its parent {p}'s children"
+        for x, ch in enumerate(self._children):
+            for c in ch or ():
+                assert self.parent[c] == x, (
+                    f"node {c} is a child of {x} but its parent is {self.parent[c]}"
+                )
         for s in self.seeds:
             assert self.dist[s] == 0.0, f"seed {s} has dist {self.dist[s]}"
             assert self.seed[s] == s, f"seed {s} assigned to {self.seed[s]}"

@@ -49,7 +49,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..service.client import CircuitBreaker
+from ..service.breaker import CircuitBreaker
 from ..service.errors import BadRequest, Overloaded, ServiceFault, Unavailable
 from ..service.wire import TRANSPORT_ERRORS, FrontEnd, Handler, Upstream, parse_number
 

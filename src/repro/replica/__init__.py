@@ -20,8 +20,15 @@ Topology, epoch/fencing semantics, lag metrics and the promote runbook
 are documented in ``docs/replication.md``.
 """
 
-from .admin import promote, replication_status
-from .link import ReplicationError, ReplicationLink
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from .. import _lazy
+
+if TYPE_CHECKING:
+    from .admin import promote, replication_status
+    from .link import ReplicationError, ReplicationLink
 
 __all__ = [
     "ReplicationError",
@@ -29,3 +36,11 @@ __all__ = [
     "promote",
     "replication_status",
 ]
+
+__getattr__ = _lazy(
+    __name__,
+    {
+        ".admin": ("promote", "replication_status"),
+        ".link": ("ReplicationError", "ReplicationLink"),
+    },
+)

@@ -21,29 +21,36 @@ programmatically via :class:`~repro.service.server.ANCServer`; see
 ``docs/service.md`` for the protocol and operational knobs.
 """
 
-from .client import (
-    CircuitBreaker,
-    RetryPolicy,
-    ServiceClient,
-    ServiceConnectError,
-    ServiceError,
-    ServiceRetryAfter,
-    ServiceTimeout,
-    ServiceUnavailable,
-)
-from .engine_host import EngineHost, PublishedState
-from .errors import BadRequest, Overloaded, ServiceFault, Unavailable, UnknownOp
-from ..obs.instruments import MetricsRegistry
-from .ingest import MicroBatcher
-from .server import ANCServer, ServerConfig
-from .snapshots import (
-    CheckpointCorruptError,
-    CheckpointStore,
-    WalCorruptError,
-    WriteAheadLog,
-    dump_engine_state,
-    restore_engine,
-)
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from .. import _lazy
+
+if TYPE_CHECKING:
+    from ..obs.instruments import MetricsRegistry
+    from .breaker import CircuitBreaker
+    from .client import (
+        RetryPolicy,
+        ServiceClient,
+        ServiceConnectError,
+        ServiceError,
+        ServiceRetryAfter,
+        ServiceTimeout,
+        ServiceUnavailable,
+    )
+    from .engine_host import EngineHost, PublishedState
+    from .errors import BadRequest, Overloaded, ServiceFault, Unavailable, UnknownOp
+    from .ingest import MicroBatcher
+    from .server import ANCServer, ServerConfig
+    from .snapshots import (
+        CheckpointCorruptError,
+        CheckpointStore,
+        WalCorruptError,
+        WriteAheadLog,
+        dump_engine_state,
+        restore_engine,
+    )
 
 __all__ = [
     "ANCServer",
@@ -72,3 +79,32 @@ __all__ = [
     "dump_engine_state",
     "restore_engine",
 ]
+
+__getattr__ = _lazy(
+    __name__,
+    {
+        ".server": ("ANCServer", "ServerConfig"),
+        ".client": (
+            "ServiceClient",
+            "ServiceError",
+            "ServiceConnectError",
+            "ServiceTimeout",
+            "ServiceRetryAfter",
+            "ServiceUnavailable",
+            "RetryPolicy",
+        ),
+        ".breaker": ("CircuitBreaker",),
+        ".errors": ("ServiceFault", "BadRequest", "UnknownOp", "Overloaded", "Unavailable"),
+        ".engine_host": ("EngineHost", "PublishedState"),
+        ".ingest": ("MicroBatcher",),
+        "..obs.instruments": ("MetricsRegistry",),
+        ".snapshots": (
+            "CheckpointStore",
+            "WriteAheadLog",
+            "WalCorruptError",
+            "CheckpointCorruptError",
+            "dump_engine_state",
+            "restore_engine",
+        ),
+    },
+)

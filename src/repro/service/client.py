@@ -56,14 +56,14 @@ import random
 import socket
 import time
 from dataclasses import dataclass
-from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import IO, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.export import render_prometheus, span_dicts
 from ..obs.propagate import RootSampler, TraceContext, current_context
 from ..obs.trace import Tracer
+from .breaker import CircuitBreaker
 
 __all__ = [
-    "CircuitBreaker",
     "RetryPolicy",
     "ServiceClient",
     "ServiceConnectError",
@@ -145,60 +145,6 @@ class RetryPolicy:
             return raw
         spread = raw * self.jitter
         return max(0.0, raw - spread + 2.0 * spread * rng.random())
-
-
-class CircuitBreaker:
-    """Closed → open after N consecutive failures → half-open probe.
-
-    Counts *transport-level* failures only (connect errors, timeouts,
-    exhausted retry budgets).  A server that answers — even with an
-    error envelope — is alive, and does not move the breaker.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half-open"
-
-    def __init__(
-        self,
-        *,
-        failure_threshold: int = 5,
-        cooldown: float = 5.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        self.failure_threshold = failure_threshold
-        self.cooldown = cooldown
-        self._clock = clock
-        self.state = self.CLOSED
-        #: Consecutive transport failures since the last success.
-        self.failures = 0
-        #: Lifetime count of closed→open transitions.
-        self.opened_total = 0
-        self._opened_at = 0.0
-
-    def allow(self) -> bool:
-        """Whether a request may go out now (may flip open → half-open)."""
-        if self.state == self.OPEN:
-            if self._clock() - self._opened_at < self.cooldown:
-                return False
-            self.state = self.HALF_OPEN
-        return True
-
-    def record_success(self) -> None:
-        self.failures = 0
-        self.state = self.CLOSED
-
-    def record_failure(self) -> None:
-        self.failures += 1
-        if self.state == self.HALF_OPEN or self.failures >= self.failure_threshold:
-            if self.state != self.OPEN:
-                self.opened_total += 1
-            self.state = self.OPEN
-            self._opened_at = self._clock()
 
 
 class ServiceClient:
@@ -453,10 +399,7 @@ class ServiceClient:
         window when one exists.
         """
         body = {"op": op, **{k: v for k, v in fields.items() if v is not None}}
-        # A trace_fetch goes untraced: each process reads its span buffer
-        # while the fetch's own spans are still open, so a traced fetch
-        # would leave spans no answer holds and a trace without a root.
-        ctx = None if op == "trace_fetch" else self._mint_trace()
+        ctx = self._mint_trace()
         if ctx is None:
             return self._send(op, body, timeout=timeout, idempotent=idempotent)
         with self.tracer.wire_span(f"client.{op}", ctx, op=op):
@@ -745,7 +688,8 @@ class ServiceClient:
     def trace_fetch(self, *, drain: bool = False) -> Dict[str, object]:
         """Fetch the server's (or, via a router, the fleet's) span buffers.
 
-        Always sent untraced (see :meth:`request`).
+        No node traces a ``trace_fetch`` (``FrontEnd._respond``), so a
+        sampled fetch leaves only this client's own span behind.
         """
         return self.request("trace_fetch", drain=drain or None)
 

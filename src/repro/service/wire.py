@@ -488,7 +488,11 @@ class FrontEnd:
             # Bind the client's trace context around the whole dispatch:
             # a sampled request records one ``<prefix>.<op>`` span, and
             # the requests it triggers downstream stamp child contexts.
-            ctx = TraceContext.from_wire(request.get("trace"))
+            # A trace_fetch is never traced, whoever sends it: each node
+            # reads its span buffer while the fetch's own spans would
+            # still be open, so they would reach no answer and leave
+            # the spans below them without a parent.
+            ctx = None if op == "trace_fetch" else TraceContext.from_wire(request.get("trace"))
             with self.tracer.wire_span(f"{self._PREFIX}.{op}", ctx, op=str(op)):
                 response = await handler(self, request)
             response.setdefault("ok", True)

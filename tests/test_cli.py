@@ -198,3 +198,100 @@ def test_import_leaves_scipy_out(module, absent):
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def _spawn_under_importtime(argv, log_path, env):
+    """Start ``repro-anc <argv>`` under ``-X importtime``, its stderr in
+    ``log_path``; returns ``(proc, port)`` once it announces."""
+    log = open(log_path, "w", encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, "-X", "importtime", "-m", "repro.cli", *argv],
+        stdout=subprocess.PIPE, stderr=log, env=env, text=True,
+    )
+    log.close()
+    line = proc.stdout.readline()
+    while line and not line.startswith("SERVING "):  # a router's UPSTREAM lines
+        line = proc.stdout.readline()
+    if not line.startswith("SERVING "):
+        proc.kill()
+        proc.wait(timeout=10)
+        raise AssertionError(f"{argv[0]} never announced")
+    return proc, int(line.split()[2])
+
+
+def _loaded(log_path, packages):
+    """The modules of ``packages`` an ``-X importtime`` log shows loaded."""
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in Path(log_path).read_text(encoding="utf-8").splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+    return sorted(
+        m for m in names if any(m == p or m.startswith(p + ".") for p in packages)
+    )
+
+
+def test_serving_roles_load_only_what_they_run(tmp_path, small_planted):
+    """The real ``serve`` and ``read-serve`` commands, driven through
+    every read a fleet serves, import only their own layers: a server
+    loads no blocking client, read router, shard tier or numpy, and the
+    read router loads no engine, graph, server, checkpoint store or
+    blocking client.  Both resident sets are part of the serving
+    benchmark."""
+    from repro.service.client import ServiceClient
+
+    graph, _ = small_planted
+    edgelist = tmp_path / "graph.txt"
+    write_edge_list(graph, edgelist)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    server, port = _spawn_under_importtime(
+        ["serve", str(edgelist), "--port", "0", "--data-dir", str(tmp_path / "data"),
+         "--rep", "1", "--pyramids", "2"],
+        tmp_path / "serve.log", env,
+    )
+    router = None
+    try:
+        router, router_port = _spawn_under_importtime(
+            ["read-serve", f"127.0.0.1:{port}", "--port", "0"],
+            tmp_path / "read-serve.log", env,
+        )
+        edges = list(graph.edges())[:40]
+        items = [(str(u), str(v), float(1 + i // 8)) for i, (u, v) in enumerate(edges)]
+        with ServiceClient("127.0.0.1", port, timeout=30) as client:
+            client.ingest_batch(items)
+            assert client.sync() == len(items)
+            for level in (1, 2):
+                assert client.clusters(level)
+            assert client.local(items[0][0])
+            assert client.stats()["ingested"] == len(items)
+            assert client.request("signature")["ok"] is True
+            assert client.snapshot()
+        with ServiceClient("127.0.0.1", router_port, timeout=30) as reader:
+            assert reader.clusters()
+            assert reader.local(items[0][0])
+            reader.shutdown()
+        assert router.wait(timeout=30) == 0
+        with ServiceClient("127.0.0.1", port, timeout=30) as client:
+            client.shutdown()
+        assert server.wait(timeout=30) == 0
+    finally:
+        for proc in (server, router):
+            if proc is not None and proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+    assert _loaded(
+        tmp_path / "serve.log",
+        ("repro.service.client", "repro.readpath", "repro.shard", "numpy"),
+    ) == []
+    assert _loaded(
+        tmp_path / "read-serve.log",
+        (
+            "repro.core", "repro.index", "repro.graph", "repro.service.server",
+            "repro.service.engine_host", "repro.service.snapshots",
+            "repro.service.client",
+        ),
+    ) == []
+    # The parser saw the log: both roles did load their own layers.
+    assert _loaded(tmp_path / "serve.log", ("repro.index.array_index",))
+    assert _loaded(tmp_path / "read-serve.log", ("repro.readpath.router",))

@@ -76,6 +76,24 @@ class TestInsertIntoArrayIndex(TestInsertIntoIndex):
         super().grow(index, u, v)
         index._space.ensure_edge(u, v)
 
+    def test_uninterned_insert_writes_nothing(self):
+        """An insert of an edge the space has not interned fails before
+        either weight table changes, so a retry after interning works
+        and matches a fresh rebuild."""
+        g = Graph(4, [(0, 1), (2, 3)])
+        index = self.build(g, {e: 1.0 for e in g.edges()}, k=2, seed=0)
+        g.add_edge(1, 2)
+        with pytest.raises(KeyError):
+            insert_edge_into_index(index, 1, 2, weight=0.5)
+        assert (1, 2) not in index._weights
+        index._space.ensure_edge(1, 2)
+        insert_edge_into_index(index, 1, 2, weight=0.5)
+        fresh = PyramidIndex(g, index.weights_view(), k=2, seed=0)
+        for p_new, p_ref in zip(index.partitions(), fresh.partitions()):
+            assert p_new.seed == p_ref.seed
+            assert p_new.dist == p_ref.dist
+        index.check_consistency()
+
 
 class TestRegisterInMetric:
     def test_initial_conditions_at_current_time(self, small_planted):

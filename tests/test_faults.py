@@ -44,8 +44,8 @@ from repro.faults import (
 )
 from repro.faults.chaos import QUICK_PARAMS, SCENARIOS
 from repro.graph.generators import planted_partition
+from repro.service.breaker import CircuitBreaker
 from repro.service.client import (
-    CircuitBreaker,
     RetryPolicy,
     ServiceClient,
     ServiceConnectError,

@@ -9,6 +9,7 @@ engine over the whole graph and the whole stream would say.
 from __future__ import annotations
 
 import io
+import json
 import os
 import random
 import signal
@@ -660,6 +661,43 @@ class TestFleetObservability:
         assert [span["parent"] for span in forwards] == [scatter["span"]] * 2
         assert {span["depth"] for span in forwards} == {scatter["depth"] + 1}
 
+    def test_raw_sampled_trace_fetch_leaves_every_trace_connected(self, tmp_path):
+        """A sampled ``trace_fetch`` sent as raw JSON, by a client that
+        records its own root span as ``ServiceClient`` would, adds no
+        span on the router or a worker: every trace the gather holds,
+        the fetch's own included, is one tree."""
+        _, acts, deployment = self._deploy(tmp_path)
+        with RouterThread(deployment) as router:
+            assert router.port is not None
+            with ServiceClient(
+                "127.0.0.1", router.port, timeout=60, trace_sample=1.0
+            ) as client:
+                self._ingest(client, acts, prefix="raw")
+                assert client.sync() == len(acts)
+                client.clusters()
+                client_spans = client.trace_spans()
+            ctx = {"id": "raw:1", "span": "raw-root", "sampled": True}
+            with socket.create_connection(("127.0.0.1", router.port), timeout=60) as sock:
+                request = {"op": "trace_fetch", "trace": ctx}
+                sock.sendall((json.dumps(request) + "\n").encode())
+                answer = json.loads(sock.makefile("rb").readline())
+        assert answer["ok"] is True
+        fetch_root = {
+            "name": "client.trace_fetch",
+            "trace": ctx["id"],
+            "span": ctx["span"],
+            "parent": "",
+        }
+        processes = list(answer["processes"]) + [
+            {"pid": os.getpid(), "process": "client", "spans": client_spans + [fetch_root]}
+        ]
+        summary = fleet_trace_summary(processes)
+        assert summary[ctx["id"]]["roots"] == ["client.trace_fetch"]
+        assert len(summary) > 1
+        assert all(info["connected"] for info in summary.values()), {
+            tid: info["roots"] for tid, info in summary.items() if not info["connected"]
+        }
+
     def test_traced_round_trip_spans_three_processes(self, tmp_path):
         """One traced ingest+clusters round-trip → one connected tree.
 
@@ -699,8 +737,8 @@ class TestFleetObservability:
 
                 # Assemble the fleet trace: router + workers off the
                 # wire, plus this client's own lane.  The fetch lands on
-                # a sampled sequence number, and it must still add no
-                # trace: the buffers are read while its spans are open.
+                # a sampled sequence number, and no node traces it: the
+                # buffers are read while its spans would still be open.
                 if (requests + 1) % 2:
                     client.request("stats")
                     requests += 1

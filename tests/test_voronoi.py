@@ -1,9 +1,15 @@
 """Unit tests for VoronoiPartition construction and invariants."""
 
+import random
+
 import pytest
 
+from repro.core.arrays import EdgeSpace
 from repro.graph.graph import Graph
 from repro.graph.traversal import INF, multi_source_dijkstra
+from repro.index.array_index import ArrayPyramidIndex
+from repro.index.persistence import load_index_resume, save_index
+from repro.index.pyramid import PyramidIndex
 from repro.index.voronoi import VoronoiPartition
 
 
@@ -57,13 +63,70 @@ class TestConstruction:
         part.check_consistency()
 
 
-class TestForest:
-    def test_children_inverse_of_parent(self, grid_5x5):
-        part = VoronoiPartition(grid_5x5, [0, 24], unit_weight)
-        for v in grid_5x5.nodes():
-            p = part.parent[v]
+def both_indexes(graph):
+    """A dict-backed and an array-backed pyramid index over ``graph``."""
+    weights = {e: 1.0 for e in graph.edges()}
+    yield PyramidIndex(graph, dict(weights), k=2, seed=0)
+    yield ArrayPyramidIndex(graph, dict(weights), k=2, seed=0, space=EdgeSpace(graph))
+
+
+def assert_children_inverse(index, *, fresh):
+    """Every partition's child sets are exactly the inverse of its
+    ``parent`` array; a leaf holds no set or an empty one, and ``None``
+    in a ``fresh`` (just built or just loaded) partition."""
+    for part in index.partitions():
+        expected = {v: set() for v in index.graph.nodes()}
+        for v, p in enumerate(part.parent):
             if p >= 0:
-                assert v in part.children(p)
+                expected[p].add(v)
+        assert len(part._children) == index.graph.n
+        for v, kids in expected.items():
+            assert set(part.children(v)) == kids
+            if not kids:
+                assert not part._children[v]
+                if fresh:
+                    assert part._children[v] is None
+
+
+class TestForest:
+    def test_children_inverse_of_parent(self, medium_planted, tmp_path):
+        """On both index classes: as built, after weight updates that
+        move subtrees between parents, and after a save/load round
+        trip."""
+        graph, _ = medium_planted
+        rng = random.Random(5)
+        edges = list(graph.edges())
+        for index in both_indexes(graph):
+            assert_children_inverse(index, fresh=True)
+            for _ in range(300):
+                u, v = rng.choice(edges)
+                index.update_edge_weight(u, v, rng.uniform(0.2, 5.0))
+            assert_children_inverse(index, fresh=False)
+            path = tmp_path / f"{type(index).__name__}.json"
+            save_index(index, path)
+            space = EdgeSpace(graph) if isinstance(index, ArrayPyramidIndex) else None
+            restored, _ = load_index_resume(graph, path, space=space)
+            assert type(restored) is type(index)
+            assert_children_inverse(restored, fresh=True)
+
+    def test_consistency_check_catches_a_corrupt_child_set(self, medium_planted):
+        """A child missing from its parent's set, or a node in a set
+        whose parent is elsewhere, fails ``check_consistency`` on both
+        index classes."""
+        graph, _ = medium_planted
+        for corrupt in ("drop", "stray"):
+            for index in both_indexes(graph):
+                index.check_consistency()
+                part = next(iter(index.partitions()))
+                p = next(v for v, kids in enumerate(part._children) if kids)
+                child = min(part._children[p])
+                if corrupt == "drop":
+                    part._children[p].discard(child)
+                else:
+                    leaf = next(v for v, kids in enumerate(part._children) if not kids)
+                    part._children[leaf] = {child}
+                with pytest.raises(AssertionError):
+                    index.check_consistency()
 
     def test_subtree_of_seed_is_cell(self, grid_5x5):
         part = VoronoiPartition(grid_5x5, [0, 24], unit_weight)
