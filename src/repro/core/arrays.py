@@ -94,8 +94,8 @@ class EdgeSpace:
     ``graph.add_edge`` is visible immediately; ``neid[v]`` is maintained
     in matching positions by :meth:`ensure_edge`.  The engine's only
     graph-mutation path (:func:`repro.index.dynamic.add_relation_edge`)
-    calls ``ensure_edge`` right after ``add_edge``, keeping the pair
-    aligned.
+    adds the edge to the graph and then registers it in the metric,
+    which calls ``ensure_edge`` first, keeping the pair aligned.
     """
 
     __slots__ = ("graph", "eid", "edges", "nbr", "neid", "_listeners")
@@ -148,15 +148,17 @@ class EdgeSpace:
 class ArrayEdgeValues(AnchoredEdgeValues):
     """Flat-array :class:`AnchoredEdgeValues`: payload indexed by eid.
 
-    The inherited ``_values`` dict is kept as an *overflow* store for
-    edges that are not in the graph (the dict backend accepts those too);
-    in every engine flow it stays empty, and a later ``ensure_edge``
-    migrates any overflow value into the array.
+    Every value lives at its edge's eid.  A write to an edge the space
+    has not interned raises ``KeyError`` before anything changes (as the
+    array index's weight store does); a read of one answers 0.0, as the
+    dict store does for an edge it never saw.  The engine's one
+    graph-growth path (:func:`repro.index.dynamic.register_edge_in_metric`)
+    interns an edge before it writes it.
 
-    ``items_anchored()`` yields interned edges in eid order, then any
-    overflow entries — exactly the dict backend's insertion order in all
-    engine flows (see the module docstring), which is what keeps
-    checkpoint documents byte-identical across backends.
+    ``items_anchored()`` yields in eid order — exactly the dict
+    backend's insertion order in all engine flows (see the module
+    docstring), which is what keeps checkpoint documents byte-identical
+    across backends.
     """
 
     __slots__ = ("space", "_vals", "_pres", "_count")
@@ -164,7 +166,11 @@ class ArrayEdgeValues(AnchoredEdgeValues):
     def __init__(
         self, clock: DecayClock, kind: ValueKind, space: EdgeSpace, name: str = ""
     ) -> None:
-        super().__init__(clock, kind, name=name)
+        # The base initializer is skipped on purpose: it would build the
+        # edge-keyed dict that every method here replaces.
+        self.clock = clock
+        self.kind = kind
+        self.name = name
         self.space = space
         m = len(space.edges)
         #: Anchored values by eid (0.0 when never set, matching dict .get).
@@ -172,34 +178,21 @@ class ArrayEdgeValues(AnchoredEdgeValues):
         #: Presence bits by eid (len/contains/items semantics).
         self._pres: List[bool] = [False] * m
         self._count = 0
-        clock.attach(self)
+        clock.add_rescale_listener(self._absorb, self._extent)
         space.add_listener(self._on_edge_added)
 
     def _on_edge_added(self, e: int, u: int, v: int) -> None:
         if e == len(self._vals):
             self._vals.append(0.0)
             self._pres.append(False)
-        key = (u, v)
-        if key in self._values:  # migrate a pre-interning overflow value
-            self._vals[e] = self._values.pop(key)
-            self._pres[e] = True
-            self._count += 1
 
     # -- anchored-space access -----------------------------------------
     def anchored(self, u: int, v: int) -> float:
-        key = edge_key(u, v)
-        e = self.space.eid.get(key)
-        if e is None:
-            return self._values.get(key, 0.0)
-        return self._vals[e]
+        e = self.space.eid.get(edge_key(u, v))
+        return 0.0 if e is None else self._vals[e]
 
     def set_anchored(self, u: int, v: int, value: float) -> None:
-        key = edge_key(u, v)
-        e = self.space.eid.get(key)
-        if e is None:
-            self._values[key] = value
-            return
-        self.set_by_eid(e, value)
+        self.set_by_eid(self.space.eid[edge_key(u, v)], value)
 
     def set_by_eid(self, e: int, value: float) -> None:
         """Hot-path write for a known-interned edge (no key hashing)."""
@@ -209,12 +202,7 @@ class ArrayEdgeValues(AnchoredEdgeValues):
             self._count += 1
 
     def add_anchored(self, u: int, v: int, delta: float) -> float:
-        key = edge_key(u, v)
-        e = self.space.eid.get(key)
-        if e is None:
-            new = self._values.get(key, 0.0) + delta
-            self._values[key] = new
-            return new
+        e = self.space.eid[edge_key(u, v)]
         new = self._vals[e] + delta
         self._vals[e] = new
         if not self._pres[e]:
@@ -230,18 +218,13 @@ class ArrayEdgeValues(AnchoredEdgeValues):
         # Per-value multiply/divide is elementwise (order-independent in
         # IEEE 754), so the contiguous sweep is free to differ from the
         # dict backend's sorted-key order and still agree bitwise.
+        vals = self._vals
         if self.kind is ValueKind.POSITIVE:
-            vals = self._vals
             for i in range(len(vals)):
                 vals[i] *= g
-            for key in sorted(self._values):
-                self._values[key] *= g
         elif self.kind is ValueKind.NEGATIVE:
-            vals = self._vals
             for i in range(len(vals)):
                 vals[i] /= g
-            for key in sorted(self._values):
-                self._values[key] /= g
         # NEUTRAL values are invariant under rescale.
 
     def items_anchored(self) -> Iterator[Tuple[Edge, float]]:
@@ -250,16 +233,13 @@ class ArrayEdgeValues(AnchoredEdgeValues):
         for e, key in enumerate(self.space.edges):
             if pres[e]:
                 yield key, vals[e]
-        yield from self._values.items()
 
     def __len__(self) -> int:
-        return self._count + len(self._values)
+        return self._count
 
     def __contains__(self, key: Edge) -> bool:
         e = self.space.eid.get(key)
-        if e is not None:
-            return self._pres[e]
-        return key in self._values
+        return e is not None and self._pres[e]
 
 
 class ArrayActiveSimilarity(ActiveSimilarity):

@@ -20,10 +20,24 @@ paper's first contribution removes that sweep:
   pyramid edge weights ``S_t^{-1}`` are NegM (Lemmas 6, 10); the active
   similarity σ is NeuM (ratio of PosM terms; Lemma 3).
 
-:class:`DecayClock` owns ``(λ, t, t*)`` and every registered
-:class:`AnchoredEdgeValues` store, so a single rescale keeps activeness,
-similarity and index weights mutually consistent — the "holistic"
-maintenance the paper calls out.
+:class:`DecayClock` owns ``(λ, t, t*)`` and one list of rescale
+subscribers: every :class:`AnchoredEdgeValues` store subscribes itself
+when it is built, and the node strengths and the pyramid index subscribe
+through :meth:`DecayClock.add_rescale_listener`.  So a single rescale
+keeps activeness, similarity and index weights mutually consistent — the
+"holistic" maintenance the paper calls out.
+
+**Range.**  Pure decay scales every stored value by one factor, so it
+changes no comparison (Lemma 10), and a rescale may absorb less than
+``g`` as long as it absorbs the same factor everywhere.  A rescale whose
+``g`` would push a stored value below ``2^-RANGE`` (a long idle gap, or
+unix-second timestamps on a fresh clock, where ``g`` underflows to 0)
+absorbs a power of two instead: the largest one that still leaves the
+old values ``2^NEGLIGIBLE`` below the unit a new activation adds, but
+none that takes a stored value out of range.  Old values that sit more
+than ``2^53`` below new ones drop out of every sum with them, so the
+capped answer and the exact one give the same clusters.  Every rescale
+whose ``g`` stays in range absorbs exactly ``g``.
 """
 
 from __future__ import annotations
@@ -34,7 +48,23 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..graph.graph import Edge, edge_key
 
-__all__ = ["ValueKind", "DecayClock", "AnchoredEdgeValues", "Activeness"]
+__all__ = ["ValueKind", "DecayClock", "AnchoredEdgeValues", "Activeness", "RANGE", "NEGLIGIBLE"]
+
+#: No stored magnitude goes below ``2^-RANGE`` at a rescale.  The index
+#: weights are reciprocal similarities (times a scale below √2) and its
+#: distances sums of fewer than ``n`` of them, so they stay below
+#: ``n·2^(RANGE+1)``: finite for any graph with fewer than ``2^62`` nodes.
+RANGE = 960
+
+#: A capped rescale leaves every old value at most ``2^-NEGLIGIBLE``: more
+#: than ``2^53`` below the smallest value a new activation writes (the
+#: similarity floor, 0.01), so old values drop out of every sum with it.
+NEGLIGIBLE = 64
+
+#: The magnitudes a rescale subscriber holds, as ``(smallest, largest)``
+#: of its nonzero values read as PosM (what a rescale by ``f`` multiplies
+#: by ``f``), or ``None`` when it holds none.
+Extent = Optional[Tuple[float, float]]
 
 
 class ValueKind(enum.Enum):
@@ -53,8 +83,9 @@ class DecayClock:
     lam:
         Decay factor λ ≥ 0 of the time-decay scheme.
     rescale_every:
-        Batched rescale period: after this many activations all registered
-        stores absorb ``g(t, t*)`` and ``t* ← t`` (Lemma 1 amortization).
+        Batched rescale period: after this many activations every rescale
+        subscriber absorbs ``g(t, t*)`` and ``t* ← t`` (Lemma 1
+        amortization).
     min_factor:
         Floating-point safety valve: if ``g(t, t*)`` drops below this, a
         rescale is forced regardless of the activation counter, so anchored
@@ -80,8 +111,10 @@ class DecayClock:
         self._rescale_every = rescale_every
         self._min_factor = min_factor
         self._since_rescale = 0
-        self._stores: List["AnchoredEdgeValues"] = []
-        self._listeners: List[Callable[[float], None]] = []
+        #: Rescale subscribers in subscription order: ``(absorb, extent)``.
+        self._listeners: List[
+            Tuple[Callable[[float], None], Optional[Callable[[], Extent]]]
+        ] = []
         self._rescale_count = 0
 
     # ------------------------------------------------------------------
@@ -105,27 +138,26 @@ class DecayClock:
         return math.exp(-self.lam * (self._t - self._anchor))
 
     def register(self, kind: ValueKind, name: str = "") -> "AnchoredEdgeValues":
-        """Create and attach a value store that rescales with this clock."""
-        store = AnchoredEdgeValues(self, kind, name=name)
-        self._stores.append(store)
-        return store
+        """Create a value store that rescales with this clock."""
+        return AnchoredEdgeValues(self, kind, name=name)
 
-    def attach(self, store: "AnchoredEdgeValues") -> None:
-        """Attach an externally built store (e.g. a pyramid's weight view)."""
-        if store.clock is not self:
-            raise ValueError("store was built against a different clock")
-        if store not in self._stores:
-            self._stores.append(store)
+    def add_rescale_listener(
+        self,
+        listener: Callable[[float], None],
+        extent: Optional[Callable[[], Extent]] = None,
+    ) -> None:
+        """Subscribe ``listener`` to every batched rescale.
 
-    def add_rescale_listener(self, listener: Callable[[float], None]) -> None:
-        """Register a callback invoked with ``g`` at every batched rescale.
-
-        Structures that hold derived NegM quantities outside an
-        :class:`AnchoredEdgeValues` store (the pyramid index keeps edge
-        weights *and* distance arrays, Lemma 10) use this to absorb the
-        factor ``g^{-1}`` in lockstep with the anchored stores.
+        ``listener(f)`` folds the rescale's factor into whatever the
+        subscriber stores: a PosM value multiplies by ``f``, a NegM one
+        (the pyramid index keeps edge weights *and* distance arrays,
+        Lemma 10) divides by it.  ``extent()``, when given, reports the
+        subscriber's magnitudes so a rescale keeps them in range (see
+        :meth:`rescale`); a subscriber whose values follow another's
+        (node strengths are sums of activeness, index weights reciprocal
+        similarities) gives none.
         """
-        self._listeners.append(listener)
+        self._listeners.append((listener, extent))
 
     # ------------------------------------------------------------------
     def advance(self, t: float) -> None:
@@ -148,10 +180,12 @@ class DecayClock:
             self.rescale()
 
     def rescale(self) -> None:
-        """Batched rescale: all stores absorb ``g``, then ``t* ← t``.
+        """Batched rescale: every subscriber absorbs one factor, then ``t* ← t``.
 
-        Cost is linear in the total number of stored values, amortized over
-        the ``rescale_every`` activations that triggered it (Lemma 1).
+        The factor is ``g`` unless that would take a stored value out of
+        range (see :meth:`_factor`).  Cost is linear in the total number
+        of stored values, amortized over the ``rescale_every`` activations
+        that triggered it (Lemma 1).
         """
         g = self.global_factor()
         # The comparison below is a deliberate exact check: when no stream
@@ -159,13 +193,33 @@ class DecayClock:
         # absorb sweep would be a no-op; any other value (even one ulp off)
         # must still be absorbed or recovery replay diverges.
         if g != 1.0:  # anclint: disable=float-equality — exact no-op guard, g is literally 1.0 iff Δt == 0
-            for store in self._stores:
-                store._absorb(g)
-            for listener in self._listeners:
-                listener(g)
+            f = self._factor(g)
+            if f < 1.0:  # a capped factor of 1 absorbs nothing
+                for absorb, _ in self._listeners:
+                    absorb(f)
         self._anchor = self._t
         self._since_rescale = 0
         self._rescale_count += 1
+
+    def _factor(self, g: float) -> float:
+        """The factor a rescale absorbs (the *Range* rule of the module
+        docstring).
+
+        ``g`` itself while it keeps every stored value at or above
+        ``2^-RANGE``.  Otherwise a power of two above ``g``: the largest
+        that takes every value to ``2^-NEGLIGIBLE`` or below, but at
+        least the least that keeps the smallest value in range, and at
+        most 1.
+        """
+        held = [e for e in (probe() for _, probe in self._listeners if probe) if e]
+        smallest = min((lo for lo, _ in held), default=1.0)
+        # frexp(x) = (m, e) with x = m·2^e and 0.5 <= m < 1, so x >= 2^(e-1).
+        floor = math.ldexp(1.0, min(0, 1 - RANGE - math.frexp(smallest)[1]))
+        if g >= floor:
+            return g
+        largest = max((hi for _, hi in held), default=1.0)
+        below = math.ldexp(1.0, -NEGLIGIBLE - math.frexp(largest)[1])
+        return min(1.0, max(floor, below))
 
 
 class AnchoredEdgeValues:
@@ -184,6 +238,7 @@ class AnchoredEdgeValues:
         self.kind = kind
         self.name = name
         self._values: Dict[Edge, float] = {}
+        clock.add_rescale_listener(self._absorb, self._extent)
 
     # -- anchored-space access -----------------------------------------
     def anchored(self, u: int, v: int) -> float:
@@ -248,6 +303,19 @@ class AnchoredEdgeValues:
             for key in sorted(self._values):
                 self._values[key] /= g
         # NEUTRAL values are invariant under rescale.
+
+    def _extent(self) -> Extent:
+        """The stored magnitudes a rescale must keep in range: the
+        smallest and largest nonzero value, read as PosM (a NegM value
+        ``x`` reads as ``1/x``)."""
+        if self.kind is ValueKind.NEUTRAL:
+            return None
+        held = [value for _, value in self.items_anchored() if value]
+        if not held:
+            return None
+        if self.kind is ValueKind.POSITIVE:
+            return min(held), max(held)
+        return 1.0 / max(held), 1.0 / min(held)
 
     def items_anchored(self) -> Iterator[Tuple[Edge, float]]:
         """Iterate ``(edge, anchored value)`` pairs."""

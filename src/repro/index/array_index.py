@@ -18,14 +18,15 @@ heap push order.  Any behavioral edit to ``voronoi.py`` must be mirrored
 here (the ``backend-parity-discipline`` anclint rule holds the line).
 
 The forest's child sets follow the same rule as the partition's: a
-leaf holds ``None`` and a node's first child makes its set.  Their
-iteration order fixes only the order of Update-Increase's subtree walk,
-and that order reaches no result: the walk's nodes enter a heap ordered
-by ``(dist, seed, node)``, where equal entries are identical, so every
-pop sequence, distance, seed and touched count is the same whatever
-order they were pushed in.  That is also why :func:`~repro.index.persistence.load_index`
-may rebuild the sets in node order rather than in the order the
-repairs made them.
+leaf holds ``None``, a node's first child makes its set, and a node that
+loses its last child drops it.  Their iteration order fixes only the
+order of Update-Increase's subtree walk, and that order reaches no
+result: the walk's nodes enter a heap ordered by ``(dist, seed, node)``,
+where equal entries are identical, so every pop sequence, distance, seed
+and touched count is the same whatever order they were pushed in.  That
+is why a set made again later changes nothing, and why
+:func:`~repro.index.persistence.load_index` may rebuild the sets in node
+order rather than in the order the repairs made them.
 """
 
 from __future__ import annotations
@@ -237,7 +238,10 @@ class ArrayPyramidIndex(PyramidIndex):
                 old = parent[a_]
                 if old != b_:
                     if old >= 0:
-                        children[old].discard(a_)  # type: ignore[union-attr]
+                        siblings = children[old]
+                        siblings.discard(a_)  # type: ignore[union-attr]
+                        if not siblings:
+                            children[old] = None
                     parent[a_] = b_
                     ch = children[b_]
                     if ch is None:
@@ -266,7 +270,10 @@ class ArrayPyramidIndex(PyramidIndex):
                     old = parent[y]
                     if old != x:
                         if old >= 0:
-                            children[old].discard(y)  # type: ignore[union-attr]
+                            siblings = children[old]
+                            siblings.discard(y)  # type: ignore[union-attr]
+                            if not siblings:
+                                children[old] = None
                         parent[y] = x
                         ch = children[x]
                         if ch is None:
@@ -309,7 +316,10 @@ class ArrayPyramidIndex(PyramidIndex):
             old = parent[x]
             if old != -1:
                 if old >= 0:
-                    children[old].discard(x)  # type: ignore[union-attr]
+                    siblings = children[old]
+                    siblings.discard(x)  # type: ignore[union-attr]
+                    if not siblings:
+                        children[old] = None
                 parent[x] = -1
         pq: List[Tuple[float, int, int]] = []
         push = heappush
@@ -339,7 +349,10 @@ class ArrayPyramidIndex(PyramidIndex):
                     old = parent[y]
                     if old != x:
                         if old >= 0:
-                            children[old].discard(y)  # type: ignore[union-attr]
+                            siblings = children[old]
+                            siblings.discard(y)  # type: ignore[union-attr]
+                            if not siblings:
+                                children[old] = None
                         parent[y] = x
                         ch = children[x]
                         if ch is None:

@@ -69,12 +69,18 @@ def register_edge_in_metric(metric: SimilarityFunction, u: int, v: int) -> float
     decay factor, so they decay from now on like any other value).
     Updates the cached node strengths.  Returns the new anchored
     reciprocal weight for the index.
+
+    On array stores the edge is interned in the metric's edge space
+    first, so every flat store grows (and the σ caches invalidate) in
+    lockstep with the graph before the first write.
     """
     if not metric.graph.has_edge(u, v):
         raise ValueError(f"edge ({u}, {v}) is not in the relation graph")
     key = edge_key(u, v)
     if key in metric.similarity:
         raise ValueError(f"edge {key} is already registered")
+    if metric.space is not None:
+        metric.space.ensure_edge(u, v)
     anchored_activeness = metric.activeness.store.to_anchored(1.0)
     metric.activeness.store.set_anchored(u, v, anchored_activeness)
     metric.sigma.on_activation_delta(u, v, anchored_activeness)
@@ -92,10 +98,5 @@ def add_relation_edge(engine: "ANCEngineBase", u: int, v: int) -> int:
     if engine.graph.has_edge(u, v):
         return 0
     engine.graph.add_edge(u, v)
-    if engine.metric.space is not None:
-        # Array stores: intern the edge id *before* the metric/index
-        # writes so every flat store grows (and σ caches invalidate) in
-        # lockstep with the graph.
-        engine.metric.space.ensure_edge(u, v)
     weight = register_edge_in_metric(engine.metric, u, v)
     return insert_edge_into_index(engine.index, u, v, weight)

@@ -20,7 +20,7 @@ import json
 import time
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from ..graph.graph import Graph
 from ..graph.traversal import INF
@@ -35,7 +35,6 @@ __all__ = [
     "FORMAT_VERSION",
     "graph_fingerprint",
     "load_index",
-    "load_index_resume",
     "save_index",
 ]
 
@@ -65,14 +64,8 @@ def save_index(
     path: PathLike,
     *,
     faults: "Optional[FaultPlan]" = None,
-    resume: Optional[Mapping[str, int]] = None,
 ) -> None:
     """Write the index to ``path`` as JSON.
-
-    ``resume`` is opaque recovery metadata (``{"seq": ..., "epoch": ...}``
-    from the checkpoint writer) stored alongside the structural payload
-    so a loader learns its WAL resume point without re-scanning the log;
-    :func:`load_index_resume` hands it back.
 
     ``faults`` is the :mod:`repro.faults` hook (site ``index.save``);
     ``None`` — the default everywhere outside the chaos harness — costs
@@ -98,8 +91,6 @@ def save_index(
             for pyramid in index.pyramids
         ],
     }
-    if resume is not None:
-        doc["resume"] = {key: int(value) for key, value in resume.items()}
     payload = json.dumps(doc)
     if faults is not None:
         action = faults.hit("index.save", path=str(path))
@@ -116,35 +107,19 @@ def save_index(
 
 
 def load_index(
-    graph: Graph, path: PathLike, *, faults: "Optional[FaultPlan]" = None
-) -> PyramidIndex:
-    """Restore an index previously written by :func:`save_index`.
-
-    ``graph`` must be the same relation network the index was built on
-    (verified by fingerprint).  No shortest-path computation is run; the
-    restored partitions are validated structurally instead.
-
-    ``faults`` is the :mod:`repro.faults` hook (site ``index.load``, the
-    slow/stalled snapshot reader); ``None`` costs a single comparison.
-    """
-    index, _ = load_index_resume(graph, path, faults=faults)
-    return index
-
-
-def load_index_resume(
     graph: Graph,
     path: PathLike,
     *,
     faults: "Optional[FaultPlan]" = None,
     space: "Optional[EdgeSpace]" = None,
-) -> Tuple[PyramidIndex, Dict[str, int]]:
-    """:func:`load_index` plus the stored resume metadata.
+) -> PyramidIndex:
+    """Restore an index previously written by :func:`save_index`.
 
-    Returns ``(index, resume)`` where ``resume`` is the mapping passed to
-    :func:`save_index` (``{}`` for documents written before it existed).
-    Recovery callers — server restart and follower bootstrap both go
-    through ``repro.service.snapshots.recover_to`` — read their WAL
-    resume seq and epoch from here instead of re-scanning the log.
+    ``graph`` must be the same relation network the index was built on
+    (verified by fingerprint).  No shortest-path computation is run; the
+    restored partitions are validated structurally instead.  A document
+    written before this build may carry a ``resume`` field; it is
+    ignored (a checkpoint's resume point is its directory name).
 
     ``space`` selects the index class: an
     :class:`~repro.core.arrays.EdgeSpace` (the restoring metric's
@@ -152,6 +127,9 @@ def load_index_resume(
     :class:`~repro.index.array_index.ArrayPyramidIndex` bound to it,
     ``None`` the plain dict-backed :class:`PyramidIndex`.  The on-disk
     document is identical either way.
+
+    ``faults`` is the :mod:`repro.faults` hook (site ``index.load``, the
+    slow/stalled snapshot reader); ``None`` costs a single comparison.
     """
     if faults is not None:
         action = faults.hit("index.load", path=str(path))
@@ -214,6 +192,4 @@ def load_index_resume(
         assert isinstance(index, ArrayPyramidIndex)
         index._bind_space(space)
     index.check_consistency()
-    raw_resume = doc.get("resume", {})
-    resume = {str(key): int(value) for key, value in raw_resume.items()}
-    return index, resume
+    return index

@@ -333,6 +333,8 @@ class PyramidIndex:
         return sum(p.memory_cost() for p in self.pyramids) + 12 * len(self._weights)
 
     def check_consistency(self) -> None:
-        """Validate every partition's forest invariants (test helper)."""
+        """Validate every partition's forest invariants; raises
+        :class:`~repro.index.voronoi.InconsistentPartition` on the first
+        violation (a restore runs it too)."""
         for partition in self.partitions():
             partition.check_consistency()

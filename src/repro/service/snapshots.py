@@ -84,7 +84,7 @@ from ..core.activation import Activation
 from ..core.anc import ANCF, ANCO, ANCOR, ANCEngineBase, ANCParams
 from ..graph.graph import Graph
 from ..index.clustering import ClusterQueryEngine
-from ..index.persistence import load_index_resume, save_index
+from ..index.persistence import load_index, save_index
 from .errors import Fenced
 
 if TYPE_CHECKING:  # import cycle guard: faults hooks into service, not vice versa
@@ -504,14 +504,7 @@ def restore_engine(
     metric._initialized = True
     engine.metric = metric
 
-    engine.index, resume = load_index_resume(
-        graph, index_path, faults=faults, space=metric.space
-    )
-    if resume["seq"] != int(doc["activations"]):  # type: ignore[arg-type]
-        raise ValueError(
-            f"checkpoint internally inconsistent: index resume seq "
-            f"{resume['seq']} != engine activations {doc['activations']}"
-        )
+    engine.index = load_index(graph, index_path, faults=faults, space=metric.space)
     metric.clock.add_rescale_listener(engine.index.on_rescale)
     engine.queries = ClusterQueryEngine(engine.index, method=params.method)
     engine.activations_processed = int(doc["activations"])  # type: ignore[arg-type]
@@ -564,11 +557,11 @@ class CheckpointStore:
 
         Call from the writer thread only (needs a quiescent engine).
         Older checkpoints are pruned after the new one is complete.
-        ``epoch`` is the primary epoch the node is serving under; it is
-        recorded in the MANIFEST and the index resume metadata so a
-        restart (or a follower bootstrapping from this directory) knows
-        both the WAL resume point and the fencing token without
-        re-scanning the log.
+        The seq is the directory name and ``engine.json``'s
+        ``activations``; ``epoch``, the primary epoch the node is
+        serving under, is recorded in the MANIFEST.  So a restart (or a
+        follower bootstrapping from this directory) knows both the WAL
+        resume point and the fencing token without re-scanning the log.
 
         Re-cutting a checkpoint at the same seq (a restart followed by a
         clean stop, or a second ``snapshot``, with no writes in between)
@@ -610,12 +603,7 @@ class CheckpointStore:
             fh.write(written)
             fh.flush()
             os.fsync(fh.fileno())
-        save_index(
-            engine.index,
-            target / "index.json",
-            faults=self.faults,
-            resume={"seq": seq, "epoch": epoch},
-        )
+        save_index(engine.index, target / "index.json", faults=self.faults)
         if action is not None and action.kind == "skip-manifest":
             from ..faults.plan import InjectedCrash
 
@@ -624,7 +612,6 @@ class CheckpointStore:
                 f"crashed before MANIFEST of checkpoint {seq}",
             )
         manifest = {
-            "seq": seq,
             "epoch": epoch,
             "engine_crc": zlib.crc32(payload.encode()),
             "index_crc": _file_crc(target / "index.json"),
@@ -707,17 +694,17 @@ def recover_to(
     * empty directory → fresh engine.
 
     The single recovery path shared by server restart and follower
-    bootstrap (:mod:`repro.replica`): the checkpoint's resume seq/epoch
-    come from its MANIFEST and index resume metadata, so no caller ever
-    re-scans the WAL to find its own resume point.  ``upto_seq`` bounds
+    bootstrap (:mod:`repro.replica`): the checkpoint's resume seq comes
+    from its ``engine.json`` and its epoch from its MANIFEST, so no
+    caller ever re-scans the WAL to find its own resume point.  ``upto_seq`` bounds
     the replay (exclusive) for point-in-time recovery; the default
     replays the whole tail.
 
     ``params``/``engine_name`` configure the fresh-start path and are
     ignored when a checkpoint dictates them.  A checkpoint whose
     MANIFEST lacks its checksums or epoch, whose contents fail the
-    checksums, or which does not deserialize raises
-    :class:`CheckpointCorruptError`; a damaged WAL raises
+    checksums, which does not deserialize, or whose index fails its
+    consistency check raises :class:`CheckpointCorruptError`; a damaged WAL raises
     :class:`WalCorruptError` (see :meth:`WriteAheadLog.replay_records`).
     Serving silently-wrong clusters is never an option.
     """

@@ -9,7 +9,9 @@ Also the suite's hygiene plumbing:
   / ``-p no:randomly`` indifferent;
 * the ``chaos`` marker gates the fault-injection matrix
   (``tests/chaos/``): those tests only run under ``--chaos`` or
-  ``ANC_CHAOS=1``, keeping the tier-1 suite fast.
+  ``ANC_CHAOS=1``, keeping the tier-1 suite fast;
+* the ``grid`` marker gates the same way (``--grid`` or ``ANC_GRID=1``)
+  the fixed 5,010-input rescale grid (``tests/test_rescale_grid.py``).
 """
 
 from __future__ import annotations
@@ -24,12 +26,22 @@ from repro.graph.generators import barbell_graph, grid_graph, path_graph, plante
 from repro.graph.graph import Graph
 
 
+#: Slow test families run only on request: marker -> its environment switch.
+GATED = {"chaos": "ANC_CHAOS", "grid": "ANC_GRID"}
+
+
 def pytest_addoption(parser: pytest.Parser) -> None:
     parser.addoption(
         "--chaos",
         action="store_true",
         default=False,
         help="run the chaos (fault-injection matrix) tests",
+    )
+    parser.addoption(
+        "--grid",
+        action="store_true",
+        default=False,
+        help="run the fixed rescale grid against a fresh rebuild",
     )
 
 
@@ -38,17 +50,22 @@ def pytest_configure(config: pytest.Config) -> None:
         "markers",
         "chaos: fault-injection matrix tests (slow; enable with --chaos or ANC_CHAOS=1)",
     )
+    config.addinivalue_line(
+        "markers",
+        "grid: the 5,010-input rescale grid (slow; enable with --grid or ANC_GRID=1)",
+    )
 
 
 def pytest_collection_modifyitems(
     config: pytest.Config, items: "list[pytest.Item]"
 ) -> None:
-    if config.getoption("--chaos") or os.environ.get("ANC_CHAOS") == "1":
-        return
-    skip = pytest.mark.skip(reason="chaos tests need --chaos or ANC_CHAOS=1")
-    for item in items:
-        if "chaos" in item.keywords:
-            item.add_marker(skip)
+    for marker, variable in GATED.items():
+        if config.getoption(f"--{marker}") or os.environ.get(variable) == "1":
+            continue
+        skip = pytest.mark.skip(reason=f"{marker} tests need --{marker} or {variable}=1")
+        for item in items:
+            if marker in item.keywords:
+                item.add_marker(skip)
 
 
 @pytest.fixture(autouse=True)

@@ -28,6 +28,7 @@ import subprocess
 import sys
 import threading
 import time
+import zlib
 from pathlib import Path
 
 import pytest
@@ -51,7 +52,13 @@ from repro.service import (
 from repro.obs.instruments import Counter, Gauge, Histogram
 from repro.service.client import RetryPolicy
 from repro.service.server import MAX_PROFILE_HZ
-from repro.service.snapshots import apply_activations, recover_to, restore_engine
+from repro.service.snapshots import (
+    CheckpointCorruptError,
+    apply_activations,
+    recover_to,
+    restore_engine,
+    signature_digest,
+)
 from repro.service.wire import LINE_LIMIT
 from repro.workloads.streams import community_biased_stream
 
@@ -615,6 +622,87 @@ class TestCrashRecovery:
         graph, _ = small_planted
         with pytest.raises(ValueError, match="unsupported engine-state"):
             restore_engine(graph, {"format": 42}, tmp_path / "index.json")
+
+
+def checkpointed_store(tmp_path, graph, labels, params):
+    """A data dir with a checkpoint at 60 activations and a WAL tail past
+    it; returns ``(store, checkpoint dir, live engine)``."""
+    acts = make_stream(graph, labels, timestamps=12, seed=5)
+    store = CheckpointStore(tmp_path)
+    wal = WriteAheadLog(store.wal_path)
+    live = ANCO(graph, params)
+    for act in acts:
+        wal.append(act)
+    apply_activations(live, acts[:60])
+    path = store.write_checkpoint(live, epoch=3)
+    apply_activations(live, acts[60:])
+    wal.close()
+    return store, path, live
+
+
+def rewrite_index(path, edit):
+    """Apply ``edit`` to a checkpoint's index document and re-seal its
+    MANIFEST checksum, as bit rot before the checksum was taken would."""
+    index_path = path / "index.json"
+    doc = json.loads(index_path.read_text())
+    edit(doc)
+    index_path.write_text(json.dumps(doc))
+    manifest = json.loads((path / "MANIFEST").read_text())
+    manifest["index_crc"] = zlib.crc32(index_path.read_bytes())
+    (path / "MANIFEST").write_text(json.dumps(manifest))
+    return manifest
+
+
+class TestCheckpointFormat:
+    def test_seq_lives_in_the_dir_name_and_engine_json(
+        self, tmp_path, small_planted, quick_params
+    ):
+        """The index document carries no ``resume`` and the MANIFEST no
+        ``seq``: the seq is the directory name and ``engine.json``'s
+        ``activations``, the epoch the MANIFEST's."""
+        graph, labels = small_planted
+        store, path, _ = checkpointed_store(tmp_path, graph, labels, quick_params)
+        assert path.name == "checkpoint-60"
+        assert "resume" not in json.loads((path / "index.json").read_text())
+        manifest = json.loads((path / "MANIFEST").read_text())
+        assert sorted(manifest) == ["engine_crc", "epoch", "index_crc"]
+        assert json.loads((path / "engine.json").read_text())["activations"] == 60
+        assert recover_to(graph, store).epoch == 3
+
+    def test_a_data_dir_in_the_older_format_recovers(
+        self, tmp_path, small_planted, quick_params
+    ):
+        """A checkpoint that still records its seq in the MANIFEST and a
+        ``resume`` in ``index.json`` recovers to the same digest."""
+        graph, labels = small_planted
+        store, path, live = checkpointed_store(tmp_path, graph, labels, quick_params)
+
+        def add_resume(doc):
+            doc["resume"] = {"seq": 60, "epoch": 3}
+
+        manifest = rewrite_index(path, add_resume)
+        manifest["seq"] = 60
+        (path / "MANIFEST").write_text(json.dumps(manifest))
+        recovery = recover_to(graph, store)
+        assert (recovery.epoch, recovery.replayed) == (3, len(make_stream(graph, labels, timestamps=12, seed=5)) - 60)
+        assert signature_digest(recovery.engine) == signature_digest(live)
+
+    def test_an_inconsistent_index_is_a_corrupt_checkpoint(
+        self, tmp_path, small_planted, quick_params
+    ):
+        """An index whose checksums match but whose forest is broken (one
+        distance raised by 5.0) fails recovery with the typed error."""
+        graph, labels = small_planted
+        store, path, _ = checkpointed_store(tmp_path, graph, labels, quick_params)
+
+        def raise_one_dist(doc):
+            dist = doc["pyramids"][0]["1"]["dist"]
+            v = next(i for i, d in enumerate(dist) if d)
+            dist[v] += 5.0
+
+        rewrite_index(path, raise_one_dist)
+        with pytest.raises(CheckpointCorruptError, match="inconsistent Voronoi partition"):
+            recover_to(graph, store)
 
 
 # ----------------------------------------------------------------------
@@ -1242,6 +1330,54 @@ class TestServerSubprocess:
         assert after["t"] == before["t"]
         assert after["applied"] == before["applied"]
         assert after["clusters"] == before["clusters"]
+
+    def test_unix_second_timestamps_survive_kill_dash_nine(self, tmp_path):
+        """A fresh server takes unix-second timestamps (its clock starts
+        at 0, so the first rescale absorbs a capped factor), is killed
+        with SIGKILL after a checkpoint and a WAL tail, and after the
+        restart answers ``clusters`` and ``signature`` as before."""
+        graph, labels = planted_partition(60, 4, p_in=0.5, p_out=0.02, seed=11)
+        edgelist = tmp_path / "graph.txt"
+        edgelist.write_text("".join(f"{u} {v}\n" for u, v in graph.edges()))
+        data_dir = tmp_path / "data"
+        acts = make_stream(graph, labels, timestamps=30, seed=2)
+        items = [[str(a.u), str(a.v), 1.7e9 + a.t] for a in acts]
+        cut = len(items) // 2
+
+        def answers(client, level=None):
+            info = client.clusters_info(level=level)
+            return info, client.request("signature")["digest"]
+
+        proc, host, port = start_server_subprocess(edgelist, data_dir)
+        try:
+            with ServiceClient(host, port) as client:
+                client.ingest_batch(items[:cut])
+                client.snapshot()
+                client.ingest_batch(items[cut:])
+                client.sync()
+                before, digest = answers(client)
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=10)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+
+        proc, host, port = start_server_subprocess(edgelist, data_dir)
+        try:
+            with ServiceClient(host, port) as client:
+                after, digest_after = answers(client, level=before["level"])
+                client.shutdown()
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+
+        assert before["t"] == 1.7e9 + acts[-1].t
+        assert after["applied"] == before["applied"] == len(items)
+        assert after["clusters"] == before["clusters"]
+        assert digest_after == digest
 
     def test_sigterm_is_a_clean_stop(self, tmp_path):
         """``kill -TERM`` stops ``repro-anc serve`` cleanly: exit 0 and a
